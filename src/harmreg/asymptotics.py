@@ -1,9 +1,9 @@
 """Limit covariance machinery for the harmonic least-squares estimator.
 
 Self-convolutions of the noise spectral density are computed as cosine
-transforms of powers of the covariance; powers of the covariance are
-expanded exactly into envelope-times-cosine terms so each piece reduces
-to a transform of a smooth monotone envelope. On top of that sit the
+transforms of powers of the covariance: a Gauss-Legendre body on nodes
+shared by all orders, and a closed-form tail on the exact expansion of
+each power into envelope-times-cosine lines. On top of that sit the
 per-harmonic limit Gram blocks, the 3x3 covariance blocks of the
 normalized estimation errors (in both published variants), the general
 spectral-measure form, and the plug-in estimator with truncation tails.
@@ -32,7 +32,14 @@ from .spectral import NoiseSpec, covariance, covariance_envelope, singular_point
 
 DEFAULT_J_MAX = 20
 _COEFF_SKIP = 1e-12  # scale-free floor below which a Hermite term is dropped
-_CT_TOL = 1e-7
+# t1 doubles until one order's tail error estimate is below this; the lines
+# of B^k carry total weight 1, so each line's transform gets about 0.5e-7
+_TAIL_TARGET = 0.5e-7 / math.pi
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_CHUNK_PANELS = 2048  # with the double-width rule: 49152 nodes per chunk
+_GRADE_START = 2.0**-30  # right edge of the first graded panel at t = 0
+_GROWTH = 0.5  # graded panel width over its left edge
+_SEG_PANELS = 4  # panels for the a-posteriori zero-frequency tail check
 MODES = ("derived", "as-printed")
 
 
@@ -70,53 +77,246 @@ def _merge_products(dicts) -> dict:
     return acc
 
 
-@functools.lru_cache(maxsize=4096)
-def _power_terms(spec: NoiseSpec, k: int):
-    """B(t)^k as a tuple of (weight, envelope-params, ((freq, coef), ...)).
+@dataclass(frozen=True)
+class _PowerLines:
+    """B(t)^k as sum_i coef_i * U_i(t) * cos(omega_i t), one row per line.
 
-    envelope-params is a tuple of (decay_power, rho) pairs defining
-    U(t) = prod (1 + t^rho)^(-decay_power); the cosine dictionary is the
-    exact trigonometric expansion of the carrier product.
+    U_i(t) = prod_j (1 + t^rho_j)^(-expo[i, j]), where expo[i, j] is
+    n_j alpha_j / 2 for the multinomial composition n of k behind line i.
     """
+
+    coef: np.ndarray
+    omega: np.ndarray
+    expo: np.ndarray
+    rho: np.ndarray
+
+    def envelope(self, t: float):
+        """(U(t), U'(t), local decay exponent -t U'(t) / U(t)) per line."""
+        tr = t**self.rho
+        u = np.exp(-self.expo @ np.log1p(tr))
+        beta_loc = self.expo @ (self.rho * tr / (1.0 + tr))
+        return u, -u * beta_loc / t, beta_loc
+
+    def envelope_on(self, t: np.ndarray) -> np.ndarray:
+        """U on a node array, shape (lines, nodes)."""
+        return np.exp(-self.expo @ np.log1p(t[None, :] ** self.rho[:, None]))
+
+
+@functools.lru_cache(maxsize=4096)
+def _power_lines(spec: NoiseSpec, k: int) -> _PowerLines:
+    """Exact trigonometric expansion of B(t)^k into envelope-times-cosine
+    lines; it does not depend on the frequency it is transformed at."""
     comps = spec.components
-    terms = []
+    coef, omega, expo = [], [], []
     for n in _compositions(k, len(comps)):
         weight = math.factorial(k)
-        env = []
         dicts = []
         for nj, comp in zip(n, comps):
             weight /= math.factorial(nj)
             weight *= comp.weight**nj
-            if nj > 0:
-                env.append((nj * comp.alpha / 2.0, comp.rho))
-                if comp.kappa != 0.0:
-                    dicts.append(_cos_power(comp.kappa, nj))
+            if nj > 0 and comp.kappa != 0.0:
+                dicts.append(_cos_power(comp.kappa, nj))
         freq_map = _merge_products(dicts) if dicts else {0.0: 1.0}
-        terms.append((weight, tuple(env), tuple(sorted(freq_map.items()))))
-    return tuple(terms)
+        row = [nj * comp.alpha / 2.0 for nj, comp in zip(n, comps)]
+        for freq, c in sorted(freq_map.items()):
+            coef.append(weight * c)
+            omega.append(freq)
+            expo.append(row)
+    arrays = [np.array(x) for x in (coef, omega, expo, [c.rho for c in comps])]
+    for arr in arrays:
+        arr.flags.writeable = False  # the cached tables are shared
+    return _PowerLines(*arrays)
 
 
-def _envelope_fns(env):
-    def u(t):
-        out = 1.0
-        for a, rho in env:
-            out *= (1.0 + t**rho) ** (-a)
-        return out
-
-    def du(t):
-        s = 0.0
-        for a, rho in env:
-            s -= a * rho * t ** (rho - 1.0) / (1.0 + t**rho)
-        return u(t) * s
-
-    beta = sum(a * rho for a, rho in env)
-    return u, du, beta
+# ---------------------------------------------------------------------------
+# self-convolutions: shared-node body integral plus closed-form tails
 
 
-@functools.lru_cache(maxsize=65536)
-def _envelope_ct(env, mu: float):
-    u, du, beta = _envelope_fns(env)
-    return _quad.cosine_transform(u, beta, mu, du=du, tol=_CT_TOL)
+def _panel_nodes(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights on the panels between consecutive
+    edges, each of shape (panels, nodes per panel)."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (_GL_X + 1.0), half * _GL_W
+
+
+def _envelope_integral(lines: _PowerLines, lo: float, hi: float):
+    """int_lo^hi U per line, and its difference to the same rule at twice
+    the panel width."""
+    edges = np.linspace(lo, hi, _SEG_PANELS + 1)
+    fine, coarse = (
+        lines.envelope_on(t.ravel()) @ w.ravel()
+        for t, w in (_panel_nodes(edges), _panel_nodes(edges[::2]))
+    )
+    return fine, np.abs(fine - coarse)
+
+
+def _tail_closure(lines: _PowerLines, lam: float):
+    """(t1, tail, error estimate) closing (1/pi) int_t1^inf B^k cos(lam t).
+
+    Each line splits into cos(mu t) with mu = |lam - omega| and lam + omega.
+    For mu > 0 the tail is integrated by parts twice, with the remainder
+    bounded by |U'(t1)| / mu^2; for mu == 0 it is closed as a local power
+    law and checked a posteriori against closing at t1/2. t1 doubles from
+    256 until the weighted error estimate meets _TAIL_TARGET or hits the cap.
+    """
+    mu = np.concatenate([np.abs(lam - lines.omega), lam + lines.omega])
+    coef = np.concatenate([lines.coef, lines.coef])
+    row = np.concatenate([np.arange(lines.omega.size)] * 2)
+    zero = mu == 0.0
+    mu_o, coef_o, row_o = mu[~zero], coef[~zero], row[~zero]
+    coef_z, row_z = coef[zero], row[zero]
+
+    def power_tail(t):
+        # closes int_t^inf U assuming U ~ c s^-beta_loc locally, per line
+        u, _, beta_loc = lines.envelope(t)
+        return u * t / (beta_loc - 1.0), beta_loc
+
+    def parts_bound(du):
+        return np.abs(coef_o) @ (np.abs(du[row_o]) / mu_o**2)
+
+    t1 = _quad._T_START
+    while True:
+        _, du, _ = lines.envelope(t1)
+        err = parts_bound(du)
+        if row_z.size:
+            # drift of the local exponent over one doubling tracks how far
+            # U is from an exact power law, which is what the closure misses
+            closed, beta_loc = power_tail(t1)
+            _, beta_half = power_tail(0.5 * t1)
+            drift = np.abs(beta_loc - beta_half)
+            err += np.abs(coef_z) @ (closed * 2.0 * drift)[row_z]
+        if err / (2.0 * math.pi) <= _TAIL_TARGET or t1 >= _quad._T_CAP:
+            break
+        t1 *= 2.0
+
+    u, du, _ = lines.envelope(t1)
+    tail = coef_o @ (
+        -u[row_o] * np.sin(mu_o * t1) / mu_o
+        - du[row_o] * np.cos(mu_o * t1) / mu_o**2
+    )
+    err = parts_bound(du)
+    if row_z.size:
+        closed, _ = power_tail(t1)
+        half, _ = power_tail(0.5 * t1)
+        seg, seg_err = _envelope_integral(lines, 0.5 * t1, t1)
+        tail += coef_z @ closed[row_z]
+        # a-posteriori check: closing the tail at t1/2 must agree with
+        # integrating [t1/2, t1] and closing at t1
+        err += np.abs(coef_z) @ (np.abs(half - (seg + closed)) + seg_err)[row_z]
+    return t1, float(tail) / (2.0 * math.pi), float(err) / (2.0 * math.pi)
+
+
+def _block_edges(a: float, b: float, width: float):
+    """Panel edges covering [a, b], in chunks of at most _CHUNK_PANELS
+    panels with an even count each, so the comparison rule at twice the
+    panel width pairs panels within a chunk.
+
+    Panels are graded geometrically toward t = 0 (the first ends at
+    _GRADE_START, each later one is as wide as _GROWTH times its left
+    edge), which resolves the t^rho cusp of B at the origin, until they
+    reach `width`; the rest of the block is cut into equal panels no wider
+    than `width`.
+    """
+    head = [a] if a > 0.0 else [0.0, _GRADE_START]
+    while head[-1] < b and _GROWTH * head[-1] < width:
+        head.append(min(head[-1] * (1.0 + _GROWTH), b))
+    start = head[-1]
+    n = math.ceil((b - start) / width) if start < b else 0
+    if (len(head) - 1 + n) % 2:
+        if n:
+            n += 1
+        else:
+            head.insert(-1, 0.5 * (head[-2] + head[-1]))
+    head = np.array(head)
+    last = head.size - 1
+    total = last + n
+    for p0 in range(0, total, _CHUNK_PANELS):
+        j = np.arange(p0, min(p0 + _CHUNK_PANELS, total) + 1)
+        uniform = start + (b - start) * (j - last) / max(n, 1)
+        yield np.where(j <= last, head[np.minimum(j, last)], uniform)
+
+
+def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
+    """(1/pi) int_0^t1 B(t)^k cos(lam t) dt for each order k up to its own
+    t1, and the summed differences to the same rule at twice the panel
+    width. B and cos(lam t) are evaluated once per node for all orders;
+    B^k is built by repeated multiplication. Work goes in dyadic blocks
+    [0, 256], [256, 512], ... whose panels resolve the fastest oscillation
+    k kappa_max + lam among the orders still open in the block."""
+    kappa_max = max(c.kappa for c in spec.components)
+    slot = {k: i for i, k in enumerate(orders)}
+    body = np.zeros(len(orders))
+    diff = np.zeros(len(orders))
+    a, b = 0.0, _quad._T_START
+    while a < max(t1s):
+        open_orders = {k for k, t1 in zip(orders, t1s) if t1 >= b}
+        k_top = max(open_orders)
+        omega = k_top * kappa_max + lam
+        width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
+        for edges in _block_edges(a, b, width):
+            fine_t, fine_w = _panel_nodes(edges)
+            coarse_t, coarse_w = _panel_nodes(edges[::2])
+            t = np.concatenate([fine_t.ravel(), coarse_t.ravel()])
+            cos_lam = np.cos(lam * t)
+            # row 0: the rule; row 1: the rule minus the coarse rule
+            weights = np.zeros((2, t.size))
+            weights[:, : fine_w.size] = fine_w.ravel()
+            weights[1, fine_w.size :] = -coarse_w.ravel()
+            weights *= cos_lam
+            cov = covariance(spec, t)
+            power = cov.copy()
+            for k in range(1, k_top + 1):
+                if k in open_orders:
+                    value, delta = weights @ power
+                    body[slot[k]] += value
+                    diff[slot[k]] += abs(delta)
+                if k < k_top:
+                    power *= cov
+        a, b = b, 2.0 * b
+    return body / math.pi, diff / math.pi
+
+
+def _self_convolutions(
+    spec: NoiseSpec, rank: int, orders, lam: float, tol: float = 1e-5
+):
+    """f^(*k)(lam) and its error estimate for every k in orders, from one
+    shared evaluation of B on [0, max t1] plus a closed-form tail per
+    expansion line. Each order's estimate (body: comparison with the rule
+    at twice the panel width; tail: the closure bounds) must stay within
+    tol."""
+    for k in orders:
+        if k < 1 or k < rank:
+            raise ValidationError(f"order k = {k} must be >= rank = {rank}")
+        if spec.alpha_min * k <= 1.0 or spec.decay_exponent * k <= 1.0:
+            raise NonIntegrableError(
+                f"self-convolution of order {k} is not integrable: "
+                f"alpha_min * k = {spec.alpha_min * k:.3f}"
+            )
+    if not orders:
+        return [], []
+    lam = abs(float(lam))
+    closures = [_tail_closure(_power_lines(spec, k), lam) for k in orders]
+    body, body_err = _body_integrals(spec, lam, orders, [c[0] for c in closures])
+    vals, errs = [], []
+    for k, (_, tail, tail_err), part, part_err in zip(
+        orders, closures, body, body_err
+    ):
+        val = float(part) + tail
+        err = float(part_err) + tail_err
+        if err > tol:
+            raise QuadratureError(
+                f"self-convolution of order {k} at {lam:.4f}: error estimate "
+                f"{err:.2e} exceeds {tol:.2e}"
+            )
+        if val < 0.0:
+            if val < -max(10.0 * err, 1e-8):
+                raise QuadratureError(
+                    f"self-convolution at {lam:.4f} came out negative: {val:.3e}"
+                )
+            val = 0.0
+        vals.append(val)
+        errs.append(err)
+    return vals, errs
 
 
 def self_convolution(
@@ -127,37 +327,10 @@ def self_convolution(
 
     Requires k >= rank and an integrable power: alpha_min * k > 1 (and the
     envelope decay exponent times k > 1 when rho != 2). Even in lam. The
-    accumulated quadrature error estimate must stay within tol.
+    quadrature error estimate must stay within tol.
     """
-    if k < 1 or k < rank:
-        raise ValidationError(f"order k = {k} must be >= rank = {rank}")
-    if spec.alpha_min * k <= 1.0 or spec.decay_exponent * k <= 1.0:
-        raise NonIntegrableError(
-            f"self-convolution of order {k} is not integrable: "
-            f"alpha_min * k = {spec.alpha_min * k:.3f}"
-        )
-    lam = abs(float(lam))
-    val = 0.0
-    err = 0.0
-    for weight, env, freq_map in _power_terms(spec, k):
-        for omega, coef in freq_map:
-            for mu in (abs(lam - omega), lam + omega):
-                v, e = _envelope_ct(env, mu)
-                val += weight * coef * v
-                err += abs(weight * coef) * e
-    val /= 2.0 * math.pi
-    err /= 2.0 * math.pi
-    if err > tol:
-        raise QuadratureError(
-            f"self-convolution error estimate {err:.2e} exceeds {tol:.2e}"
-        )
-    if val < 0.0:
-        if val < -max(10.0 * err, 1e-8):
-            raise QuadratureError(
-                f"self-convolution at {lam:.4f} came out negative: {val:.3e}"
-            )
-        val = 0.0
-    return val
+    vals, _ = _self_convolutions(spec, rank, (k,), lam, tol)
+    return vals[0]
 
 
 def abs_cov_power_integral(spec: NoiseSpec, m: int, lo: float = 0.0) -> float:
@@ -228,6 +401,25 @@ def _tail_mass(transform: TransformSpec, j_max: int) -> float:
     return mass
 
 
+def _spectral_sum(
+    spec: NoiseSpec, transform: TransformSpec, lam: float, j_max: int
+) -> tuple[float, float, float]:
+    """(s, truncation tail bound, weighted quadrature error estimate)."""
+    if j_max < transform.rank:
+        raise ValidationError("j_max below the transform rank")
+    active = _active_orders(transform, j_max)
+    vals, errs = _self_convolutions(
+        spec, transform.rank, [j for j, _ in active], lam
+    )
+    s = 0.0
+    quad_err = 0.0
+    for (_, w), v, e in zip(active, vals, errs):
+        s += w * v
+        quad_err += w * e
+    tail = _tail_mass(transform, j_max) * b_m(spec, transform.rank) / (2.0 * math.pi)
+    return s, tail, quad_err
+
+
 def spectral_factor(
     spec: NoiseSpec,
     transform: TransformSpec,
@@ -236,12 +428,7 @@ def spectral_factor(
 ) -> tuple[float, float]:
     """s(lam) = sum_{j=rank}^{j_max} (C_j^2 / j!) f^(*j)(lam) and the
     truncation tail bound (1/2pi) B_rank sum_{j>j_max} C_j^2 / j!."""
-    if j_max < transform.rank:
-        raise ValidationError("j_max below the transform rank")
-    s = 0.0
-    for j, w in _active_orders(transform, j_max):
-        s += w * self_convolution(spec, transform.rank, j, lam)
-    tail = _tail_mass(transform, j_max) * b_m(spec, transform.rank) / (2.0 * math.pi)
+    s, tail, _ = _spectral_sum(spec, transform, lam, j_max)
     return s, tail
 
 
@@ -320,7 +507,8 @@ def gamma_matrix(
 @dataclass
 class GammaReport:
     """Per-harmonic limit covariance blocks with their spectral factors,
-    truncation metadata, and eigenvalues."""
+    truncation metadata, and eigenvalues. quad_errors holds, per harmonic,
+    the self-convolution quadrature error estimates weighted like s."""
 
     mode: str
     j_max: int
@@ -329,6 +517,7 @@ class GammaReport:
     s_values: tuple
     tail_bounds: tuple
     eigenvalues: tuple
+    quad_errors: tuple = ()
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -349,17 +538,18 @@ def gamma_report(
     j_max: int = DEFAULT_J_MAX,
     mode: str = "derived",
 ) -> GammaReport:
-    """gamma_matrix for every harmonic of the model, with s factors and
-    tail bounds."""
+    """gamma_matrix for every harmonic of the model, with s factors, tail
+    bounds and quadrature error estimates."""
     a_arr, b_arr, phi_arr = model.amplitudes()
-    mats, svals, tails, eigs = [], [], [], []
+    mats, svals, tails, eigs, errs = [], [], [], [], []
     for a, b, phi in zip(a_arr, b_arr, phi_arr):
-        s, tail = spectral_factor(spec, transform, phi, j_max)
+        s, tail, quad_err = _spectral_sum(spec, transform, phi, j_max)
         m = gamma_matrix(a, b, phi, transform, spec, j_max, mode, s_value=s)
         mats.append(m)
         svals.append(s)
         tails.append(tail)
         eigs.append(np.linalg.eigvalsh(m))
+        errs.append(quad_err)
     return GammaReport(
         mode=mode,
         j_max=j_max,
@@ -368,6 +558,7 @@ def gamma_report(
         s_values=tuple(svals),
         tail_bounds=tuple(tails),
         eigenvalues=tuple(eigs),
+        quad_errors=tuple(errs),
     )
 
 
@@ -424,12 +615,13 @@ def sigma_general(
         total += mass
     if np.linalg.cond(total) > 1e12:
         raise ValidationError("spectral measure total mass is singular")
+    active = _active_orders(transform, j_max)
+    orders = [j for j, _ in active]
     sigma = np.zeros((q, q), dtype=complex)
-    for j, w in _active_orders(transform, j_max):
-        for loc, mass in atoms:
-            sigma += (
-                w * self_convolution(spec, transform.rank, j, abs(loc)) * mass
-            )
+    for loc, mass in atoms:
+        vals, _ = _self_convolutions(spec, transform.rank, orders, loc)
+        for (_, w), v in zip(active, vals):
+            sigma += w * v * mass
     sigma *= 2.0 * math.pi
     inv = np.linalg.inv(total)
     sigma0 = inv @ sigma @ inv

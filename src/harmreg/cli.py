@@ -139,6 +139,7 @@ def _cmd_asymptotics(args) -> int:
         print(f"phi = {phi:.17g}")
         print(f"s = {report.s_values[k]:.17g}")
         print(f"tail_bound = {report.tail_bounds[k]:.17g}")
+        print(f"quad_error = {report.quad_errors[k]:.17g}")
         print(
             "eigenvalues = "
             + ", ".join(f"{v:.17g}" for v in report.eigenvalues[k])

@@ -193,3 +193,56 @@ def abs_cov_power_oracle(
                 b += mpmath.mpf(c.alpha) * mpmath.mpf(c.rho) / 2
             envelope += w * split ** (1 - b) / (b - 1)
         return float(head), float(envelope)
+
+
+@lru_cache(maxsize=None)
+def _envelope_cosine_qawf(envelope: tuple, mu: float) -> float:
+    # int_0^inf prod_j (1 + t^rho_j)^(-a_j) cos(mu t) dt for envelope
+    # ((a_j, rho_j), ...); QAWF for mu > 0, QAGI on the plain integral
+    def env(t):
+        out = 1.0
+        for a, rho in envelope:
+            out *= (1.0 + t**rho) ** (-a)
+        return out
+
+    if mu == 0.0:
+        val, _ = integrate.quad(env, 0.0, math.inf, epsabs=1e-11, epsrel=1e-11, limit=400)
+    else:
+        val, _ = integrate.quad(
+            env, 0.0, math.inf, weight="cos", wvar=mu,
+            epsabs=1e-11, limlst=200, limit=400,
+        )
+    return val
+
+
+def self_convolution_qawf_oracle(spec, k: int, lam: float) -> float:
+    """f^(*k)(lam) = (1/pi) int_0^inf B(t)^k cos(lam t) dt by expanding
+    B^k over ordered k-tuples of components, every product of carrier
+    cosines over its 2^m sign patterns, and transforming each resulting
+    envelope-times-cosine line with QUADPACK's Fourier integral (QAWF)."""
+    comps = spec.components
+    lines: dict = {}
+    for combo in itertools.product(range(len(comps)), repeat=k):
+        weight = 1.0
+        counts = [0] * len(comps)
+        for j in combo:
+            weight *= comps[j].weight
+            counts[j] += 1
+        envelope = tuple(
+            (n * comps[j].alpha / 2.0, comps[j].rho)
+            for j, n in enumerate(counts)
+            if n
+        )
+        carriers = [comps[j].kappa for j in combo if comps[j].kappa != 0.0]
+        # prod_i cos(x_i) = 2^-m sum over signs of cos(sum_i s_i x_i)
+        for signs in itertools.product((1.0, -1.0), repeat=len(carriers)):
+            freq = round(abs(sum(s * x for s, x in zip(signs, carriers))), 12)
+            key = (envelope, freq)
+            lines[key] = lines.get(key, 0.0) + weight * 0.5 ** len(carriers)
+    lam = abs(lam)
+    total = 0.0
+    for (envelope, freq), coef in lines.items():
+        # cos(freq t) cos(lam t) splits into the two shifted frequencies
+        for mu in (round(abs(lam - freq), 12), lam + freq):
+            total += 0.5 * coef * _envelope_cosine_qawf(envelope, mu)
+    return total / math.pi

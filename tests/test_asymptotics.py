@@ -1,27 +1,67 @@
 """Self-convolutions, limit Gram blocks, covariance blocks, plug-in."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from harmreg import _quad
 from harmreg import asymptotics as asy
 from harmreg.errors import (
     ExperimentError,
     NonIntegrableError,
     OverlapError,
+    QuadratureError,
     ValidationError,
 )
 from harmreg.estimator import EstimationResult, estimate_harmonics
 from harmreg.hermite import make_transform
 from harmreg.simulate import HarmonicModel, SamplePath, SamplingGrid, regression_signal
-from harmreg.spectral import NoiseComponent, NoiseSpec, spectral_density
+from harmreg.spectral import NoiseComponent, NoiseSpec, preset_noise, spectral_density
 
-from oracles import abs_cov_power_oracle, density_oracle_fast
+from oracles import (
+    abs_cov_power_oracle,
+    density_oracle_fast,
+    self_convolution_qawf_oracle,
+)
 
 MODEL = HarmonicModel(((1.0, 0.5, 1.3),))
 RANK2_NOISE = NoiseSpec((NoiseComponent(1.0, 0.8),))
+# the two-component noise of the plugin-validate benchmark workload
+PLUGIN_NOISE = NoiseSpec(
+    (NoiseComponent(0.6, 1.5, 0.0, 2.0), NoiseComponent(0.4, 0.8, 2.0, 2.0))
+)
+
+# (spec, rank) pairs for the oracle comparison; the rho != 2 shapes have a
+# t^rho cusp at the origin, and the rho = 0.5 one has no integrable order 1
+ORACLE_SPECS = {
+    "smooth": (preset_noise("smooth"), 1),
+    "seasonal": (preset_noise("seasonal"), 1),
+    "mixed": (preset_noise("mixed"), 1),
+    "plugin": (PLUGIN_NOISE, 2),
+    "rho0.5": (
+        NoiseSpec(
+            (NoiseComponent(0.7, 3.6, 0.0, 0.5), NoiseComponent(0.3, 4.0, 1.0, 0.5))
+        ),
+        1,
+    ),
+    "rho1.5": (
+        NoiseSpec(
+            (NoiseComponent(0.7, 1.6, 0.0, 1.5), NoiseComponent(0.3, 2.0, 1.5, 1.5))
+        ),
+        1,
+    ),
+}
+
+
+def _oracle_cases():
+    for name, (spec, rank) in ORACLE_SPECS.items():
+        for lam in (0.0, 0.7, 1.3, 2.7):
+            for k in range(rank, 7):
+                if spec.alpha_min * k > 1.0 and spec.decay_exponent * k > 1.0:
+                    yield pytest.param(name, k, lam, id=f"{name}-k{k}-lam{lam}")
 
 # independent QAWF reference for the smooth preset density at 1.3
 F_SMOOTH_13 = 0.11717764563958491
@@ -93,6 +133,43 @@ class TestSelfConvolution:
     def test_rank_guard(self, smooth):
         with pytest.raises(ValidationError):
             asy.self_convolution(smooth, 2, 1, 0.5)
+
+    @pytest.mark.parametrize("name, k, lam", list(_oracle_cases()))
+    def test_matches_qawf_oracle(self, name, k, lam):
+        spec, rank = ORACLE_SPECS[name]
+        val = asy.self_convolution(spec, rank, k, lam)
+        assert abs(val - self_convolution_qawf_oracle(spec, k, lam)) <= 1e-7
+
+    def test_near_carrier(self, seasonal):
+        # 1e-4 from the carrier the slowest tail line needs t1 at its cap;
+        # the order's estimate still fits the default budget, and the value
+        # lies within it of the oracle
+        lam = 2.0 + 1e-4
+        (val,), (err,) = asy._self_convolutions(seasonal, 1, (3,), lam)
+        assert 1e-7 < err <= 1e-5
+        assert abs(val - self_convolution_qawf_oracle(seasonal, 3, lam)) <= err
+        assert asy.self_convolution(seasonal, 1, 3, lam) == val
+        with pytest.raises(QuadratureError):
+            asy.self_convolution(seasonal, 1, 3, lam, tol=1e-7)
+
+    @pytest.mark.parametrize(
+        "a, b, width",
+        [(0.0, 256.0, 0.15), (0.0, 256.0, math.inf), (65536.0, 131072.0, 0.785)],
+    )
+    def test_block_edges_chunked_and_graded(self, a, b, width):
+        chunks = list(asy._block_edges(a, b, width))
+        assert chunks[0][0] == a
+        assert chunks[-1][-1] == pytest.approx(b, rel=1e-15)
+        for prev, nxt in zip(chunks, chunks[1:]):
+            assert prev[-1] == nxt[0]
+        for edges in chunks:
+            panels = np.diff(edges)
+            assert panels.size % 2 == 0
+            assert panels.size <= asy._CHUNK_PANELS
+            assert np.all(panels > 0.0)
+            assert np.all(panels <= width * (1.0 + 1e-12))
+        if a == 0.0:
+            assert chunks[0][1] == asy._GRADE_START
 
     @pytest.mark.parametrize(
         "preset_name, k", [("seasonal", 1), ("seasonal", 2), ("mixed", 2)]
@@ -293,6 +370,14 @@ class TestGammaReport:
         report = asy.gamma_report(MODEL, identity, smooth, mode="as-printed")
         assert min(report.eigenvalues[0]) < 0.0
 
+    def test_quad_errors(self, smooth, cube):
+        report = asy.gamma_report(MODEL, cube, smooth)
+        s, _, quad_err = asy._spectral_sum(smooth, cube, 1.3, asy.DEFAULT_J_MAX)
+        assert report.quad_errors == (quad_err,)
+        assert report.s_values == (s,)
+        weight = sum(w for _, w in asy._active_orders(cube, asy.DEFAULT_J_MAX))
+        assert 0.0 <= quad_err <= 1e-5 * weight
+
     def test_derived_mode_requires_pd(self):
         with pytest.raises(ExperimentError):
             asy.GammaReport(
@@ -395,6 +480,42 @@ class TestPlugIn:
         ref = asy.gamma_report(MODEL, identity, smooth)
         diff = np.abs(plug.matrices[0] - ref.matrices[0])
         assert np.max(diff / np.abs(ref.matrices[0]).max()) < 1e-3
+
+    def test_no_adaptive_quadrature_per_plug_in(self, monkeypatch):
+        # structural guard: the plug-in evaluates s on shared nodes with
+        # closed-form tails, never through per-line adaptive transforms
+        transform = make_transform("centered-absolute-value")
+
+        def result_at(phi):
+            return EstimationResult(
+                model=HarmonicModel(((1.0, 0.5, phi),)),
+                objective=0.0,
+                initial_objective=0.0,
+                horizon=1024.0,
+                iterations=0,
+                converged=True,
+                grid_resolution=1e-3,
+            )
+
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                if any(
+                    frame.f_globals.get("__name__") == asy.__name__
+                    for frame, _ in traceback.walk_stack(None)
+                ):
+                    calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        asy.plug_in_gamma(result_at(1.3), transform, PLUGIN_NOISE)
+        monkeypatch.setattr(_quad, "cosine_transform", counting(_quad.cosine_transform))
+        monkeypatch.setattr(integrate, "quad", counting(integrate.quad))
+        for phi in (1.3 + 2.1e-5, 1.3 - 7.3e-6, 1.3 + 1.13e-4):
+            asy.plug_in_gamma(result_at(phi), transform, PLUGIN_NOISE)
+        assert calls == []
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("delta", [1e-5, 1e-3])

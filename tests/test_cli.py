@@ -275,6 +275,7 @@ class TestAsymptotics:
         assert code == 0
         assert _value(out, "mode") == "derived"
         assert float(_value(out, "s")) == pytest.approx(F_SMOOTH_13, rel=1e-8)
+        assert 0.0 <= float(_value(out, "quad_error")) <= 1e-5
         eigs = [float(v) for v in _value(out, "eigenvalues").split(",")]
         assert min(eigs) > 0.0
         first_row = [float(v) for v in _value(out, "row").split(",")]
