@@ -1,98 +1,30 @@
-"""Hot numeric kernels.
+"""Numpy kernels of the least-squares estimator.
 
-Each kernel has a pure-numpy implementation (suffix ``_np``) and, when numba
-is importable and the environment variable ``HARMREG_DISABLE_NUMBA`` is not
-set to ``1``, an @njit-compiled variant. The module-level names without the
-suffix point at whichever variant is active; ``benchmarks/bench_kernels.py``
-times the two side by side.
+At a point (A, B, phi) of the harmonic regression everything the estimator
+needs -- signal values, residual, objective, Jacobian -- derives from one
+trigonometric design: the (n, N) matrices cos(phi_k t_i) and sin(phi_k t_i).
+``trig_design`` builds that pair once per point and ``jacobian`` reuses it.
+``fourier_pair`` is the single-frequency inner product behind the
+periodogram and its golden-section peak search.
 """
-
-import os
 
 import numpy as np
 
-JIT_DISABLED = os.environ.get("HARMREG_DISABLE_NUMBA", "0") == "1"
-HAS_NUMBA = False
-if not JIT_DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
+HAS_NUMBA = False  # there is no jit path; the name stays for benchmark machine facts
 
 
-def fourier_pair_np(x, t, lam):
+def fourier_pair(x, t, lam):
     c = np.cos(lam * t)
     s = np.sin(lam * t)
     return float(x @ c), float(x @ s)
 
 
-def residual_np(x, t, a, b, phi):
-    r = x.copy()
-    for k in range(a.shape[0]):
-        r -= a[k] * np.cos(phi[k] * t) + b[k] * np.sin(phi[k] * t)
-    return r
+def trig_design(t, phi):
+    u = np.outer(t, phi)
+    return np.cos(u), np.sin(u)
 
 
-def jacobian_np(t, a, b, phi):
-    # columns ordered (A_1..A_N, B_1..B_N, phi_1..phi_N); J[i, j] = d r_i / d tau_j
-    n = t.shape[0]
-    nh = a.shape[0]
-    jac = np.empty((n, 3 * nh))
-    for k in range(nh):
-        ck = np.cos(phi[k] * t)
-        sk = np.sin(phi[k] * t)
-        jac[:, k] = -ck
-        jac[:, nh + k] = -sk
-        jac[:, 2 * nh + k] = t * (a[k] * sk - b[k] * ck)
-    return jac
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def fourier_pair_nb(x, t, lam):
-        sc = 0.0
-        ss = 0.0
-        for i in range(x.shape[0]):
-            u = lam * t[i]
-            sc += x[i] * np.cos(u)
-            ss += x[i] * np.sin(u)
-        return sc, ss
-
-    @njit(cache=True)
-    def residual_nb(x, t, a, b, phi):
-        n = x.shape[0]
-        nh = a.shape[0]
-        r = np.empty(n)
-        for i in range(n):
-            acc = x[i]
-            for k in range(nh):
-                u = phi[k] * t[i]
-                acc -= a[k] * np.cos(u) + b[k] * np.sin(u)
-            r[i] = acc
-        return r
-
-    @njit(cache=True)
-    def jacobian_nb(t, a, b, phi):
-        n = t.shape[0]
-        nh = a.shape[0]
-        jac = np.empty((n, 3 * nh))
-        for i in range(n):
-            for k in range(nh):
-                u = phi[k] * t[i]
-                ck = np.cos(u)
-                sk = np.sin(u)
-                jac[i, k] = -ck
-                jac[i, nh + k] = -sk
-                jac[i, 2 * nh + k] = t[i] * (a[k] * sk - b[k] * ck)
-        return jac
-
-    fourier_pair = fourier_pair_nb
-    residual = residual_nb
-    jacobian = jacobian_nb
-else:
-    fourier_pair = fourier_pair_np
-    residual = residual_np
-    jacobian = jacobian_np
+def jacobian(t, c, s, a, b):
+    # residual r = x - c @ a - s @ b, so with columns ordered
+    # (A_1..A_N, B_1..B_N, phi_1..phi_N), J[i, j] = d r_i / d tau_j
+    return np.hstack([-c, -s, t[:, None] * (s * a - c * b)])

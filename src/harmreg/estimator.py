@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fourier_pair, jacobian, residual
+from ._kernels import fourier_pair, jacobian, trig_design
 from .errors import (
     InsufficientPeaksError,
     NoiseFloorWarning,
@@ -101,7 +101,8 @@ def objective(path: SamplePath, model: HarmonicModel) -> float:
 
 
 def _objective_raw(x, t, dt, horizon, a, b, phi) -> float:
-    r = residual(x, t, a, b, phi)
+    c, s = trig_design(t, phi)
+    r = x - (c @ a + s @ b)
     return float(r @ r) * dt / horizon
 
 
@@ -122,18 +123,23 @@ def periodogram(path: SamplePath, lam) -> float | np.ndarray:
     return out if np.ndim(lam) else float(out[0])
 
 
+def _fft_grid(grid) -> tuple[int, float]:
+    """Zero-padded transform length and its frequency spacing.
+
+    The length is the next power of two above 8n, giving grid spacing at
+    most pi / (4T): four points per resolution cell.
+    """
+    nfft = 1 << (8 * grid.n - 1).bit_length()
+    return nfft, 2.0 * math.pi / (nfft * grid.dt)
+
+
 def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     """Periodogram on the zero-padded Fourier grid restricted to the band.
-
-    The transform length is the next power of two above 8n, giving grid
-    spacing at most pi / (4T): four points per resolution cell.
-    Returns (frequencies, values).
-    """
-    n = path.grid.n
-    nfft = 1 << (8 * n - 1).bit_length()
+    Returns (frequencies, values)."""
+    nfft, spacing = _fft_grid(path.grid)
     spec = np.fft.rfft(path.values, nfft)
     vals = np.abs(spec * (path.grid.dt / path.grid.horizon)) ** 2
-    freqs = np.arange(len(vals)) * (2.0 * math.pi / (nfft * path.grid.dt))
+    freqs = np.arange(len(vals)) * spacing
     keep = (freqs >= band[0]) & (freqs <= band[1])
     return freqs[keep], vals[keep]
 
@@ -185,6 +191,12 @@ def detect_frequencies(
     policy = policy or SeparationPolicy()
     horizon = path.grid.horizon
     freqs, vals = periodogram_grid(path, band)
+    if len(freqs) < 2:
+        raise ValidationError(
+            f"band ({band[0]}, {band[1]}) holds {len(freqs)} frequencies of the "
+            f"periodogram grid, whose spacing is {_fft_grid(path.grid)[1]:.6g}; "
+            "need at least two"
+        )
     spacing = freqs[1] - freqs[0]
     admissible = freqs >= max(band[0], policy.min_first(horizon))
     if not np.any(admissible):
@@ -233,11 +245,10 @@ def amplitudes_given_frequencies(path: SamplePath, phis) -> tuple[np.ndarray, np
         raise SingularSystemError("duplicate frequencies in amplitude solve")
     t = path.grid.times()
     w = path.grid.dt / path.grid.horizon
-    cos_m = np.cos(np.outer(phis, t))
-    sin_m = np.sin(np.outer(phis, t))
-    design = np.vstack([cos_m, sin_m])
-    gram = w * (design @ design.T)
-    rhs = w * (design @ path.values)
+    c, s = trig_design(t, phis)
+    design = np.hstack([c, s])
+    gram = w * (design.T @ design)
+    rhs = w * (design.T @ path.values)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         return 2.0 * rhs[:nh], 2.0 * rhs[nh:]
@@ -290,60 +301,66 @@ def refine(
     eps = np.finfo(float).eps
     w = dt / horizon
 
-    def signal_values(aa, bb, pp):
-        return np.cos(np.outer(t, pp)) @ aa + np.sin(np.outer(t, pp)) @ bb
-
-    def scaled_grad(aa, bb, pp):
-        g = (2.0 * w) * (jacobian(t, aa, bb, pp).T @ residual(x, t, aa, bb, pp))
+    def grad_norm(jac, r):
+        g = (2.0 * w) * (jac.T @ r)
         return float(np.max(np.abs(g / scale)))
 
-    q = _objective_raw(x, t, dt, horizon, a, b, phi)
+    # one trigonometric design per evaluated point: the signal values m,
+    # the residual r, and (when needed) the Jacobian all come from (c, s)
+    c, s = trig_design(t, phi)
+    m = c @ a + s @ b
+    r = x - m
+    q = float(r @ r) * dt / horizon
+    jac = None
     converged = False
     it = 0
     while True:
-        g = scaled_grad(a, b, phi)
+        if jac is None:
+            jac = jacobian(t, c, s, a, b)
+            g = grad_norm(jac, r)
         if g < GRAD_TOL:
             converged = True
             break
         if it >= MAX_ITER:
             break
         it += 1
-        r = residual(x, t, a, b, phi)
-        jac = jacobian(t, a, b, phi)
         # column equilibration keeps the solve well-conditioned: the
         # frequency columns grow like T relative to the amplitude ones
         col = np.linalg.norm(jac, axis=0)
         col[col == 0.0] = 1.0
         step_scaled, *_ = np.linalg.lstsq(jac / col, -r, rcond=None)
         step = step_scaled / col
-        m0 = signal_values(a, b, phi)
         accepted = False
         for _ in range(30):
             cand = np.concatenate([a, b, phi]) + step
             ca, cb = cand[:nh], cand[nh:2 * nh]
             cphi = _project_frequencies(cand[2 * nh:], band, policy, horizon)
+            c1, s1 = trig_design(t, cphi)
+            m1 = c1 @ ca + s1 @ cb
+            r1 = x - m1
             # the objective change is evaluated as a difference of signal
-            # values: Q' - Q = w * sum (m0 - m1)(r + r'); near the optimum
-            # the change sits below one ulp of Q itself, where comparing two
-            # rounded totals is meaningless, but this form stays accurate
-            m1 = signal_values(ca, cb, cphi)
-            r1 = r + (m0 - m1)
-            d = m0 - m1
-            ssum = r + r1
+            # values: Q' - Q = w * sum (m - m1)(r + r'), r' = r + (m - m1);
+            # near the optimum the change sits below one ulp of Q itself,
+            # where comparing two rounded totals is meaningless, but this
+            # form stays accurate
+            d = m - m1
+            ssum = r + (r + d)
             dq = w * float(d @ ssum)
             err = 4.0 * eps * w * (
-                float((np.abs(m0) + np.abs(m1)) @ np.abs(ssum))
+                float((np.abs(m) + np.abs(m1)) @ np.abs(ssum))
                 + float(np.abs(d) @ np.abs(ssum))
             )
-            if dq < -err:
+            jac1 = g1 = None
+            accepted = dq < -err
+            if not accepted and dq <= err:
+                # flat at evaluation precision: accept only a strict gradient
+                # contraction so the iteration cannot wander
+                jac1 = jacobian(t, c1, s1, ca, cb)
+                g1 = grad_norm(jac1, r1)
+                accepted = g1 < g
+            if accepted:
                 a, b, phi, q = ca, cb, cphi, q + dq
-                accepted = True
-                break
-            # flat at evaluation precision: accept only a strict gradient
-            # contraction so the iteration cannot wander
-            if dq <= err and scaled_grad(ca, cb, cphi) < g:
-                a, b, phi, q = ca, cb, cphi, q + dq
-                accepted = True
+                c, s, m, r, jac, g = c1, s1, m1, r1, jac1, g1
                 break
             step *= 0.5
         if not accepted:
@@ -372,8 +389,6 @@ def estimate_harmonics(
                         horizon, a0, b0, phis)
     a, b, phi, q, it, conv = refine(path, a0, b0, phis, band, policy)
     model = HarmonicModel(tuple(zip(a, b, phi)), band=tuple(band))
-    n = path.grid.n
-    nfft = 1 << (8 * n - 1).bit_length()
     res = EstimationResult(
         model=model,
         objective=q,
@@ -381,7 +396,7 @@ def estimate_harmonics(
         horizon=horizon,
         iterations=it,
         converged=conv,
-        grid_resolution=2.0 * math.pi / (nfft * path.grid.dt),
+        grid_resolution=_fft_grid(path.grid)[1],
     )
     if truth is not None:
         res.normalized_errors = normalized_errors(model, truth, horizon)

@@ -193,6 +193,10 @@ class TestDetectFrequencies:
             est.detect_frequencies(path, 1, band=(0.0, 3.0))
         with pytest.raises(NyquistError):
             est.detect_frequencies(path, 1, band=(0.1, 13.0))
+        # narrower than the zero-padded grid spacing: fewer than two grid points
+        short = _noiseless(grid=SamplingGrid(16.0, 0.25))
+        with pytest.raises(ValidationError, match="spacing"):
+            est.detect_frequencies(short, 1, band=(1.29, 1.31))
 
 
 class TestAmplitudesGivenFrequencies:
@@ -276,6 +280,36 @@ class TestRefine:
         # never reaches the true minimum at q = 0
         assert q > 0.1
         assert abs(phi[0] - 1.3) > 0.5
+
+    @pytest.mark.parametrize("start", ["noisy", "wrong_basin"])
+    def test_one_design_per_evaluated_point(self, monkeypatch, start):
+        # every evaluated point is a projected frequency vector, and each
+        # must cost exactly one trigonometric design
+        counts = {"design": 0, "project": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        if start == "noisy":
+            xi = gaussian_path(preset_noise("smooth"), GRID, seed=2)
+            path = SamplePath(grid=GRID, values=_noiseless().values + xi)
+            phi0 = [1.3 + 0.5 / GRID.horizon]
+            a0, b0 = est.amplitudes_given_frequencies(path, phi0)
+        else:
+            path = _noiseless()
+            a0, b0, phi0 = [1.0], [0.5], [1.3 + math.pi]
+        monkeypatch.setattr(est, "trig_design", counting("design", est.trig_design))
+        monkeypatch.setattr(
+            est, "_project_frequencies", counting("project", est._project_frequencies)
+        )
+        _, _, _, _, it, _ = est.refine(path, a0, b0, phi0)
+        assert it >= 2
+        assert counts["design"] == counts["project"]
+        if start == "wrong_basin":
+            assert counts["project"] > it + 1  # some steps were halved
 
     def test_projection_respects_band_and_gap(self):
         policy = est.SeparationPolicy()

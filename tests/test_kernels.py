@@ -1,14 +1,12 @@
-"""Hot-kernel tests: numpy reference correctness, agreement of the jit
-twins, and the environment-flag fallback path in a fresh interpreter."""
-
-import os
-import subprocess
-import sys
+"""Numpy kernels of the estimator: the Fourier pair, the trigonometric
+design and the Jacobian built from it."""
 
 import numpy as np
 import pytest
 
 from harmreg import _kernels as kernels
+from harmreg import estimator as est
+from harmreg.simulate import SamplePath, SamplingGrid
 
 RNG = np.random.default_rng(314)
 N = 1024
@@ -19,9 +17,14 @@ B = np.array([0.5, -0.2])
 PHI = np.array([1.3, 2.1])
 
 
+def _residual(x, phi):
+    c, s = kernels.trig_design(T_GRID, phi)
+    return x - (c @ A + s @ B)
+
+
 class TestNumpyReference:
     def test_fourier_pair_matches_direct_sums(self):
-        sc, ss = kernels.fourier_pair_np(X, T_GRID, 1.3)
+        sc, ss = kernels.fourier_pair(X, T_GRID, 1.3)
         assert sc == pytest.approx(np.sum(X * np.cos(1.3 * T_GRID)), rel=1e-12)
         assert ss == pytest.approx(np.sum(X * np.sin(1.3 * T_GRID)), rel=1e-12)
 
@@ -29,16 +32,19 @@ class TestNumpyReference:
         signal = np.zeros(N)
         for k in range(A.shape[0]):
             signal += A[k] * np.cos(PHI[k] * T_GRID) + B[k] * np.sin(PHI[k] * T_GRID)
-        res = kernels.residual_np(signal, T_GRID, A, B, PHI)
-        assert np.max(np.abs(res)) < 1e-12
+        assert np.max(np.abs(_residual(signal, PHI))) < 1e-12
 
     def test_residual_leaves_input_unchanged(self):
+        # refine carries its residual from one iteration to the next; the
+        # observed values it is formed from must survive untouched
+        grid = SamplingGrid(N * 0.25, 0.25)
         x = X.copy()
-        kernels.residual_np(x, T_GRID, A, B, PHI)
+        est.refine(SamplePath(grid=grid, values=x), A, B, PHI)
         np.testing.assert_array_equal(x, X)
 
     def test_jacobian_columns(self):
-        jac = kernels.jacobian_np(T_GRID, A, B, PHI)
+        c, s = kernels.trig_design(T_GRID, PHI)
+        jac = kernels.jacobian(T_GRID, c, s, A, B)
         assert jac.shape == (N, 6)
         for k in range(2):
             ck = np.cos(PHI[k] * T_GRID)
@@ -54,71 +60,7 @@ class TestNumpyReference:
         phi_minus = PHI.copy()
         phi_plus[0] += h
         phi_minus[0] -= h
-        r_plus = kernels.residual_np(X, T_GRID, A, B, phi_plus)
-        r_minus = kernels.residual_np(X, T_GRID, A, B, phi_minus)
-        jac = kernels.jacobian_np(T_GRID, A, B, PHI)
-        np.testing.assert_allclose(jac[:, 4], (r_plus - r_minus) / (2 * h), atol=1e-4)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-class TestJitTwins:
-    def test_dispatch_points_at_jit_variants(self):
-        assert kernels.fourier_pair is kernels.fourier_pair_nb
-        assert kernels.residual is kernels.residual_nb
-        assert kernels.jacobian is kernels.jacobian_nb
-
-    def test_fourier_pair_agrees(self):
-        for lam in (0.3, 1.3, 2.9):
-            got = kernels.fourier_pair_nb(X, T_GRID, lam)
-            want = kernels.fourier_pair_np(X, T_GRID, lam)
-            assert got[0] == pytest.approx(want[0], abs=1e-10)
-            assert got[1] == pytest.approx(want[1], abs=1e-10)
-
-    def test_residual_agrees(self):
-        got = kernels.residual_nb(X, T_GRID, A, B, PHI)
-        want = kernels.residual_np(X, T_GRID, A, B, PHI)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_jacobian_agrees(self):
-        got = kernels.jacobian_nb(T_GRID, A, B, PHI)
-        want = kernels.jacobian_np(T_GRID, A, B, PHI)
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-class TestFallbackFlag:
-    def test_disable_flag_selects_numpy_path(self):
-        env = dict(os.environ, HARMREG_DISABLE_NUMBA="1")
-        script = (
-            "import harmreg._kernels as k;"
-            "print(k.HAS_NUMBA, k.fourier_pair is k.fourier_pair_np)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert proc.stdout.split() == ["False", "True"]
-
-    def test_estimator_works_on_numpy_path(self):
-        env = dict(os.environ, HARMREG_DISABLE_NUMBA="1")
-        script = (
-            "import numpy as np;"
-            "from harmreg.simulate import HarmonicModel, SamplePath, SamplingGrid,"
-            " regression_signal;"
-            "from harmreg.estimator import estimate_harmonics;"
-            "grid = SamplingGrid(64.0, 0.25);"
-            "model = HarmonicModel(((1.0, 0.5, 1.3),));"
-            "path = SamplePath(grid=grid, values=regression_signal(model, grid));"
-            "result = estimate_harmonics(path, 1);"
-            "print('%.12f' % result.model.harmonics[0][2])"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert float(proc.stdout) == pytest.approx(1.3, abs=1e-8)
+        c, s = kernels.trig_design(T_GRID, PHI)
+        jac = kernels.jacobian(T_GRID, c, s, A, B)
+        fd = (_residual(X, phi_plus) - _residual(X, phi_minus)) / (2 * h)
+        np.testing.assert_allclose(jac[:, 4], fd, atol=1e-4)
