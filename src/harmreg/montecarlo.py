@@ -142,6 +142,7 @@ class MonteCarloReport:
     gamma_printed: tuple[np.ndarray, ...]
     s_values: tuple[float, ...]
     tail_bounds: tuple[float, ...]
+    quad_errors: tuple[float, ...]
 
     def deviations(self, grid_index: int, k: int, mode: str = "derived") -> np.ndarray:
         """Entry-wise |empirical - theory| / |theory| for harmonic k; a zero
@@ -202,6 +203,7 @@ class MonteCarloReport:
             lines.append(f"harmonic = {k}")
             lines.append(f"s = {self.s_values[k]:.17g}")
             lines.append(f"tail_bound = {self.tail_bounds[k]:.17g}")
+            lines.append(f"quad_error = {self.quad_errors[k]:.17g}")
             for label, mat in (
                 ("derived", self.gamma_derived[k]),
                 ("as-printed", self.gamma_printed[k]),
@@ -341,6 +343,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
             gamma_printed=tuple(zero.copy() for _ in range(nh)),
             s_values=(0.0,) * nh,
             tail_bounds=(0.0,) * nh,
+            quad_errors=(0.0,) * nh,
         )
     report_d = asymptotics.gamma_report(
         config.model, config.transform, config.noise, config.j_max, "derived"
@@ -356,6 +359,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
         gamma_printed=tuple(scale2 * m for m in report_p.matrices),
         s_values=tuple(scale2 * s for s in report_d.s_values),
         tail_bounds=tuple(scale2 * t for t in report_d.tail_bounds),
+        quad_errors=tuple(scale2 * e for e in report_d.quad_errors),
     )
 
 

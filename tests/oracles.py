@@ -246,3 +246,24 @@ def self_convolution_qawf_oracle(spec, k: int, lam: float) -> float:
         for mu in (round(abs(lam - freq), 12), lam + freq):
             total += 0.5 * coef * _envelope_cosine_qawf(envelope, mu)
     return total / math.pi
+
+
+def hermite_coefficients_oracle(g, k_max: int, breakpoints=(), dps: int = 30) -> np.ndarray:
+    """C_k = int G(x) He_k(x) phi(x) dx for k = 0..k_max by mpmath
+    tanh-sinh quadrature split at the breakpoints, with He_k expanded into
+    monomials (Horner) instead of run through the three-term recurrence;
+    ``g`` must accept mpmath numbers."""
+    with mpmath.workdps(dps):
+        edges = [-mpmath.inf, *(mpmath.mpf(b) for b in sorted(breakpoints)), mpmath.inf]
+        norm = 1 / mpmath.sqrt(2 * mpmath.pi)
+        out = []
+        for k in range(k_max + 1):
+            # herme2poly lists the (exact integer) monomial coefficients lowest first
+            poly = [mpmath.mpf(c) for c in np.polynomial.hermite_e.herme2poly([0.0] * k + [1.0])]
+            poly.reverse()
+
+            def integrand(x, poly=poly):
+                return g(x) * mpmath.polyval(poly, x) * norm * mpmath.exp(-x * x / 2)
+
+            out.append(float(mpmath.quad(integrand, edges)))
+    return np.array(out)

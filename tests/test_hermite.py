@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from harmreg import (
     covariance,
@@ -17,7 +17,7 @@ from harmreg import (
 from harmreg.errors import DegenerateTransformError, QuadratureError, ValidationError
 from harmreg.hermite import SQRT_2PI, _g_centered_abs, hermite
 
-from oracles import isserlis_hermite_moment
+from oracles import hermite_coefficients_oracle, isserlis_hermite_moment
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 ABS_EG2 = 1.0 - 2.0 / math.pi
@@ -95,6 +95,20 @@ def test_abs_coefficients_closed_form():
     assert abs(c[2] - SQRT_2_OVER_PI) < 1e-9
     assert abs(c[4] + SQRT_2_OVER_PI) < 1e-9
     assert np.max(np.abs(c[1::2])) < 1e-9
+    # every order: C_2m = sqrt(2/pi) (-1)^(m+1) (2m-3)!! and C_odd = 0
+    expected = np.zeros(len(c))
+    for m in range(1, len(c) // 2 + 1):
+        expected[2 * m] = SQRT_2_OVER_PI * (-1) ** (m + 1) * math.prod(range(2 * m - 3, 0, -2))
+    assert len(c) == 21
+    assert np.max(np.abs(c - expected) / _factorial_scale(len(c))) < 1e-12
+    assert abs(make_transform("centered-absolute-value").eg2 - ABS_EG2) < 1e-12
+
+
+def test_clip_coefficients_match_mpmath_oracle():
+    # two breakpoints; the oracle runs mpmath quadrature on monomial He_k
+    c = hermite_coefficients(lambda x: np.clip(x, -1.0, 1.0), breakpoints=(-1.0, 1.0))
+    ref = hermite_coefficients_oracle(lambda x: min(max(x, -1), 1), len(c) - 1, (-1.0, 1.0))
+    assert np.max(np.abs(c - ref) / _factorial_scale(len(c))) < 1e-12
 
 
 def test_abs_needs_breakpoints():
@@ -215,6 +229,34 @@ def test_table_abs_matches_builtin():
     assert tr.rank == 2
     assert abs(tr.coeffs[2] - ref.coeffs[2]) < 1e-6
     assert abs(tr.eg2 - ref.eg2) < 1e-6
+
+
+def test_kinked_and_table_transforms_skip_adaptive_quadrature(monkeypatch):
+    # structural guard: kinked transforms and tables take one vectorised
+    # piecewise Gauss-Legendre pass per rule, never scalar adaptive calls
+    calls = []
+    quad = integrate.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counting)
+    xs = np.linspace(-8.5, 8.5, 4001)
+    make_transform("centered-absolute-value")
+    make_transform("user-table", table=(xs, np.abs(xs) - SQRT_2_OVER_PI))
+    assert calls == []
+
+
+def test_table_eg2_is_that_of_the_centered_interpolant():
+    # a coarse grid gives x^2 - 1 an interpolation mean of about h^2 / 6 =
+    # 4.4e-4, so EG^2 taken before the centering shift would be off by 2e-7
+    xs = np.linspace(-8.5, 8.5, 331)
+    tr = make_transform("user-table", table=(xs, xs**2 - 1.0))
+    f = lambda x: float(tr.g(x)) ** 2 * math.exp(-0.5 * x * x) / SQRT_2PI
+    edges = [-np.inf, *xs, np.inf]
+    ref = sum(integrate.quad(f, a, b, epsabs=1e-13)[0] for a, b in zip(edges, edges[1:]))
+    assert abs(tr.eg2 - ref) < 1e-10
 
 
 def test_table_validation():

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from harmreg.asymptotics import gamma_report
 from harmreg.errors import (
     DegenerateVarianceError,
     ExperimentError,
@@ -106,6 +107,7 @@ def _report(config, results, gamma_derived, gamma_printed=None):
         gamma_printed=gamma_printed,
         s_values=(1.0,),
         tail_bounds=(0.0,),
+        quad_errors=(0.0,),
     )
 
 
@@ -205,7 +207,7 @@ class TestRunReplications:
         np.testing.assert_allclose(cov, cov.T, atol=1e-14)
         assert np.all(np.diag(cov) > 0.0)
 
-    def test_theory_blocks_attached(self, base_report):
+    def test_theory_blocks_attached(self, base_config, base_report):
         a, b = 1.0, 0.5
         c2 = a * a + b * b
         scale = 4.0 * math.pi * F_SMOOTH_13 / c2
@@ -219,6 +221,9 @@ class TestRunReplications:
         np.testing.assert_allclose(base_report.gamma_derived[0], expected, rtol=1e-6)
         assert base_report.s_values[0] == pytest.approx(F_SMOOTH_13, rel=1e-6)
         assert base_report.tail_bounds[0] < 1e-10
+        ref = gamma_report(base_config.model, IDENTITY, base_config.noise, base_config.j_max)
+        assert base_report.quad_errors == ref.quad_errors
+        assert 0.0 <= base_report.quad_errors[0] <= 1e-5
 
     def test_same_report_for_any_worker_count(self, base_config, base_report):
         rep2 = run_replications(base_config, workers=2)
@@ -241,6 +246,7 @@ class TestRunReplications:
         rep = run_replications(noiseless_config)
         assert rep.s_values == (0.0,)
         assert rep.tail_bounds == (0.0,)
+        assert rep.quad_errors == (0.0,)
         assert all(np.all(m == 0.0) for m in rep.gamma_derived)
         assert all(np.all(m == 0.0) for m in rep.gamma_printed)
         for res in rep.results:
@@ -348,6 +354,7 @@ class TestReportText:
             "[grid_result]",
             "s = ",
             "tail_bound = ",
+            "quad_error = ",
             "derived_row = ",
             "as-printed_row = ",
             "mean_0 = ",
