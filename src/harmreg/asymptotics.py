@@ -37,6 +37,7 @@ _COEFF_SKIP = 1e-12  # scale-free floor below which a Hermite term is dropped
 _TAIL_TARGET = 0.5e-7 / math.pi
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _CHUNK_PANELS = 2048  # with the double-width rule: 49152 nodes per chunk
+_NODE_CACHE_CHUNKS = 32  # chunks of nodes, weights and B kept across calls
 _GRADE_START = 2.0**-30  # right edge of the first graded panel at t = 0
 _GROWTH = 0.5  # graded panel width over its left edge
 _SEG_PANELS = 4  # panels for the a-posteriori zero-frequency tail check
@@ -206,6 +207,47 @@ def _tail_closure(lines: _PowerLines, lam: float):
     return t1, float(tail) / (2.0 * math.pi), float(err) / (2.0 * math.pi)
 
 
+def _block_layout(a: float, b: float, width: float) -> tuple[int, int, bool]:
+    """The integers that fix the panels of _block_edges(a, b, width): the
+    number of graded head edges, the number of uniform panels, and whether
+    the parity fix split the last head panel. Given a and b they determine
+    every edge, so nearby widths share one layout."""
+    head = [a] if a > 0.0 else [0.0, _GRADE_START]
+    while head[-1] < b and _GROWTH * head[-1] < width:
+        head.append(min(head[-1] * (1.0 + _GROWTH), b))
+    n = math.ceil((b - head[-1]) / width) if head[-1] < b else 0
+    split = False
+    if (len(head) - 1 + n) % 2:
+        if n:
+            n += 1
+        else:
+            split = True
+    return len(head), n, split
+
+
+def _chunk_count(layout) -> int:
+    heads, n, split = layout
+    return math.ceil((heads - 1 + split + n) / _CHUNK_PANELS)
+
+
+def _chunk_edges(a: float, b: float, layout, chunk: int) -> np.ndarray:
+    """Edges of one chunk of at most _CHUNK_PANELS panels of the block
+    [a, b] laid out as _block_layout describes."""
+    heads, n, split = layout
+    head = [a] if a > 0.0 else [0.0, _GRADE_START]
+    while len(head) < heads:
+        head.append(min(head[-1] * (1.0 + _GROWTH), b))
+    if split:
+        head.insert(-1, 0.5 * (head[-2] + head[-1]))
+    start = head[-1]
+    head = np.array(head)
+    last = head.size - 1
+    p0 = chunk * _CHUNK_PANELS
+    j = np.arange(p0, min(p0 + _CHUNK_PANELS, last + n) + 1)
+    uniform = start + (b - start) * (j - last) / max(n, 1)
+    return np.where(j <= last, head[np.minimum(j, last)], uniform)
+
+
 def _block_edges(a: float, b: float, width: float):
     """Panel edges covering [a, b], in chunks of at most _CHUNK_PANELS
     panels with an even count each, so the comparison rule at twice the
@@ -217,23 +259,28 @@ def _block_edges(a: float, b: float, width: float):
     reach `width`; the rest of the block is cut into equal panels no wider
     than `width`.
     """
-    head = [a] if a > 0.0 else [0.0, _GRADE_START]
-    while head[-1] < b and _GROWTH * head[-1] < width:
-        head.append(min(head[-1] * (1.0 + _GROWTH), b))
-    start = head[-1]
-    n = math.ceil((b - start) / width) if start < b else 0
-    if (len(head) - 1 + n) % 2:
-        if n:
-            n += 1
-        else:
-            head.insert(-1, 0.5 * (head[-2] + head[-1]))
-    head = np.array(head)
-    last = head.size - 1
-    total = last + n
-    for p0 in range(0, total, _CHUNK_PANELS):
-        j = np.arange(p0, min(p0 + _CHUNK_PANELS, total) + 1)
-        uniform = start + (b - start) * (j - last) / max(n, 1)
-        yield np.where(j <= last, head[np.minimum(j, last)], uniform)
+    layout = _block_layout(a, b, width)
+    for chunk in range(_chunk_count(layout)):
+        yield _chunk_edges(a, b, layout, chunk)
+
+
+@functools.lru_cache(maxsize=_NODE_CACHE_CHUNKS)
+def _chunk_nodes(spec: NoiseSpec, a: float, b: float, layout, chunk: int):
+    """Nodes of one chunk (the rule's, then those of the rule at twice the
+    panel width), the weights of the rule (row 0) and of the rule minus the
+    coarse rule (row 1), and B at the nodes. None of it depends on lam, so
+    plug-ins at nearby frequencies share the read-only arrays."""
+    edges = _chunk_edges(a, b, layout, chunk)
+    fine_t, fine_w = _panel_nodes(edges)
+    coarse_t, coarse_w = _panel_nodes(edges[::2])
+    t = np.concatenate([fine_t.ravel(), coarse_t.ravel()])
+    weights = np.zeros((2, t.size))
+    weights[:, : fine_w.size] = fine_w.ravel()
+    weights[1, fine_w.size :] = -coarse_w.ravel()
+    cov = covariance(spec, t)
+    for arr in (t, weights, cov):
+        arr.flags.writeable = False
+    return t, weights, cov
 
 
 def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
@@ -253,17 +300,10 @@ def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
         k_top = max(open_orders)
         omega = k_top * kappa_max + lam
         width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
-        for edges in _block_edges(a, b, width):
-            fine_t, fine_w = _panel_nodes(edges)
-            coarse_t, coarse_w = _panel_nodes(edges[::2])
-            t = np.concatenate([fine_t.ravel(), coarse_t.ravel()])
-            cos_lam = np.cos(lam * t)
-            # row 0: the rule; row 1: the rule minus the coarse rule
-            weights = np.zeros((2, t.size))
-            weights[:, : fine_w.size] = fine_w.ravel()
-            weights[1, fine_w.size :] = -coarse_w.ravel()
-            weights *= cos_lam
-            cov = covariance(spec, t)
+        layout = _block_layout(a, b, width)
+        for chunk in range(_chunk_count(layout)):
+            t, weights, cov = _chunk_nodes(spec, a, b, layout, chunk)
+            weights = weights * np.cos(lam * t)
             power = cov.copy()
             for k in range(1, k_top + 1):
                 if k in open_orders:

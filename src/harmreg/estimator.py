@@ -135,11 +135,22 @@ def _fft_grid(grid) -> tuple[int, float]:
 
 def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     """Periodogram on the zero-padded Fourier grid restricted to the band.
-    Returns (frequencies, values)."""
+    Returns (frequencies, values).
+
+    Frequencies and values are formed only on an index window one cell
+    wider than the band on each side, so rounding in i * spacing cannot
+    drop a grid point the band holds; the band test inside the window
+    then picks exactly the points a test over the whole spectrum would."""
     nfft, spacing = _fft_grid(path.grid)
     spec = np.fft.rfft(path.values, nfft)
-    vals = np.abs(spec * (path.grid.dt / path.grid.horizon)) ** 2
-    freqs = np.arange(len(vals)) * spacing
+    size = len(spec)
+    lo_cell, hi_cell = band[0] / spacing, band[1] / spacing
+    # the comparisons send a NaN or infinite band edge to an end of the
+    # spectrum, where the band test below decides as it would on all of it
+    lo = math.floor(min(lo_cell, size)) - 1 if lo_cell > 1.0 else 0
+    hi = min(math.ceil(max(hi_cell, 0.0)) + 2, size) if hi_cell < size else size
+    freqs = np.arange(lo, hi) * spacing
+    vals = np.abs(spec[lo:hi] * (path.grid.dt / path.grid.horizon)) ** 2
     keep = (freqs >= band[0]) & (freqs <= band[1])
     return freqs[keep], vals[keep]
 

@@ -311,14 +311,15 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
     if kind == "user-table":
         if table is None:
             raise ValidationError("user-table transform requires table")
-        xs = tuple(float(v) for v in table[0])
-        gs = tuple(float(v) for v in table[1])
-        if len(xs) < 2 or len(xs) != len(gs):
+        xs = np.asarray(table[0], dtype=float)
+        gs = np.asarray(table[1], dtype=float)
+        if xs.ndim != 1 or len(xs) < 2 or xs.shape != gs.shape:
             raise ValidationError("table must be two equal-length sequences")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if np.any(np.diff(xs) <= 0.0):
             raise ValidationError("table abscissae must be strictly increasing")
         c, shift, eg2 = _table_coefficients(xs, gs, k_max)
-        gs = tuple(v - shift for v in gs)
+        # tuples of Python floats keep the spec hashable
+        xs, gs = tuple(xs.tolist()), tuple((gs - shift).tolist())
         g = lambda x: np.interp(np.asarray(x, dtype=float), xs, gs)
         return _finish_transform(kind, g, c, aux=(xs, gs), eg2=eg2)
     raise ValidationError(f"unknown transform kind {kind!r}")

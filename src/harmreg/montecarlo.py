@@ -29,9 +29,11 @@ from .estimator import estimate_harmonics, periodogram_grid
 from .hermite import TransformSpec
 from .simulate import (
     DEFAULT_BAND,
+    DEFAULT_MAX_COV_ERROR,
     HarmonicModel,
     SamplePath,
     SamplingGrid,
+    _clamped_embedding,
     gaussian_path,
     observe,
     subordinate,
@@ -122,6 +124,9 @@ class GridResult:
     n_requested: int
     n_nonconverged: int
     failures: tuple[str, ...]
+    # bound on the covariance bias from clamping the circulant embedding
+    # the grid's paths were drawn from; 0.0 when exact or noiseless
+    embedding_clamp_bound: float
 
     @property
     def n_ok(self) -> int:
@@ -216,6 +221,7 @@ class MonteCarloReport:
             lines.append("[grid_result]")
             lines.append(f"horizon = {res.grid.horizon:.17g}")
             lines.append(f"dt = {res.grid.dt:.17g}")
+            lines.append(f"embedding_clamp_bound = {res.embedding_clamp_bound:.17g}")
             lines.append(f"converged = {res.n_ok}")
             lines.append(f"nonconverged = {res.n_nonconverged}")
             lines.append(f"failed = {len(res.failures)}")
@@ -324,13 +330,21 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
                 f"grid T={config.grids[gi].horizon} "
                 f"({len(failures)} failed, {nonconverged} non-converged)"
             )
+        grid = config.grids[gi]
+        clamp = 0.0
+        if config.noise_scale > 0.0:
+            # usable replications drew from this embedding, so it exists
+            _, clamp = _clamped_embedding(
+                config.noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR
+            )
         results.append(
             GridResult(
-                grid=config.grids[gi],
+                grid=grid,
                 samples=np.stack(samples),
                 n_requested=config.replications,
                 n_nonconverged=nonconverged,
                 failures=tuple(failures),
+                embedding_clamp_bound=clamp,
             )
         )
     nh = len(config.model.harmonics)

@@ -19,6 +19,7 @@ logger = logging.getLogger("harmreg")
 
 DEFAULT_DT = 0.25
 DEFAULT_BAND = (0.1, 3.0)
+DEFAULT_MAX_COV_ERROR = 1e-3
 
 _EIG_CLAMP = 1e-8
 _MAX_PAD = 16
@@ -150,7 +151,10 @@ def _embedding_eigenvalues(spec: NoiseSpec, dt: float, m: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _clamped_embedding(
     spec: NoiseSpec, dt: float, n: int, max_cov_error: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
+    """The read-only scaled root sqrt(eigs / size) of the clamped
+    embedding, and the bound sum(|negative eigs|) / size on the bias that
+    clamping puts on every covariance entry (0.0 for an exact embedding)."""
     base = 1 << (n - 1).bit_length()
     pad = 1
     best = None
@@ -176,19 +180,25 @@ def _clamped_embedding(
             )
             break
         pad *= 2
+    bound = 0.0
     if worst < 0.0:
         if worst >= -_EIG_CLAMP:
             logger.warning(
                 "clamping %d slightly negative embedding eigenvalues (min %.3e)",
                 int((eigs < 0.0).sum()), worst,
             )
+        bound = -float(eigs[eigs < 0.0].sum()) / len(eigs)
         eigs = np.clip(eigs, 0.0, None)
-    eigs.setflags(write=False)
-    return eigs
+    root = np.sqrt(eigs / len(eigs))
+    root.setflags(write=False)
+    return root, bound
 
 
 def gaussian_path(
-    spec: NoiseSpec, grid: SamplingGrid, seed, max_cov_error: float = 1e-3
+    spec: NoiseSpec,
+    grid: SamplingGrid,
+    seed,
+    max_cov_error: float = DEFAULT_MAX_COV_ERROR,
 ) -> np.ndarray:
     """Stationary Gaussian samples with covariance B on the grid.
 
@@ -204,15 +214,26 @@ def gaussian_path(
     ``max_cov_error`` the path is still generated (with a logged warning
     reporting the bound), otherwise EmbeddingError is raised. Pass
     ``max_cov_error=0.0`` to forbid the approximation. Deterministic per
-    seed either way. The clamped eigenvalues are cached per (spec, grid).
+    seed either way. The scaled root sqrt(eigs / size) of the clamped
+    embedding is cached per (spec, grid).
+
+    The path is Re FFT(r a + i r b)[:n] for standard normal draws a, b and
+    the scaled root r, computed as one real FFT: with u = r a, v = r b and
+    s_k = ((u - v)_k + (u + v)_{-k}) / 2 (the even part of u minus the odd
+    part of v, indices mod size), Re FFT(u + i v)[j] = Re R[j] + Im R[j]
+    for R = rfft(s) and every j <= size / 2, which covers j < n.
     """
     n = grid.n
-    eigs = _clamped_embedding(spec, grid.dt, n, max_cov_error)
-    size = len(eigs)
+    root, _ = _clamped_embedding(spec, grid.dt, n, max_cov_error)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    path = np.fft.fft(np.sqrt(eigs / size) * z).real
-    return path[:n]
+    u = root * rng.standard_normal(root.size)
+    v = root * rng.standard_normal(root.size)
+    s = u - v
+    u += v
+    s[0] += u[0]
+    s[1:] += u[:0:-1]
+    spec_half = np.fft.rfft(s)[:n]
+    return 0.5 * (spec_half.real + spec_half.imag)
 
 
 def subordinate(xi: np.ndarray, transform: TransformSpec) -> np.ndarray:

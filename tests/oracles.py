@@ -267,3 +267,17 @@ def hermite_coefficients_oracle(g, k_max: int, breakpoints=(), dps: int = 30) ->
 
             out.append(float(mpmath.quad(integrand, edges)))
     return np.array(out)
+
+
+def circulant_path_oracle(root: np.ndarray, n: int, seed) -> np.ndarray:
+    """Circulant-embedding draw as a complex FFT (Wood & Chan 1994).
+
+    With the scaled root r = sqrt(eigenvalues / size) of the embedding and
+    two standard normal vectors a, b drawn in that order from
+    default_rng(seed), Re FFT(r a + i r b) restricted to the first n
+    entries is a stationary Gaussian path with the embedded covariance.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(root.size)
+    b = rng.standard_normal(root.size)
+    return np.fft.fft(root * a + 1j * (root * b)).real[:n]

@@ -517,6 +517,31 @@ class TestPlugIn:
             asy.plug_in_gamma(result_at(phi), transform, PLUGIN_NOISE)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [(PLUGIN_NOISE, "centered-absolute-value"), (preset_noise("smooth"), "cube")],
+    )
+    def test_nearby_plug_in_reuses_cached_nodes(self, spec, kind, monkeypatch):
+        # the node table depends on lam only through the panel layout, so a
+        # plug-in 1e-5 away evaluates B at no new node, and the cached
+        # table gives the bits of a computation from a cleared cache
+        transform = make_transform(kind)
+        asy._spectral_sum(spec, transform, 1.3, asy.DEFAULT_J_MAX)
+        calls = []
+        covariance = asy.covariance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return covariance(*args, **kwargs)
+
+        monkeypatch.setattr(asy, "covariance", counted)
+        warm = asy._spectral_sum(spec, transform, 1.3 + 1e-5, asy.DEFAULT_J_MAX)
+        assert calls == []
+        asy._chunk_nodes.cache_clear()
+        cold = asy._spectral_sum(spec, transform, 1.3 + 1e-5, asy.DEFAULT_J_MAX)
+        assert calls
+        assert warm == cold
+
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("delta", [1e-5, 1e-3])
     def test_frequency_stability_bound(self, smooth, j, delta):

@@ -142,6 +142,32 @@ class TestPeriodogramGrid:
         assert freqs.min() >= 0.5 and freqs.max() <= 2.0
         assert len(freqs) == len(vals)
 
+    @pytest.mark.parametrize("horizon", [16.0, 256.0, 1000.0])
+    def test_band_window_equals_full_spectrum(self, horizon):
+        # the band-only computation returns exactly the points and values of
+        # the whole-spectrum one, also for edges that fall on grid points
+        grid = SamplingGrid(horizon, 0.25)
+        rng = np.random.default_rng(3)
+        path = SamplePath(grid=grid, values=rng.standard_normal(grid.n))
+        nfft, spacing = est._fft_grid(grid)
+        spec = np.fft.rfft(path.values, nfft)
+        all_vals = np.abs(spec * (grid.dt / grid.horizon)) ** 2
+        all_freqs = np.arange(len(all_vals)) * spacing
+        bands = [
+            (0.1, 3.0),
+            (0.0, grid.nyquist),
+            (all_freqs[3], all_freqs[7]),
+            (all_freqs[5], all_freqs[5]),
+            (5.5 * spacing, 6.2 * spacing),
+            (all_freqs[-3], all_freqs[-1]),
+            (2.0, 1.0),
+        ]
+        for band in bands:
+            keep = (all_freqs >= band[0]) & (all_freqs <= band[1])
+            freqs, vals = est.periodogram_grid(path, band)
+            assert np.array_equal(freqs, all_freqs[keep])
+            assert np.array_equal(vals, all_vals[keep])
+
 
 class TestDetectFrequencies:
     def test_noiseless_single_harmonic(self):

@@ -94,6 +94,7 @@ def _grid_result(horizon, samples):
         n_requested=samples.shape[0],
         n_nonconverged=0,
         failures=(),
+        embedding_clamp_bound=0.0,
     )
 
 
@@ -251,6 +252,7 @@ class TestRunReplications:
         assert all(np.all(m == 0.0) for m in rep.gamma_printed)
         for res in rep.results:
             assert res.n_ok == 2
+            assert res.embedding_clamp_bound == 0.0
             assert np.max(np.abs(res.samples)) < 1e-9
 
     def test_noise_scale_squares_theory(self, base_config, base_report, smooth):
@@ -355,6 +357,7 @@ class TestReportText:
             "s = ",
             "tail_bound = ",
             "quad_error = ",
+            "embedding_clamp_bound = ",
             "derived_row = ",
             "as-printed_row = ",
             "mean_0 = ",
@@ -365,6 +368,26 @@ class TestReportText:
             assert key in text
         # single grid: no slope section
         assert "[slopes]" not in text
+
+    @pytest.mark.parametrize("spec_name", ["smooth", "seasonal"])
+    def test_embedding_clamp_bound(self, spec_name, request):
+        # the seasonal carrier keeps the embedding indefinite, and the
+        # clamp's covariance bias bound must be reported within its budget
+        config = ExperimentConfig(
+            noise=request.getfixturevalue(spec_name),
+            transform=make_transform("hermite-polynomial", coeffs=(0.0, 0.0, 0.0, 1.0)),
+            model=MODEL,
+            grids=(SamplingGrid(64.0, 0.25),),
+            replications=4,
+            master_seed=7,
+        )
+        report = run_replications(config)
+        bound = report.results[0].embedding_clamp_bound
+        if spec_name == "smooth":
+            assert bound == 0.0
+        else:
+            assert 0.0 < bound <= 1e-3
+        assert f"embedding_clamp_bound = {bound:.17g}\n" in report.to_text()
 
     def test_slopes_section_on_long_schedule(self, noiseless_config):
         text = run_replications(noiseless_config).to_text()

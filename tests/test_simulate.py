@@ -21,7 +21,9 @@ from harmreg import (
     subordinated_covariance,
 )
 from harmreg.errors import EmbeddingError, NyquistError, ValidationError
-from harmreg.simulate import _embedding_eigenvalues
+from harmreg.simulate import _clamped_embedding, _embedding_eigenvalues
+
+from oracles import circulant_path_oracle
 
 GRID = SamplingGrid(horizon=256.0, dt=0.25)
 MODEL = HarmonicModel(harmonics=((1.0, 0.5, 1.3),))
@@ -169,6 +171,52 @@ def test_embedding_clamp_budget(seasonal):
     assert np.all(np.isfinite(path))
     with pytest.raises(EmbeddingError):
         gaussian_path(seasonal, GRID, seed=4, max_cov_error=0.0)
+
+
+# the two-component noise of the plugin-validate benchmark workload
+PLUGIN_NOISE = NoiseSpec(
+    (NoiseComponent(0.6, 1.5, 0.0, 2.0), NoiseComponent(0.4, 0.8, 2.0, 2.0))
+)
+
+
+@pytest.mark.parametrize("spec_name", ["smooth", "seasonal", "mixed", "plugin"])
+@pytest.mark.parametrize("horizon", [64.0, 64.25, 1024.0])
+def test_gaussian_path_matches_complex_fft_oracle(spec_name, horizon, request):
+    # one real FFT of the even/odd recombination equals the real part of
+    # the complex FFT of the same draws, to rounding, for odd and even n
+    spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
+    grid = SamplingGrid(horizon=horizon, dt=0.25)
+    root, _ = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    for seed in (0, 5, 123):
+        path = gaussian_path(spec, grid, seed)
+        expected = circulant_path_oracle(root, grid.n, seed)
+        assert path.shape == (grid.n,)
+        assert np.max(np.abs(path - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_gaussian_path_one_real_fft(smooth, monkeypatch):
+    gaussian_path(smooth, GRID, seed=1)  # builds the cached embedding
+    calls = {"fft": 0, "rfft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    gaussian_path(smooth, GRID, seed=2)
+    assert calls == {"fft": 0, "rfft": 1}
+
+
+def test_embedding_clamp_bound_cached(smooth, seasonal):
+    root, bound = _clamped_embedding(smooth, GRID.dt, GRID.n, 1e-3)
+    assert bound == 0.0
+    assert not root.flags.writeable
+    eigs = _embedding_eigenvalues(smooth, GRID.dt, root.size // 2)
+    assert np.array_equal(root, np.sqrt(eigs / eigs.size))
+    _, bound = _clamped_embedding(seasonal, GRID.dt, GRID.n, 1e-3)
+    assert 0.0 < bound <= 1e-3
 
 
 def test_gaussian_path_marginal_moments(smooth):
