@@ -1,8 +1,10 @@
 """Least-squares estimation of hidden harmonics.
 
 Pipeline: periodogram peak detection under a frequency-separation policy,
-amplitude normal equations at the detected frequencies, then Gauss-Newton
-refinement of the quadratic objective over all 3N parameters.
+each peak moved to the vertex of a three-point parabola, amplitude normal
+equations at the detected frequencies, then Newton refinement with a
+Levenberg-Marquardt safeguard of the quadratic objective over all 3N
+parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fourier_pair, jacobian, trig_design
+from ._kernels import fourier_pair, hessian, jacobian, trig_design
 from .errors import (
     InsufficientPeaksError,
     NoiseFloorWarning,
@@ -25,12 +27,18 @@ from .errors import (
 from .simulate import DEFAULT_BAND, HarmonicModel, SamplePath
 
 NOISE_FLOOR_FACTOR = 4.0
-GOLDEN_RESOLUTION = 1e-3  # times 1/T
 GRAD_TOL = 1e-10
 MAX_ITER = 100
 GRAM_COND_LIMIT = 1e8
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Levenberg-Marquardt shift on the equilibrated Hessian (unit diagonal of
+# J^T J): its first nonzero value, growth on a failed factorisation or a
+# rejected step, shrink after an accepted step, and the cap beyond which
+# the step is too small to lower the objective
+_MU_MIN = 1e-3
+_MU_GROW = 10.0
+_MU_SHRINK = 0.1
+_MU_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -155,28 +163,6 @@ def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     return freqs[keep], vals[keep]
 
 
-def _golden_refine(path: SamplePath, t, scale, lo, hi, tol) -> float:
-    # golden-section maximization of the periodogram on [lo, hi]
-    def val(l):
-        c, s = fourier_pair(path.values, t, l)
-        return scale * (c * c + s * s)
-
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = val(x1), val(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = val(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = val(x1)
-    return 0.5 * (a + b)
-
-
 def detect_frequencies(
     path: SamplePath,
     n_harmonics: int,
@@ -185,9 +171,11 @@ def detect_frequencies(
 ) -> np.ndarray:
     """Iterative periodogram peak-picking with separation constraints.
 
-    Each pick is the admissible grid argmax followed by golden-section
-    refinement to resolution 1e-3/T; grid points within min_gap(T) of an
-    accepted pick become inadmissible. A first pick at or below the noise
+    Each pick is the admissible argmax of the zero-padded periodogram grid,
+    moved to the vertex of the parabola through it and its two neighbours
+    when it is their largest (Quinn 1994); the vertex stays within half a
+    grid cell, and refine does the rest. Grid points within min_gap(T) of
+    an accepted pick become inadmissible. A first pick at or below the noise
     floor (4x the median periodogram over the band) raises
     NoiseFloorWarning; a later one raises InsufficientPeaksError.
     """
@@ -213,9 +201,6 @@ def detect_frequencies(
     if not np.any(admissible):
         raise InsufficientPeaksError("no admissible grid frequencies in band")
     floor = NOISE_FLOOR_FACTOR * float(np.median(vals))
-    t = path.grid.times()
-    scale = (path.grid.dt / horizon) ** 2
-    tol = GOLDEN_RESOLUTION / horizon
     picks = []
     for k in range(n_harmonics):
         if not np.any(admissible):
@@ -235,9 +220,12 @@ def detect_frequencies(
                     f"only {k} peaks exceed the noise floor "
                     f"({n_harmonics} requested)"
                 )
-        lo = max(band[0], freqs[idx] - spacing)
-        hi = min(band[1], freqs[idx] + spacing)
-        pick = _golden_refine(path, t, scale, lo, hi, tol)
+        pick = freqs[idx]
+        if 0 < idx < len(vals) - 1:
+            left, mid, right = vals[idx - 1:idx + 2]
+            curv = left - 2.0 * mid + right
+            if curv < 0.0 and mid >= max(left, right):
+                pick += 0.5 * (left - right) / curv * spacing
         picks.append(pick)
         admissible &= np.abs(freqs - pick) >= policy.min_gap(horizon)
     return np.sort(np.asarray(picks))
@@ -293,16 +281,22 @@ def refine(
     band=DEFAULT_BAND,
     policy: SeparationPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    """Gauss-Newton with step halving on the objective over all 3N
-    parameters. Gradient convergence is measured in a scaled
-    parameterization (frequency components divided by T so all entries
-    share the amplitude scale). Never accepts an uphill step; frequencies
-    are projected to respect the band and the separation policy. Returns
+    """Newton's method with a Levenberg-Marquardt safeguard on the
+    objective over all 3N parameters.
+
+    Each step solves with the exact Hessian, J^T J plus the residual
+    curvature, after equilibrating its columns; a shift mu*I is added and
+    grown when the Cholesky factorisation fails or the step is measurably
+    uphill, and shrinks after each accepted step. Gradient convergence is
+    measured in a scaled parameterization (frequency components divided by
+    T so all entries share the amplitude scale); the step computed at the
+    first point below GRAD_TOL is still taken unless it is uphill, and the
+    iteration stops there. Frequencies are projected to respect the band
+    and the separation policy. Every step counts as an iteration. Returns
     (a, b, phi, objective, iterations, converged)."""
     policy = policy or SeparationPolicy()
     x = path.values
     t = path.grid.times()
-    dt = path.grid.dt
     horizon = path.grid.horizon
     a = np.asarray(a0, dtype=float).copy()
     b = np.asarray(b0, dtype=float).copy()
@@ -310,28 +304,20 @@ def refine(
     nh = len(a)
     scale = np.concatenate([np.ones(2 * nh), np.full(nh, horizon)])
     eps = np.finfo(float).eps
-    w = dt / horizon
-
-    def grad_norm(jac, r):
-        g = (2.0 * w) * (jac.T @ r)
-        return float(np.max(np.abs(g / scale)))
+    w = path.grid.dt / horizon
 
     # one trigonometric design per evaluated point: the signal values m,
-    # the residual r, and (when needed) the Jacobian all come from (c, s)
+    # the residual r, the Jacobian and the Hessian all come from (c, s)
     c, s = trig_design(t, phi)
     m = c @ a + s @ b
     r = x - m
-    q = float(r @ r) * dt / horizon
-    jac = None
-    converged = False
+    q = w * float(r @ r)
+    mu = 0.0
     it = 0
     while True:
-        if jac is None:
-            jac = jacobian(t, c, s, a, b)
-            g = grad_norm(jac, r)
-        if g < GRAD_TOL:
-            converged = True
-            break
+        jac = jacobian(t, c, s, a, b)
+        grad = jac.T @ r
+        converged = (2.0 * w) * float(np.max(np.abs(grad / scale))) < GRAD_TOL
         if it >= MAX_ITER:
             break
         it += 1
@@ -339,42 +325,43 @@ def refine(
         # frequency columns grow like T relative to the amplitude ones
         col = np.linalg.norm(jac, axis=0)
         col[col == 0.0] = 1.0
-        step_scaled, *_ = np.linalg.lstsq(jac / col, -r, rcond=None)
-        step = step_scaled / col
+        hess = hessian(t, c, s, a, b, r, jac) / np.outer(col, col)
         accepted = False
-        for _ in range(30):
-            cand = np.concatenate([a, b, phi]) + step
-            ca, cb = cand[:nh], cand[nh:2 * nh]
-            cphi = _project_frequencies(cand[2 * nh:], band, policy, horizon)
-            c1, s1 = trig_design(t, cphi)
-            m1 = c1 @ ca + s1 @ cb
-            r1 = x - m1
-            # the objective change is evaluated as a difference of signal
-            # values: Q' - Q = w * sum (m - m1)(r + r'), r' = r + (m - m1);
-            # near the optimum the change sits below one ulp of Q itself,
-            # where comparing two rounded totals is meaningless, but this
-            # form stays accurate
-            d = m - m1
-            ssum = r + (r + d)
-            dq = w * float(d @ ssum)
-            err = 4.0 * eps * w * (
-                float((np.abs(m) + np.abs(m1)) @ np.abs(ssum))
-                + float(np.abs(d) @ np.abs(ssum))
-            )
-            jac1 = g1 = None
-            accepted = dq < -err
-            if not accepted and dq <= err:
-                # flat at evaluation precision: accept only a strict gradient
-                # contraction so the iteration cannot wander
-                jac1 = jacobian(t, c1, s1, ca, cb)
-                g1 = grad_norm(jac1, r1)
-                accepted = g1 < g
-            if accepted:
-                a, b, phi, q = ca, cb, cphi, q + dq
-                c, s, m, r, jac, g = c1, s1, m1, r1, jac1, g1
+        while True:
+            try:
+                chol = np.linalg.cholesky(hess + mu * np.eye(3 * nh))
+            except np.linalg.LinAlgError:
+                chol = None
+            if chol is not None:
+                step = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad / col)) / col
+                ca, cb = a + step[:nh], b + step[nh:2 * nh]
+                cphi = _project_frequencies(phi + step[2 * nh:], band, policy, horizon)
+                c1, s1 = trig_design(t, cphi)
+                m1 = c1 @ ca + s1 @ cb
+                # the objective change is evaluated as a difference of signal
+                # values: Q' - Q = w * sum (m - m1)(r + r'), r' = r + (m - m1);
+                # near the optimum the change sits below one ulp of Q itself,
+                # where comparing two rounded totals is meaningless, but this
+                # form stays accurate to err, so a step is rejected only
+                # when it is measurably uphill
+                d = m - m1
+                ssum = r + (r + d)
+                dq = w * float(d @ ssum)
+                err = 4.0 * eps * w * (
+                    float((np.abs(m) + np.abs(m1)) @ np.abs(ssum))
+                    + float(np.abs(d) @ np.abs(ssum))
+                )
+                accepted = dq <= err
+                if accepted or converged:
+                    break
+            if mu > _MU_MAX:
                 break
-            step *= 0.5
-        if not accepted:
+            mu = max(_MU_GROW * mu, _MU_MIN)
+        if accepted:
+            a, b, phi, q = ca, cb, cphi, q + dq
+            c, s, m, r = c1, s1, m1, x - m1
+            mu *= _MU_SHRINK
+        if converged or not accepted:
             break
     return a, b, phi, max(q, 0.0), it, converged
 

@@ -220,7 +220,9 @@ class TransformSpec:
 
     ``coeffs`` is the moment-convention list (C_0..C_K_max); ``aux`` holds
     kind-specific extras (Hermite-basis weights or the sample table) as
-    nested tuples so the spec stays hashable and picklable.
+    nested tuples so the spec stays hashable and picklable. A user table is
+    also kept as two read-only arrays for ``g``; they are rebuilt from
+    ``aux`` and take no part in equality, hashing or pickling.
     """
 
     kind: str
@@ -229,6 +231,18 @@ class TransformSpec:
     eg2: float = field(compare=False)
     parseval_gap: float = field(compare=False)
     aux: tuple = ()
+    _table: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "user-table":
+            table = tuple(np.array(col, dtype=float) for col in self.aux)
+            for col in table:
+                col.flags.writeable = False
+            object.__setattr__(self, "_table", table)
+
+    def __reduce__(self):
+        fields = (self.kind, self.coeffs, self.rank, self.eg2, self.parseval_gap, self.aux)
+        return TransformSpec, fields
 
     @property
     def k_max(self) -> int:
@@ -246,7 +260,7 @@ class TransformSpec:
             weights = [c / math.factorial(k) for k, c in enumerate(self.coeffs)]
             return np.polynomial.hermite_e.hermeval(np.asarray(x, dtype=float), weights)
         if self.kind == "user-table":
-            xs, gs = self.aux
+            xs, gs = self._table
             return np.interp(np.asarray(x, dtype=float), xs, gs)
         raise ValidationError(f"unknown transform kind {self.kind!r}")
 
@@ -319,7 +333,6 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
             raise ValidationError("table abscissae must be strictly increasing")
         c, shift, eg2 = _table_coefficients(xs, gs, k_max)
         # tuples of Python floats keep the spec hashable
-        xs, gs = tuple(xs.tolist()), tuple((gs - shift).tolist())
-        g = lambda x: np.interp(np.asarray(x, dtype=float), xs, gs)
-        return _finish_transform(kind, g, c, aux=(xs, gs), eg2=eg2)
+        aux = (tuple(xs.tolist()), tuple((gs - shift).tolist()))
+        return _finish_transform(kind, None, c, aux=aux, eg2=eg2)
     raise ValidationError(f"unknown transform kind {kind!r}")

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 
 def bessel_k_series(nu: float, z: float, terms: int = 160) -> float:
@@ -281,3 +281,24 @@ def circulant_path_oracle(root: np.ndarray, n: int, seed) -> np.ndarray:
     a = rng.standard_normal(root.size)
     b = rng.standard_normal(root.size)
     return np.fft.fft(root * a + 1j * (root * b)).real[:n]
+
+
+def least_squares_oracle(values: np.ndarray, times: np.ndarray, truth) -> np.ndarray:
+    """Least-squares harmonic fit by MINPACK's Levenberg-Marquardt.
+
+    ``scipy.optimize.least_squares(method="lm")`` minimises the sum of
+    squared residuals x(t_i) - sum_k (A_k cos(phi_k t_i) + B_k sin(phi_k t_i)),
+    formed term by term and differenced numerically, starting from the
+    true rows ``truth`` of (A_k, B_k, phi_k). Returns the fitted rows.
+    """
+    truth = np.asarray(truth, dtype=float)
+
+    def residual(tau):
+        rows = tau.reshape(-1, 3)
+        fit = sum(a * np.cos(p * times) + b * np.sin(p * times) for a, b, p in rows)
+        return values - fit
+
+    sol = optimize.least_squares(
+        residual, truth.ravel(), method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+    )
+    return sol.x.reshape(-1, 3)

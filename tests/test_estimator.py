@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import least_squares_oracle
+
 from harmreg import estimator as est
 from harmreg.errors import (
     InsufficientPeaksError,
@@ -170,10 +172,40 @@ class TestPeriodogramGrid:
 
 
 class TestDetectFrequencies:
-    def test_noiseless_single_harmonic(self):
+    @pytest.mark.parametrize("offset", [0.0, 0.125, 0.25, 0.375, 0.5, -0.3])
+    def test_noiseless_single_harmonic(self, offset):
+        # the true frequency sits `offset` grid cells from the grid point
+        # nearest 1.3, so the three-point vertex is checked across a cell
         grid = SamplingGrid(1024.0, 0.25)
-        phis = est.detect_frequencies(_noiseless(MODEL, grid), 1)
-        assert abs(phis[0] - 1.3) < 1e-2 / grid.horizon
+        spacing = est._fft_grid(grid)[1]
+        phi = (round(1.3 / spacing) + offset) * spacing
+        model = HarmonicModel(((1.0, 0.5, phi),))
+        phis = est.detect_frequencies(_noiseless(model, grid), 1)
+        assert abs(phis[0] - phi) < 1e-2 / grid.horizon
+
+    def test_vertex_stays_out_of_exclusion_window(self):
+        # the weak second harmonic sits one min_gap above the strong first,
+        # so its admissible argmax lies on the edge of the first pick's
+        # exclusion window, next to a larger masked value; the pick keeps
+        # that grid point rather than follow the parabola into the window
+        gap = est.SeparationPolicy().min_gap(GRID.horizon)
+        model = HarmonicModel(((1.0, 0.0, 1.3), (0.1, 0.0, 1.3 + gap)))
+        phis = est.detect_frequencies(_noiseless(model), 2)
+        assert phis[1] - phis[0] >= gap
+
+    def test_no_single_frequency_sums(self, monkeypatch):
+        # picks come from the periodogram grid alone: no fourier_pair call
+        calls = []
+        pair = est.fourier_pair
+
+        def counting(*args):
+            calls.append(args[2])
+            return pair(*args)
+
+        monkeypatch.setattr(est, "fourier_pair", counting)
+        model = HarmonicModel(((1.0, 0.0, 0.9), (0.0, 0.8, 2.2)))
+        est.detect_frequencies(_noiseless(model), 2)
+        assert calls == []
 
     def test_two_harmonics_sorted(self):
         model = HarmonicModel(((1.0, 0.0, 0.9), (0.0, 0.8, 2.2)))
@@ -335,7 +367,26 @@ class TestRefine:
         assert it >= 2
         assert counts["design"] == counts["project"]
         if start == "wrong_basin":
-            assert counts["project"] > it + 1  # some steps were halved
+            assert counts["project"] > it + 1  # some steps were rejected
+
+    @pytest.mark.parametrize("horizon, n_harmonics", [(256.0, 1), (1024.0, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reaches_least_squares_oracle_minimum(self, horizon, n_harmonics, seed):
+        # the oracle (MINPACK Levenberg-Marquardt from the truth) stops about
+        # 1e-4 short in normalized units, so refine's objective may not
+        # exceed its objective beyond rounding, and the two fits agree to 1e-3
+        grid = SamplingGrid(horizon, 0.25)
+        model = HarmonicModel(((1.0, 0.5, 1.3), (0.6, -0.4, 2.1))[:n_harmonics])
+        xi = gaussian_path(preset_noise("smooth"), grid, seed=seed)
+        path = SamplePath(grid=grid, values=regression_signal(model, grid) + xi)
+        res = est.estimate_harmonics(path, n_harmonics)
+        assert res.converged
+        oracle = HarmonicModel(
+            tuple(map(tuple, least_squares_oracle(path.values, grid.times(), model.harmonics)))
+        )
+        q_oracle = est.objective(path, oracle)
+        assert est.objective(path, res.model) <= q_oracle * (1.0 + 1e-13)
+        assert np.max(np.abs(est.normalized_errors(res.model, oracle, horizon))) < 1e-3
 
     def test_projection_respects_band_and_gap(self):
         policy = est.SeparationPolicy()

@@ -1,6 +1,7 @@
 """Hermite coefficients, rank, transforms, and subordinated covariance."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -229,6 +230,23 @@ def test_table_abs_matches_builtin():
     assert tr.rank == 2
     assert abs(tr.coeffs[2] - ref.coeffs[2]) < 1e-6
     assert abs(tr.eg2 - ref.eg2) < 1e-6
+
+
+def test_table_g_interpolates_stored_arrays():
+    # g reads read-only arrays built once from aux; the spec still compares,
+    # hashes and pickles by its tuple fields alone
+    xs = np.linspace(-8.5, 8.5, 4001)
+    table = (xs, np.abs(xs) - SQRT_2_OVER_PI)
+    tr = make_transform("user-table", table=table)
+    x = np.random.default_rng(5).standard_normal(2048)
+    expect = np.interp(x, np.array(tr.aux[0]), np.array(tr.aux[1]))
+    assert np.array_equal(tr.g(x), expect)
+    assert all(not col.flags.writeable for col in tr._table)
+    twin = make_transform("user-table", table=table)
+    assert twin == tr and hash(twin) == hash(tr)
+    back = pickle.loads(pickle.dumps(tr))
+    assert back == tr and np.array_equal(back.g(x), expect)
+    assert all(not col.flags.writeable for col in back._table)
 
 
 def test_kinked_and_table_transforms_skip_adaptive_quadrature(monkeypatch):

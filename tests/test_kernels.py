@@ -1,5 +1,5 @@
 """Numpy kernels of the estimator: the Fourier pair, the trigonometric
-design and the Jacobian built from it."""
+design and the Jacobian and Hessian built from it."""
 
 import numpy as np
 import pytest
@@ -64,3 +64,29 @@ class TestNumpyReference:
         jac = kernels.jacobian(T_GRID, c, s, A, B)
         fd = (_residual(X, phi_plus) - _residual(X, phi_minus)) / (2 * h)
         np.testing.assert_allclose(jac[:, 4], fd, atol=1e-4)
+
+    @pytest.mark.parametrize("nh", [1, 2])
+    def test_hessian_matches_finite_differences_of_gradient(self, nh):
+        # X is noise, so the residual is far from zero and the curvature
+        # terms sum r d2r weigh as much as J^T J; the comparison is on the
+        # equilibrated scale |H_ij| / sqrt(|H_ii H_jj|)
+        def half_gradient(tau):
+            a, b, phi = tau[:nh], tau[nh:2 * nh], tau[2 * nh:]
+            c, s = kernels.trig_design(T_GRID, phi)
+            return kernels.jacobian(T_GRID, c, s, a, b).T @ (X - (c @ a + s @ b))
+
+        a, b, phi = A[:nh], B[:nh], PHI[:nh]
+        tau = np.concatenate([a, b, phi])
+        c, s = kernels.trig_design(T_GRID, phi)
+        r = X - (c @ a + s @ b)
+        jac = kernels.jacobian(T_GRID, c, s, a, b)
+        hess = kernels.hessian(T_GRID, c, s, a, b, r, jac)
+        h = 1e-6
+        fd = np.empty_like(hess)
+        for j in range(3 * nh):
+            e = np.zeros(3 * nh)
+            e[j] = h
+            fd[:, j] = (half_gradient(tau + e) - half_gradient(tau - e)) / (2 * h)
+        d = np.sqrt(np.abs(np.diag(hess)))
+        assert np.max(np.abs(fd - hess) / np.outer(d, d)) < 1e-6
+        assert np.max(np.abs(fd - jac.T @ jac) / np.outer(d, d)) > 1.0
