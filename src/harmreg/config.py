@@ -196,17 +196,6 @@ def load_model(blocks) -> HarmonicModel | None:
     return HarmonicModel(tuple(harmonics), band=band or DEFAULT_BAND)
 
 
-def load_band(blocks) -> tuple[float, float] | None:
-    for name, pairs in blocks:
-        if name == "band":
-            d = _single(pairs, "[band]")
-            return (
-                _as_float(d["low"], "[band] low"),
-                _as_float(d["high"], "[band] high"),
-            )
-    return None
-
-
 def load_grids(blocks) -> tuple[SamplingGrid, ...]:
     grids = []
     for name, pairs in blocks:

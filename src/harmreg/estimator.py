@@ -323,7 +323,7 @@ def refine(
         it += 1
         # column equilibration keeps the solve well-conditioned: the
         # frequency columns grow like T relative to the amplitude ones
-        col = np.linalg.norm(jac, axis=0)
+        col = np.sqrt(np.einsum("ij,ij->j", jac, jac))
         col[col == 0.0] = 1.0
         hess = hessian(t, c, s, a, b, r, jac) / np.outer(col, col)
         accepted = False

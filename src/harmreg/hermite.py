@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateTransformError, QuadratureError, ValidationError
 from .spectral import NoiseSpec, covariance
@@ -20,7 +19,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 DEFAULT_K_MAX = 20
 RANK_TOL = 1e-8
 
-_GH_NODE_LADDER = (64, 128, 256, 512, 1024)
 _STABILITY = 1e-9
 _CUTOFF = 40.0
 _PANEL_WIDTH = 1.0
@@ -64,12 +62,6 @@ def _stable(prev: np.ndarray, cur: np.ndarray) -> bool:
     return bool(np.max(np.abs(cur - prev) / scale) <= _STABILITY)
 
 
-def _gh_pass(g, k_max: int, nodes: int) -> np.ndarray:
-    x, w = special.roots_hermitenorm(nodes)
-    fw = w * g(x)
-    return np.array([(fw * h).sum() for h in _hermite_rows(x, k_max)]) / SQRT_2PI
-
-
 def _piecewise_edges(points) -> np.ndarray:
     # phi(x) underflows to exactly 0 beyond |x| ~ 38.6, so nothing
     # representable lies outside [-_CUTOFF, _CUTOFF]
@@ -105,28 +97,15 @@ def _piecewise_coefficients(g, edges, k_max: int) -> tuple[np.ndarray, float]:
     rough, _ = _piecewise_pass(g, edges, k_max, 8)
     fine, eg2 = _piecewise_pass(g, edges, k_max, 16)
     if not _stable(rough, fine):
-        raise QuadratureError("piecewise Hermite coefficients did not stabilize to 1e-9")
+        raise QuadratureError(
+            "piecewise Hermite coefficients did not stabilize to 1e-9; "
+            "declare breakpoints at kinks"
+        )
     return fine, eg2
 
 
-def _coefficients(g, k_max: int, breakpoints) -> tuple[np.ndarray, float | None]:
-    # EG^2 comes back only from the piecewise rule; None leaves it to the
-    # Gauss-Hermite nodes in _finish_transform
-    eg2 = None
-    if len(breakpoints):
-        coeffs, eg2 = _piecewise_coefficients(g, _piecewise_edges(breakpoints), k_max)
-    else:
-        prev = _gh_pass(g, k_max, _GH_NODE_LADDER[0])
-        for nodes in _GH_NODE_LADDER[1:]:
-            coeffs = _gh_pass(g, k_max, nodes)
-            if _stable(prev, coeffs):
-                break
-            prev = coeffs
-        else:
-            raise QuadratureError(
-                "Gauss-Hermite coefficients did not stabilize to 1e-9; "
-                "declare breakpoints for non-smooth transforms"
-            )
+def _coefficients(g, k_max: int, breakpoints) -> tuple[np.ndarray, float]:
+    coeffs, eg2 = _piecewise_coefficients(g, _piecewise_edges(breakpoints), k_max)
     if abs(coeffs[0]) > 1e-8:
         raise ValidationError(
             f"transform has nonzero mean: C_0 = {coeffs[0]:.3e} (must be centered)"
@@ -137,17 +116,18 @@ def _coefficients(g, k_max: int, breakpoints) -> tuple[np.ndarray, float | None]
 def hermite_coefficients(g, k_max: int = DEFAULT_K_MAX, breakpoints=()) -> np.ndarray:
     """Coefficients C_k = int G(x) H_k(x) phi(x) dx for k = 0..k_max.
 
-    A smooth G (no ``breakpoints``) takes Gauss-Hermite quadrature with
-    node doubling from 64 to 1024 nodes until no coefficient moves by more
-    than 1e-9 on the factorial-free scale |Delta C_k| / sqrt(k!). A G with
-    declared ``breakpoints`` (kinks such as |x| at 0, where Gauss-Hermite
-    cannot converge) takes composite Gauss-Legendre on panels no wider than
-    1 between consecutive edges of [-40, *breakpoints, 40], evaluating G
-    once per rule; the 8- and 16-node rules must agree to the same 1e-9.
+    Composite Gauss-Legendre on panels no wider than 1 between consecutive
+    edges of [-40, *breakpoints, 40], evaluating G once per rule; the 8-
+    and 16-node rules must agree to 1e-9 on the factorial-free scale
+    |Delta C_k| / sqrt(k!). Without ``breakpoints`` the panels are the
+    unit intervals between integers, so a kink at an integer (|x| at 0)
+    lies on a panel edge; a kink inside a panel (|x - 0.3| at 0.3) must be
+    declared in ``breakpoints``, or the two rules disagree. The same
+    16-node pass gives ``make_transform`` its EG^2.
 
     Raises
     ------
-    QuadratureError : the route taken does not reach the stability criterion.
+    QuadratureError : the 8- and 16-node rules disagree by more than 1e-9.
     ValidationError : |C_0| > 1e-8 (the transform must be centered).
     """
     return _coefficients(g, k_max, breakpoints)[0]
@@ -214,15 +194,23 @@ def _g_centered_abs(x):
     return np.abs(np.asarray(x, dtype=float)) - _ABS_CENTER
 
 
+# the kinds with G in closed form: G and the kinks to declare as breakpoints
+_CLOSED_FORM = {
+    "identity": (_g_identity, ()),
+    "cube": (_g_cube, ()),
+    "centered-absolute-value": (_g_centered_abs, (0.0,)),
+}
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """The noise transform G with its Hermite data.
 
     ``coeffs`` is the moment-convention list (C_0..C_K_max); ``aux`` holds
-    kind-specific extras (Hermite-basis weights or the sample table) as
-    nested tuples so the spec stays hashable and picklable. A user table is
-    also kept as two read-only arrays for ``g``; they are rebuilt from
-    ``aux`` and take no part in equality, hashing or pickling.
+    the sample table of a user table as nested tuples so the spec stays
+    hashable and picklable. The table is also kept as two read-only arrays
+    for ``g``; they are rebuilt from ``aux`` and take no part in equality,
+    hashing or pickling.
     """
 
     kind: str
@@ -250,12 +238,8 @@ class TransformSpec:
 
     def g(self, x):
         """Apply G pointwise."""
-        if self.kind == "identity":
-            return _g_identity(x)
-        if self.kind == "cube":
-            return _g_cube(x)
-        if self.kind == "centered-absolute-value":
-            return _g_centered_abs(x)
+        if self.kind in _CLOSED_FORM:
+            return _CLOSED_FORM[self.kind][0](x)
         if self.kind == "hermite-polynomial":
             weights = [c / math.factorial(k) for k, c in enumerate(self.coeffs)]
             return np.polynomial.hermite_e.hermeval(np.asarray(x, dtype=float), weights)
@@ -269,15 +253,14 @@ class TransformSpec:
         return self.parseval_gap
 
 
-def _finish_transform(
-    kind: str, g, coeffs: np.ndarray, aux: tuple = (), eg2=None
-) -> TransformSpec:
+def _coefficient_mass(coeffs) -> float:
+    """sum_{k>=1} C_k^2 / k!."""
+    return float(sum(c * c / math.factorial(k) for k, c in enumerate(coeffs) if k >= 1))
+
+
+def _finish_transform(kind: str, coeffs: np.ndarray, eg2: float, aux: tuple = ()) -> TransformSpec:
     rank = hermite_rank(coeffs)
-    if eg2 is None:
-        # EG^2 by the same node ladder used for the coefficients
-        x, w = special.roots_hermitenorm(_GH_NODE_LADDER[-1])
-        eg2 = float((w * g(x) ** 2).sum() / SQRT_2PI)
-    partial = float(sum(c * c / math.factorial(k) for k, c in enumerate(coeffs) if k >= 1))
+    partial = _coefficient_mass(coeffs)
     gap = eg2 - partial
     if gap < -1e-6:
         raise QuadratureError(
@@ -305,13 +288,9 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
     convention); kind='user-table' takes ``table`` as an (x, G(x)) pair of
     arrays covering the bulk of the standard normal range.
     """
-    if kind == "identity":
-        return _finish_transform(kind, _g_identity, hermite_coefficients(_g_identity, k_max))
-    if kind == "cube":
-        return _finish_transform(kind, _g_cube, hermite_coefficients(_g_cube, k_max))
-    if kind == "centered-absolute-value":
-        c, eg2 = _coefficients(_g_centered_abs, k_max, breakpoints=(0.0,))
-        return _finish_transform(kind, _g_centered_abs, c, eg2=eg2)
+    if kind in _CLOSED_FORM:
+        g, kinks = _CLOSED_FORM[kind]
+        return _finish_transform(kind, *_coefficients(g, k_max, kinks))
     if kind == "hermite-polynomial":
         if coeffs is None:
             raise ValidationError("hermite-polynomial transform requires coeffs")
@@ -319,9 +298,9 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
         c[: len(coeffs)] = np.asarray(coeffs, dtype=float)
         if abs(c[0]) > 1e-8:
             raise ValidationError("transform must be centered: C_0 = 0")
-        weights = [v / math.factorial(k) for k, v in enumerate(c)]
-        g = lambda x: np.polynomial.hermite_e.hermeval(np.asarray(x, dtype=float), weights)
-        return _finish_transform(kind, g, c)
+        # G = sum_k (C_k / k!) H_k is a finite Hermite sum, so Parseval
+        # gives EG^2 exactly and the gap is 0
+        return _finish_transform(kind, c, _coefficient_mass(c))
     if kind == "user-table":
         if table is None:
             raise ValidationError("user-table transform requires table")
@@ -334,5 +313,5 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
         c, shift, eg2 = _table_coefficients(xs, gs, k_max)
         # tuples of Python floats keep the spec hashable
         aux = (tuple(xs.tolist()), tuple((gs - shift).tolist()))
-        return _finish_transform(kind, None, c, aux=aux, eg2=eg2)
+        return _finish_transform(kind, c, eg2, aux)
     raise ValidationError(f"unknown transform kind {kind!r}")

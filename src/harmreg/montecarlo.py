@@ -362,15 +362,21 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
     report_d = asymptotics.gamma_report(
         config.model, config.transform, config.noise, config.j_max, "derived"
     )
-    report_p = asymptotics.gamma_report(
-        config.model, config.transform, config.noise, config.j_max, "as-printed"
-    )
+    # the as-printed blocks reuse the derived report's s, one quadrature
+    # per harmonic
+    printed = [
+        asymptotics.gamma_matrix(
+            a, b, phi, config.transform, config.noise, config.j_max,
+            "as-printed", s_value=s,
+        )
+        for a, b, phi, s in zip(*config.model.amplitudes(), report_d.s_values)
+    ]
     scale2 = config.noise_scale**2
     return MonteCarloReport(
         config=config,
         results=tuple(results),
         gamma_derived=tuple(scale2 * m for m in report_d.matrices),
-        gamma_printed=tuple(scale2 * m for m in report_p.matrices),
+        gamma_printed=tuple(scale2 * m for m in printed),
         s_values=tuple(scale2 * s for s in report_d.s_values),
         tail_bounds=tuple(scale2 * t for t in report_d.tail_bounds),
         quad_errors=tuple(scale2 * e for e in report_d.quad_errors),

@@ -223,11 +223,6 @@ def test_load_model_rejects(text, fragment):
         config.load_model(config.parse_blocks(text))
 
 
-def test_load_band():
-    assert config.load_band(config.parse_blocks(FULL_TEXT)) == (0.1, 3.0)
-    assert config.load_band(config.parse_blocks("[grid]\nhorizon = 4\n")) is None
-
-
 def test_load_grids():
     grids = config.load_grids(config.parse_blocks(FULL_TEXT))
     assert len(grids) == 2
@@ -308,7 +303,7 @@ def test_read_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(FULL_TEXT)
     blocks = config.read_file(str(path))
-    assert config.load_band(blocks) == (0.1, 3.0)
+    assert config.load_model(blocks).band == (0.1, 3.0)
 
 
 def test_format_model_round_trip():

@@ -113,8 +113,17 @@ def test_clip_coefficients_match_mpmath_oracle():
 
 
 def test_abs_needs_breakpoints():
-    with pytest.raises(QuadratureError):
-        hermite_coefficients(_g_centered_abs)
+    # without breakpoints the panels are the unit intervals, so a kink at
+    # 0.3 sits inside one and the 8- and 16-node rules disagree
+    # E|xi - a| = 2 phi(a) + a erf(a / sqrt(2))
+    shift = 0.3
+    mean = 2.0 * math.exp(-0.5 * shift**2) / SQRT_2PI + shift * math.erf(shift / math.sqrt(2.0))
+    g = lambda x: np.abs(np.asarray(x, dtype=float) - shift) - mean
+    with pytest.raises(QuadratureError, match="declare breakpoints at kinks"):
+        hermite_coefficients(g)
+    c = hermite_coefficients(g, breakpoints=(shift,))
+    ref = hermite_coefficients_oracle(lambda x: abs(x - shift) - mean, len(c) - 1, (shift,))
+    assert np.max(np.abs(c - ref) / _factorial_scale(len(c))) < 1e-12
 
 
 def test_uncentered_transform_rejected():
@@ -180,6 +189,20 @@ def test_abs_transform():
     assert 1e-3 < tr.parseval_gap < 2e-3
     assert tr.tail_coefficient_mass() == tr.parseval_gap
     assert abs(tr.g(-1.5) - (1.5 - SQRT_2_OVER_PI)) < 1e-15
+
+
+def test_eg2_is_exact_where_parseval_closes():
+    # identity and cube take EG^2 from the coefficients' own Gauss-Legendre
+    # nodes, a Hermite polynomial from Parseval, so each equals its
+    # coefficient mass to roundoff and nothing is left for the tail
+    for tr in (
+        make_transform("identity"),
+        make_transform("cube"),
+        make_transform("hermite-polynomial", coeffs=[0.0, 0.0, 2.0]),
+    ):
+        mass = sum(c * c / math.factorial(k) for k, c in enumerate(tr.coeffs) if k >= 1)
+        assert abs(tr.eg2 - mass) <= 1e-14 * mass
+        assert tr.parseval_gap == 0.0
 
 
 def test_polynomial_transform_requires_coeffs():
@@ -250,18 +273,27 @@ def test_table_g_interpolates_stored_arrays():
 
 
 def test_kinked_and_table_transforms_skip_adaptive_quadrature(monkeypatch):
-    # structural guard: kinked transforms and tables take one vectorised
-    # piecewise Gauss-Legendre pass per rule, never scalar adaptive calls
+    # structural guard: every kind takes one vectorised piecewise
+    # Gauss-Legendre pass per rule, never scalar adaptive calls or
+    # Gauss-Hermite nodes
     calls = []
-    quad = integrate.quad
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return quad(*args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(integrate, "quad", counting)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(integrate, "quad")
+    counting(special, "roots_hermitenorm")
     xs = np.linspace(-8.5, 8.5, 4001)
+    make_transform("identity")
+    make_transform("cube")
     make_transform("centered-absolute-value")
+    make_transform("hermite-polynomial", coeffs=[0.0, 0.0, 2.0])
     make_transform("user-table", table=(xs, np.abs(xs) - SQRT_2_OVER_PI))
     assert calls == []
 

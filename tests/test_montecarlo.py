@@ -225,6 +225,12 @@ class TestRunReplications:
         ref = gamma_report(base_config.model, IDENTITY, base_config.noise, base_config.j_max)
         assert base_report.quad_errors == ref.quad_errors
         assert 0.0 <= base_report.quad_errors[0] <= 1e-5
+        printed = gamma_report(
+            base_config.model, IDENTITY, base_config.noise, base_config.j_max, "as-printed"
+        )
+        scale2 = base_config.noise_scale**2
+        for got, want in zip(base_report.gamma_printed, printed.matrices, strict=True):
+            assert np.array_equal(got, scale2 * want)
 
     def test_same_report_for_any_worker_count(self, base_config, base_report):
         rep2 = run_replications(base_config, workers=2)
