@@ -273,6 +273,36 @@ def _project_frequencies(phi, band, policy, horizon) -> np.ndarray:
     return out
 
 
+def _reach(a, b, phi) -> float:
+    """sum_k |phi_k| (|A_k| + |B_k|): times t_i, the most that a relative
+    change of eps in every argument phi_k t_i moves the signal value at t_i,
+    in units of eps."""
+    return float(np.abs(phi) @ (np.abs(a) + np.abs(b)))
+
+
+def _objective_change(t, w, r, m, m1, reach) -> tuple[float, float]:
+    """The change Q' - Q of the objective between two points, and a bound
+    on its rounding error.
+
+    m and m1 are the signal values at the two points and r = x - m. The
+    change is a difference of signal values, Q' - Q = w * sum (m - m1)(r +
+    r') with r' = r + (m - m1): near the optimum it sits below one ulp of Q
+    itself, where comparing two rounded totals is meaningless, but this
+    form stays accurate to the bound, so a step is rejected only when it is
+    measurably uphill. The bound covers rounding in m, m1 and their
+    difference, and the rounding of the arguments phi_k t_i, which moves
+    each signal value by up to eps * t_i * reach, with reach the sum of
+    _reach over both points."""
+    eps = np.finfo(float).eps
+    d = m - m1
+    ssum = r + (r + d)
+    dq = w * float(d @ ssum)
+    err = 4.0 * eps * w * float(
+        np.abs(ssum) @ (np.abs(m) + np.abs(m1) + np.abs(d) + reach * t)
+    )
+    return dq, err
+
+
 def refine(
     path: SamplePath,
     a0,
@@ -303,7 +333,6 @@ def refine(
     phi = _project_frequencies(np.asarray(phi0, dtype=float), band, policy, horizon)
     nh = len(a)
     scale = np.concatenate([np.ones(2 * nh), np.full(nh, horizon)])
-    eps = np.finfo(float).eps
     w = path.grid.dt / horizon
 
     # one trigonometric design per evaluated point: the signal values m,
@@ -338,18 +367,8 @@ def refine(
                 cphi = _project_frequencies(phi + step[2 * nh:], band, policy, horizon)
                 c1, s1 = trig_design(t, cphi)
                 m1 = c1 @ ca + s1 @ cb
-                # the objective change is evaluated as a difference of signal
-                # values: Q' - Q = w * sum (m - m1)(r + r'), r' = r + (m - m1);
-                # near the optimum the change sits below one ulp of Q itself,
-                # where comparing two rounded totals is meaningless, but this
-                # form stays accurate to err, so a step is rejected only
-                # when it is measurably uphill
-                d = m - m1
-                ssum = r + (r + d)
-                dq = w * float(d @ ssum)
-                err = 4.0 * eps * w * (
-                    float((np.abs(m) + np.abs(m1)) @ np.abs(ssum))
-                    + float(np.abs(d) @ np.abs(ssum))
+                dq, err = _objective_change(
+                    t, w, r, m, m1, _reach(a, b, phi) + _reach(ca, cb, cphi)
                 )
                 accepted = dq <= err
                 if accepted or converged:

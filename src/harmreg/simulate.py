@@ -23,6 +23,7 @@ DEFAULT_MAX_COV_ERROR = 1e-3
 
 _EIG_CLAMP = 1e-8
 _MAX_PAD = 16
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -217,23 +218,29 @@ def gaussian_path(
     seed either way. The scaled root sqrt(eigs / size) of the clamped
     embedding is cached per (spec, grid).
 
-    The path is Re FFT(r a + i r b)[:n] for standard normal draws a, b and
-    the scaled root r, computed as one real FFT: with u = r a, v = r b and
-    s_k = ((u - v)_k + (u + v)_{-k}) / 2 (the even part of u minus the odd
-    part of v, indices mod size), Re FFT(u + i v)[j] = Re R[j] + Im R[j]
-    for R = rfft(s) and every j <= size / 2, which covers j < n.
+    The path is M * irfft(W, M)[:n] for the embedding size M, the scaled
+    root r and a Hermitian half spectrum W built from one vector z of M
+    standard normals: W_0 = r_0 z_0, W_{M/2} = r_{M/2} z_1 and
+    W_k = r_k (z_{2k} + i z_{2k+1}) / sqrt(2) for 0 < k < M/2 (Wood & Chan
+    1994; Dietrich & Newsam 1997). Its covariance at lag j - l is
+    sum_k r_k^2 cos(2 pi k (j - l) / M), which is exactly the (clamped)
+    embedded covariance. The normals are drawn straight into the
+    interleaved real and imaginary parts of W, whose spare entries (the
+    imaginary parts of the two real terms) are zeroed; W is scaled by
+    sqrt(2) so that r alone scales it, and the sqrt(2) comes off the n
+    kept outputs.
     """
     n = grid.n
     root, _ = _clamped_embedding(spec, grid.dt, n, max_cov_error)
-    rng = np.random.default_rng(seed)
-    u = root * rng.standard_normal(root.size)
-    v = root * rng.standard_normal(root.size)
-    s = u - v
-    u += v
-    s[0] += u[0]
-    s[1:] += u[:0:-1]
-    spec_half = np.fft.rfft(s)[:n]
-    return 0.5 * (spec_half.real + spec_half.imag)
+    size = root.size
+    half = np.empty(size // 2 + 1, dtype=complex)
+    z = half.view(float)  # Re W_0, Im W_0, Re W_1, Im W_1, ...
+    np.random.default_rng(seed).standard_normal(out=z[:size])
+    z[size] = _SQRT2 * z[1]
+    z[0] *= _SQRT2
+    z[1] = z[size + 1] = 0.0
+    half *= root[:half.size]
+    return (size / _SQRT2) * np.fft.irfft(half, size)[:n]
 
 
 def subordinate(xi: np.ndarray, transform: TransformSpec) -> np.ndarray:

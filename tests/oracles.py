@@ -270,17 +270,28 @@ def hermite_coefficients_oracle(g, k_max: int, breakpoints=(), dps: int = 30) ->
 
 
 def circulant_path_oracle(root: np.ndarray, n: int, seed) -> np.ndarray:
-    """Circulant-embedding draw as a complex FFT (Wood & Chan 1994).
+    """Circulant-embedding draw from the full Hermitian spectrum (Wood & Chan
+    1994; Dietrich & Newsam 1997).
 
-    With the scaled root r = sqrt(eigenvalues / size) of the embedding and
-    two standard normal vectors a, b drawn in that order from
-    default_rng(seed), Re FFT(r a + i r b) restricted to the first n
-    entries is a stationary Gaussian path with the embedded covariance.
+    With the scaled root r = sqrt(eigenvalues / size) of an embedding of
+    even size M and one vector z of M standard normals from
+    default_rng(seed), the spectrum V_0 = r_0 z_0, V_{M/2} = r_{M/2} z_1,
+    V_k = r_k (z_{2k} + i z_{2k+1}) / sqrt(2) and V_{M-k} = conj(V_k) for
+    0 < k < M/2 has an inverse FFT whose imaginary part is rounding and
+    whose real part, times M and cut to the first n entries, is a
+    stationary Gaussian path with the embedded covariance.
     """
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(root.size)
-    b = rng.standard_normal(root.size)
-    return np.fft.fft(root * a + 1j * (root * b)).real[:n]
+    size = root.size
+    half = size // 2
+    z = np.random.default_rng(seed).standard_normal(size)
+    spectrum = np.zeros(size, dtype=complex)
+    spectrum[0] = z[0]
+    spectrum[half] = z[1]
+    spectrum[1:half] = (z[2::2] + 1j * z[3::2]) / math.sqrt(2.0)
+    spectrum[half + 1:] = spectrum[half - 1:0:-1].conjugate()
+    path = size * np.fft.ifft(root * spectrum)
+    assert np.max(np.abs(path.imag)) <= 1e-12 * np.max(np.abs(path.real))
+    return path.real[:n]
 
 
 def least_squares_oracle(values: np.ndarray, times: np.ndarray, truth) -> np.ndarray:

@@ -9,6 +9,7 @@ in this module is reproducible bit for bit.
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +248,33 @@ def test_criterion_07_mode_adjudication(clt_report):
         assert dev_derived < 0.15
         assert dev_printed > 0.30
         assert dev_derived < dev_printed
+
+
+@pytest.mark.slow
+def test_readme_mode_table_matches_clt_fixture(clt_report):
+    # the README's mode-adjudication table reports this fixture; a change
+    # of the random stream or the estimator must regenerate it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    result = clt_report.results[0]
+    empirical = result.empirical_cov(0)
+    derived = clt_report.gamma_derived[0]
+    printed = clt_report.gamma_printed[0]
+    assert f"`R = 500` ({result.n_ok} converged)" in readme
+    for i in (0, 1):
+        row = next(
+            line for line in readme.splitlines()
+            if line.startswith(f"| ({i + 1}, {i + 1}) |")
+        )
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        dev_derived = abs(empirical[i, i] - derived[i, i]) / derived[i, i]
+        dev_printed = abs(empirical[i, i] - printed[i, i]) / printed[i, i]
+        assert cells[1:] == [
+            f"{derived[i, i]:.4f}",
+            f"{printed[i, i]:.4f}",
+            f"{empirical[i, i]:.4f}",
+            f"**{100.0 * dev_derived:.1f}%**",
+            f"{100.0 * dev_printed:.1f}%",
+        ]
 
 
 @pytest.mark.slow

@@ -388,6 +388,40 @@ class TestRefine:
         assert est.objective(path, res.model) <= q_oracle * (1.0 + 1e-13)
         assert np.max(np.abs(est.normalized_errors(res.model, oracle, horizon))) < 1e-3
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble"
+    )
+    @pytest.mark.parametrize("horizon", [1024.0, 4096.0])
+    def test_objective_change_within_its_rounding_bound(self, horizon):
+        # near the optimum, moving phi by a few ulps changes the objective
+        # by about as much as rounding in the arguments phi t moves it; the
+        # change refine computes must lie within its bound of a reference
+        # computed in extended precision at the same parameters
+        grid = SamplingGrid(horizon, 0.25)
+        noise = np.random.default_rng(7).standard_normal(grid.n)
+        path = SamplePath(grid=grid, values=regression_signal(MODEL, grid) + noise)
+        a, b, phi, _, _, conv = est.refine(path, [1.0], [0.5], [1.3])
+        assert conv
+        x, t, w = path.values, grid.times(), grid.dt / horizon
+        t_ext = t.astype(np.longdouble)
+
+        def signal(p):
+            c, s = est.trig_design(t, p)
+            u = t_ext * np.longdouble(p[0])
+            return c @ a + s @ b, np.cos(u) * a[0] + np.sin(u) * b[0]
+
+        m, m_ext = signal(phi)
+        r = x - m
+        for ulps in [*range(-32, 0), *range(1, 33)]:
+            cphi = phi + ulps * np.spacing(phi)
+            m1, m1_ext = signal(cphi)
+            dq, err = est._objective_change(
+                t, w, r, m, m1, est._reach(a, b, phi) + est._reach(a, b, cphi)
+            )
+            # Q' - Q = w * sum (m - m1)(2x - m - m1)
+            dq_ext = w * np.sum((m_ext - m1_ext) * (2 * x - m_ext - m1_ext))
+            assert abs(dq - float(dq_ext)) <= err
+
     def test_projection_respects_band_and_gap(self):
         policy = est.SeparationPolicy()
         out = est._project_frequencies(

@@ -182,8 +182,9 @@ PLUGIN_NOISE = NoiseSpec(
 @pytest.mark.parametrize("spec_name", ["smooth", "seasonal", "mixed", "plugin"])
 @pytest.mark.parametrize("horizon", [64.0, 64.25, 1024.0])
 def test_gaussian_path_matches_complex_fft_oracle(spec_name, horizon, request):
-    # one real FFT of the even/odd recombination equals the real part of
-    # the complex FFT of the same draws, to rounding, for odd and even n
+    # one inverse real FFT of the half spectrum equals the complex inverse
+    # FFT of the full Hermitian spectrum of the same draws, to rounding,
+    # for odd and even n
     spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
     grid = SamplingGrid(horizon=horizon, dt=0.25)
     root, _ = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
@@ -194,9 +195,50 @@ def test_gaussian_path_matches_complex_fft_oracle(spec_name, horizon, request):
         assert np.max(np.abs(path - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+class _UnitDraws:
+    """Stands in for the generator: its one standard_normal call returns
+    the unit vector e_k, and the sizes it was asked for are recorded."""
+
+    def __init__(self, k):
+        self.k = k
+        self.sizes = []
+
+    def standard_normal(self, size=None, out=None):
+        z = np.zeros(out.size if out is not None else size)
+        z[self.k] = 1.0
+        self.sizes.append(z.size)
+        if out is None:
+            return z
+        out[...] = z
+        return out
+
+
+@pytest.mark.parametrize("spec_name", ["smooth", "seasonal", "plugin"])
+@pytest.mark.parametrize("horizon", [16.0, 16.25])
+def test_gaussian_path_exact_law(spec_name, horizon, request, monkeypatch):
+    # the path is L z for one vector z of standard normals, so its
+    # covariance is L L^T; the columns of L are the paths drawn from the
+    # unit vectors, and L L^T must be the Toeplitz matrix of the covariance
+    # up to rounding and the clamp bound
+    spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
+    grid = SamplingGrid(horizon=horizon, dt=0.25)
+    root, bound = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    columns = []
+    for k in range(root.size):
+        draws = _UnitDraws(k)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed, _d=draws: _d)
+        columns.append(gaussian_path(spec, grid, seed=None))
+        assert len(draws.sizes) == 1 and draws.sizes[0] <= root.size + 2
+    low = np.column_stack(columns)
+    lags = np.arange(grid.n)
+    cov = covariance(spec, lags * grid.dt)
+    toeplitz = cov[np.abs(lags[:, None] - lags[None, :])]
+    assert np.max(np.abs(low @ low.T - toeplitz)) <= 1e-13 + bound
+
+
 def test_gaussian_path_one_real_fft(smooth, monkeypatch):
     gaussian_path(smooth, GRID, seed=1)  # builds the cached embedding
-    calls = {"fft": 0, "rfft": 0}
+    calls = {"fft": 0, "rfft": 0, "irfft": 0}
     for name in calls:
         original = getattr(np.fft, name)
 
@@ -206,7 +248,7 @@ def test_gaussian_path_one_real_fft(smooth, monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     gaussian_path(smooth, GRID, seed=2)
-    assert calls == {"fft": 0, "rfft": 1}
+    assert calls == {"fft": 0, "rfft": 0, "irfft": 1}
 
 
 def test_embedding_clamp_bound_cached(smooth, seasonal):
@@ -221,9 +263,20 @@ def test_embedding_clamp_bound_cached(smooth, seasonal):
 
 def test_gaussian_path_marginal_moments(smooth):
     grid = SamplingGrid(horizon=1024.0, dt=0.25)
-    draws = np.concatenate([gaussian_path(smooth, grid, seed=s) for s in range(8)])
-    assert abs(draws.mean()) < 3.0 / math.sqrt(len(draws))
-    assert abs(draws.std() - 1.0) < 0.02
+    paths = 8
+    draws = np.concatenate([gaussian_path(smooth, grid, seed=s) for s in range(paths)])
+    # the draws of one path are correlated, so the standard errors come
+    # from the covariance: a path mean has variance sum_{i,j} B_{i-j} / n^2
+    # and a path mean square sum_{i,j} 2 B_{i-j}^2 / n^2 (Isserlis), and
+    # the paths are independent; the std's standard error is half the
+    # mean square's, since the variance is 1
+    n = grid.n
+    cov = covariance(smooth, np.arange(n) * grid.dt)
+    pairs = np.concatenate([[n], 2.0 * np.arange(n - 1, 0, -1)])
+    se_mean = math.sqrt(float(pairs @ cov) / (paths * n * n))
+    se_std = 0.5 * math.sqrt(2.0 * float(pairs @ cov**2) / (paths * n * n))
+    assert abs(draws.mean()) < 3.0 * se_mean
+    assert abs(draws.std() - 1.0) < 3.0 * se_std
 
 
 def test_sample_autocovariance_matches_closed_form(smooth):
