@@ -80,6 +80,7 @@ from .simulate import (
     SamplePath,
     SamplingGrid,
     gaussian_path,
+    gaussian_paths,
     observe,
     regression_signal,
     subordinate,

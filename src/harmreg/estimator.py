@@ -149,18 +149,31 @@ def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     wider than the band on each side, so rounding in i * spacing cannot
     drop a grid point the band holds; the band test inside the window
     then picks exactly the points a test over the whole spectrum would."""
-    nfft, spacing = _fft_grid(path.grid)
-    spec = np.fft.rfft(path.values, nfft)
-    size = len(spec)
+    return _band_periodogram(path.values, path.grid, band)
+
+
+def _band_periodogram(values: np.ndarray, grid, band):
+    """``periodogram_grid`` of every path along the last axis of
+    ``values``, which may carry leading batch axes: one real FFT over all
+    rows, then (frequencies, values[..., band bins]). Each row is bit for
+    bit the periodogram of that row alone. The band window of the spectrum
+    is scaled in place and the spectrum is dropped on return, so only the
+    band outlives the call."""
+    nfft, spacing = _fft_grid(grid)
+    spec = np.fft.rfft(values, nfft)
+    size = spec.shape[-1]
     lo_cell, hi_cell = band[0] / spacing, band[1] / spacing
     # the comparisons send a NaN or infinite band edge to an end of the
     # spectrum, where the band test below decides as it would on all of it
     lo = math.floor(min(lo_cell, size)) - 1 if lo_cell > 1.0 else 0
     hi = min(math.ceil(max(hi_cell, 0.0)) + 2, size) if hi_cell < size else size
     freqs = np.arange(lo, hi) * spacing
-    vals = np.abs(spec[lo:hi] * (path.grid.dt / path.grid.horizon)) ** 2
+    window = spec[..., lo:hi]
+    window *= grid.dt / grid.horizon
+    vals = np.abs(window)
+    np.square(vals, out=vals)
     keep = (freqs >= band[0]) & (freqs <= band[1])
-    return freqs[keep], vals[keep]
+    return freqs[keep], vals[..., keep]
 
 
 def detect_frequencies(

@@ -11,6 +11,7 @@ a sequential fold in replication order.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import os
 import warnings
@@ -25,16 +26,20 @@ from .errors import (
     InsufficientSamplesError,
     ValidationError,
 )
-from .estimator import estimate_harmonics, periodogram_grid
+from .estimator import (
+    _band_periodogram,
+    _fft_grid,
+    estimate_harmonics,
+    periodogram_grid,
+)
 from .hermite import TransformSpec
 from .simulate import (
     DEFAULT_BAND,
     DEFAULT_MAX_COV_ERROR,
     HarmonicModel,
-    SamplePath,
     SamplingGrid,
     _clamped_embedding,
-    gaussian_path,
+    gaussian_paths,
     observe,
     subordinate,
 )
@@ -44,6 +49,8 @@ FAILURE_CAP = 0.2
 COVERAGE_LEVELS = (0.90, 0.95, 0.99)
 _Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 _FLOOR = 1e-12  # raw-error floor below which slopes are floor-limited
+# budget for the zero-padded spectrum of one lemma2_decay chunk of rows
+_SWEEP_SPECTRUM_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -289,6 +296,55 @@ class MonteCarloReport:
                 fh.write(runtime_note)
 
 
+def _grid_result(config: ExperimentConfig, gi: int, pool) -> GridResult:
+    """Run grid gi's replications, serially or on ``pool``, and fold them
+    in replication order."""
+    rows: list = [None] * config.replications
+    if pool is None:
+        for r in range(config.replications):
+            rows[r] = _replication(config, gi, r)
+    else:
+        futures = [
+            pool.submit(_replication, config, gi, r)
+            for r in range(config.replications)
+        ]
+        for fut in concurrent.futures.as_completed(futures):
+            r, payload, converged = fut.result()
+            rows[r] = (r, payload, converged)
+    samples = []
+    failures = []
+    nonconverged = 0
+    for r, payload, converged in rows:  # sequential fold in r order
+        if converged is None:
+            failures.append(f"r={r}: {payload}")
+        elif not converged:
+            nonconverged += 1
+        else:
+            samples.append(payload)
+    unusable = len(failures) + nonconverged
+    if unusable > FAILURE_CAP * config.replications:
+        raise ExperimentError(
+            f"{unusable}/{config.replications} replications unusable on "
+            f"grid T={config.grids[gi].horizon} "
+            f"({len(failures)} failed, {nonconverged} non-converged)"
+        )
+    grid = config.grids[gi]
+    clamp = 0.0
+    if config.noise_scale > 0.0:
+        # usable replications drew from this embedding, so it exists
+        _, clamp = _clamped_embedding(
+            config.noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR
+        )
+    return GridResult(
+        grid=grid,
+        samples=np.stack(samples),
+        n_requested=config.replications,
+        n_nonconverged=nonconverged,
+        failures=tuple(failures),
+        embedding_clamp_bound=clamp,
+    )
+
+
 def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloReport:
     """Simulate and estimate R replications on every grid of the schedule.
 
@@ -298,55 +354,14 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    results = []
-    for gi in range(len(config.grids)):
-        rows: list = [None] * config.replications
-        if workers == 1:
-            for r in range(config.replications):
-                rows[r] = _replication(config, gi, r)
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_replication, config, gi, r)
-                    for r in range(config.replications)
-                ]
-                for fut in concurrent.futures.as_completed(futures):
-                    r, payload, converged = fut.result()
-                    rows[r] = (r, payload, converged)
-        samples = []
-        failures = []
-        nonconverged = 0
-        for r, payload, converged in rows:  # sequential fold in r order
-            if converged is None:
-                failures.append(f"r={r}: {payload}")
-            elif not converged:
-                nonconverged += 1
-            else:
-                samples.append(payload)
-        unusable = len(failures) + nonconverged
-        if unusable > FAILURE_CAP * config.replications:
-            raise ExperimentError(
-                f"{unusable}/{config.replications} replications unusable on "
-                f"grid T={config.grids[gi].horizon} "
-                f"({len(failures)} failed, {nonconverged} non-converged)"
-            )
-        grid = config.grids[gi]
-        clamp = 0.0
-        if config.noise_scale > 0.0:
-            # usable replications drew from this embedding, so it exists
-            _, clamp = _clamped_embedding(
-                config.noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR
-            )
-        results.append(
-            GridResult(
-                grid=grid,
-                samples=np.stack(samples),
-                n_requested=config.replications,
-                n_nonconverged=nonconverged,
-                failures=tuple(failures),
-                embedding_clamp_bound=clamp,
-            )
-        )
+    # one pool serves every grid of the schedule
+    executor = (
+        concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        if workers > 1
+        else contextlib.nullcontext()
+    )
+    with executor as pool:
+        results = [_grid_result(config, gi, pool) for gi in range(len(config.grids))]
     nh = len(config.model.harmonics)
     if config.noise_scale == 0.0:
         zero = np.zeros((3, 3))
@@ -449,20 +464,38 @@ def lemma2_decay(
     band=DEFAULT_BAND,
 ) -> dict:
     """Mean eta^2 per horizon over pure-noise replications, with the
-    strict-decrease verdict across the schedule."""
+    strict-decrease verdict across the schedule.
+
+    Replication r on horizon g draws from SeedSequence(master_seed,
+    spawn_key=(g, r)). Per horizon the replications are simulated,
+    subordinated and periodogrammed in chunks of rows whose zero-padded
+    spectrum fits in _SWEEP_SPECTRUM_BYTES (8 MiB; at least one row), so
+    the chunk size depends on the grid alone. Each row is the path
+    ``gaussian_path`` draws from its own stream, and the row maxima are
+    summed in replication order, so the means are bit for bit those of a
+    loop over single paths through ``eta_squared``.
+    """
+    if replications < 1:
+        raise ValidationError("need at least 1 replication")
+    grids = tuple(SamplingGrid(float(h), dt) for h in horizons)
+    if not grids:
+        raise ValidationError("horizon schedule is empty")
     means = []
-    for gi, horizon in enumerate(horizons):
-        grid = SamplingGrid(float(horizon), dt)
+    for gi, grid in enumerate(grids):
+        nfft, _ = _fft_grid(grid)
+        # 16 bytes per complex128 bin of one row's spectrum
+        chunk = max(1, _SWEEP_SPECTRUM_BYTES // (16 * (nfft // 2 + 1)))
         acc = 0.0
-        for r in range(replications):
-            seed = np.random.SeedSequence(
-                entropy=master_seed, spawn_key=(gi, r)
-            )
-            xi = gaussian_path(noise, grid, seed)
-            eps = subordinate(xi, transform)
-            acc += eta_squared(SamplePath(grid=grid, values=eps), band)
+        for start in range(0, replications, chunk):
+            seeds = [
+                np.random.SeedSequence(entropy=master_seed, spawn_key=(gi, r))
+                for r in range(start, min(start + chunk, replications))
+            ]
+            eps = subordinate(gaussian_paths(noise, grid, seeds), transform)
+            for row_max in _band_periodogram(eps, grid, band)[1].max(axis=-1):
+                acc += float(row_max)
         means.append(acc / replications)
     decreasing = all(b < a for a, b in zip(means, means[1:]))
-    return {"horizons": tuple(float(h) for h in horizons),
+    return {"horizons": tuple(g.horizon for g in grids),
             "mean_eta_squared": tuple(means),
             "strictly_decreasing": decreasing}

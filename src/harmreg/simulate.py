@@ -218,29 +218,48 @@ def gaussian_path(
     seed either way. The scaled root sqrt(eigs / size) of the clamped
     embedding is cached per (spec, grid).
 
-    The path is M * irfft(W, M)[:n] for the embedding size M, the scaled
+    This is the one-row case of ``gaussian_paths``, which describes the
+    construction.
+    """
+    return gaussian_paths(spec, grid, (seed,), max_cov_error)[0]
+
+
+def gaussian_paths(
+    spec: NoiseSpec,
+    grid: SamplingGrid,
+    seeds,
+    max_cov_error: float = DEFAULT_MAX_COV_ERROR,
+) -> np.ndarray:
+    """One stationary Gaussian path per seed, as rows of a (len(seeds), n)
+    array; row r is bit for bit ``gaussian_path(spec, grid, seeds[r])``.
+
+    Each path is M * irfft(W, M)[:n] for the embedding size M, the scaled
     root r and a Hermitian half spectrum W built from one vector z of M
     standard normals: W_0 = r_0 z_0, W_{M/2} = r_{M/2} z_1 and
     W_k = r_k (z_{2k} + i z_{2k+1}) / sqrt(2) for 0 < k < M/2 (Wood & Chan
     1994; Dietrich & Newsam 1997). Its covariance at lag j - l is
     sum_k r_k^2 cos(2 pi k (j - l) / M), which is exactly the (clamped)
-    embedded covariance. The normals are drawn straight into the
-    interleaved real and imaginary parts of W, whose spare entries (the
-    imaginary parts of the two real terms) are zeroed; W is scaled by
-    sqrt(2) so that r alone scales it, and the sqrt(2) comes off the n
-    kept outputs.
+    embedded covariance. Row r draws its normals from
+    default_rng(seeds[r]) straight into the interleaved real and imaginary
+    parts of its own row of a (rows, M/2 + 1) half spectrum, whose spare
+    entries (the imaginary parts of the two real terms) are zeroed; W is
+    scaled by sqrt(2) so that r alone scales it, and the sqrt(2) comes off
+    the n kept outputs. All rows share one inverse real FFT along the last
+    axis, whose rows are the bits of the one-row transform. Embedding
+    failures and warnings are those of ``gaussian_path``.
     """
     n = grid.n
     root, _ = _clamped_embedding(spec, grid.dt, n, max_cov_error)
     size = root.size
-    half = np.empty(size // 2 + 1, dtype=complex)
-    z = half.view(float)  # Re W_0, Im W_0, Re W_1, Im W_1, ...
-    np.random.default_rng(seed).standard_normal(out=z[:size])
-    z[size] = _SQRT2 * z[1]
-    z[0] *= _SQRT2
-    z[1] = z[size + 1] = 0.0
-    half *= root[:half.size]
-    return (size / _SQRT2) * np.fft.irfft(half, size)[:n]
+    half = np.empty((len(seeds), size // 2 + 1), dtype=complex)
+    z = half.view(float)  # per row: Re W_0, Im W_0, Re W_1, Im W_1, ...
+    for row, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=row[:size])
+    z[:, size] = _SQRT2 * z[:, 1]
+    z[:, 0] *= _SQRT2
+    z[:, 1] = z[:, size + 1] = 0.0
+    half *= root[:half.shape[1]]
+    return (size / _SQRT2) * np.fft.irfft(half, size)[:, :n]
 
 
 def subordinate(xi: np.ndarray, transform: TransformSpec) -> np.ndarray:

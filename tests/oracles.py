@@ -294,6 +294,30 @@ def circulant_path_oracle(root: np.ndarray, n: int, seed) -> np.ndarray:
     return path.real[:n]
 
 
+def lemma2_oracle(noise, transform, horizons, replications, master_seed,
+                  dt=0.25, band=(0.1, 3.0)) -> tuple[float, ...]:
+    """Mean eta^2 per horizon by one path at a time.
+
+    Replication r on horizon g draws ``gaussian_path`` from
+    SeedSequence(master_seed, spawn_key=(g, r)), subordinates it and takes
+    ``eta_squared`` of its own periodogram; the sup values are summed in
+    replication order and divided by the replication count.
+    """
+    from harmreg.montecarlo import eta_squared
+    from harmreg.simulate import SamplePath, SamplingGrid, gaussian_path, subordinate
+
+    means = []
+    for gi, horizon in enumerate(horizons):
+        grid = SamplingGrid(float(horizon), dt)
+        acc = 0.0
+        for r in range(replications):
+            seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(gi, r))
+            eps = subordinate(gaussian_path(noise, grid, seed), transform)
+            acc += eta_squared(SamplePath(grid=grid, values=eps), band)
+        means.append(acc / replications)
+    return tuple(means)
+
+
 def least_squares_oracle(values: np.ndarray, times: np.ndarray, truth) -> np.ndarray:
     """Least-squares harmonic fit by MINPACK's Levenberg-Marquardt.
 

@@ -170,6 +170,22 @@ class TestPeriodogramGrid:
             assert np.array_equal(freqs, all_freqs[keep])
             assert np.array_equal(vals, all_vals[keep])
 
+    @pytest.mark.parametrize("horizon", [16.25, 256.0, 1000.0])
+    def test_batched_rows_equal_single_rows(self, horizon):
+        # the batched helper's rows are periodogram_grid of each row alone,
+        # bit for bit, with one frequency grid for all of them
+        grid = SamplingGrid(horizon, 0.25)
+        values = np.random.default_rng(5).standard_normal((2, 3, grid.n))
+        for band in [(0.1, 3.0), (0.0, grid.nyquist), (2.0, 1.0)]:
+            freqs, vals = est._band_periodogram(values, grid, band)
+            assert vals.shape == (2, 3, len(freqs))
+            for idx in np.ndindex(2, 3):
+                row_freqs, row_vals = est.periodogram_grid(
+                    SamplePath(grid=grid, values=values[idx]), band
+                )
+                assert np.array_equal(freqs, row_freqs)
+                assert np.array_equal(vals[idx], row_vals)
+
 
 class TestDetectFrequencies:
     @pytest.mark.parametrize("offset", [0.0, 0.125, 0.25, 0.375, 0.5, -0.3])

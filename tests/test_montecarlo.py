@@ -1,12 +1,14 @@
 """Replication harness tests: config validation, determinism across worker
 counts, aggregation and report logic, and the statistical diagnostics."""
 
+import concurrent.futures
 import math
 import os
 
 import numpy as np
 import pytest
 
+from harmreg import montecarlo
 from harmreg.asymptotics import gamma_report
 from harmreg.errors import (
     DegenerateVarianceError,
@@ -32,6 +34,8 @@ from harmreg.simulate import (
     SamplingGrid,
     regression_signal,
 )
+
+from oracles import lemma2_oracle
 
 MODEL = HarmonicModel(((1.0, 0.5, 1.3),))
 IDENTITY = make_transform("identity")
@@ -240,6 +244,28 @@ class TestRunReplications:
         again = run_replications(base_config)
         assert again.to_text() == base_report.to_text()
         assert again.samples_csv(0) == base_report.samples_csv(0)
+
+    def test_one_pool_for_all_grids(self, smooth, monkeypatch):
+        # the executor is opened once per call, not once per grid
+        opened = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        config = ExperimentConfig(
+            noise=smooth,
+            transform=IDENTITY,
+            model=MODEL,
+            grids=(SamplingGrid(64.0, 0.25), SamplingGrid(96.0, 0.25)),
+            replications=3,
+            master_seed=7,
+        )
+        report = run_replications(config, workers=2)
+        assert opened == [2]
+        assert report.to_text() == run_replications(config).to_text()
 
     def test_workers_must_be_positive(self, base_config):
         with pytest.raises(ValidationError, match="workers"):
@@ -495,3 +521,62 @@ class TestLemma2Decay:
         a = lemma2_decay(smooth, IDENTITY, (128.0,), replications=3, master_seed=9)
         b = lemma2_decay(smooth, IDENTITY, (128.0,), replications=3, master_seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("replications", [7, 20])
+    @pytest.mark.parametrize(
+        "kind", ["identity", "cube", "centered-absolute-value"]
+    )
+    def test_matches_per_path_oracle(self, smooth, kind, replications):
+        # odd n, a non-power-of-two n, one chunk of every replication, and
+        # a T = 8192 horizon split into several multi-row chunks with a
+        # partial last one: the means are the per-path loop's bits
+        horizons = (64.25, 100.0, 512.0, 8192.0)
+        transform = make_transform(kind)
+        out = lemma2_decay(smooth, transform, horizons, replications, master_seed=20260817)
+        expected = lemma2_oracle(smooth, transform, horizons, replications, 20260817)
+        assert [m.hex() for m in out["mean_eta_squared"]] == [m.hex() for m in expected]
+        assert out["horizons"] == horizons
+
+    @pytest.mark.parametrize(
+        "horizons, replications",
+        [((128.0,), 0), ((128.0,), -1), ((), 3), ((128.0, 100.1), 3)],
+    )
+    def test_rejects_empty_work_before_drawing(self, smooth, monkeypatch,
+                                               horizons, replications):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a path")
+
+        monkeypatch.setattr(montecarlo, "gaussian_paths", no_draws)
+        with pytest.raises(ValidationError):
+            lemma2_decay(smooth, IDENTITY, horizons, replications, master_seed=1)
+
+    def test_chunks_bound_the_spectrum(self, smooth, monkeypatch):
+        # at T = 8192 one row's zero-padded spectrum is 2 MiB: every chunk
+        # holds several rows within the budget, its size does not depend on
+        # the replication count, and each chunk takes one forward and one
+        # inverse real FFT
+        calls = {"fft": [], "rfft": [], "irfft": []}
+        for name, record in calls.items():
+            original = getattr(np.fft, name)
+
+            def spied(*args, _record=record, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                _record.append((out.shape, out.nbytes))
+                return out
+
+            monkeypatch.setattr(np.fft, name, spied)
+        rows = {}
+        for replications in (20, 200):
+            for record in calls.values():
+                record.clear()
+            lemma2_decay(smooth, IDENTITY, (8192.0,), replications, master_seed=3)
+            shapes = [shape for shape, _ in calls["rfft"]]
+            assert all(len(shape) == 2 and shape[0] > 1 for shape in shapes)
+            assert all(
+                nbytes <= montecarlo._SWEEP_SPECTRUM_BYTES for _, nbytes in calls["rfft"]
+            )
+            assert sum(shape[0] for shape in shapes) == replications
+            assert not calls["fft"]
+            assert [shape[0] for shape, _ in calls["irfft"]] == [s[0] for s in shapes]
+            rows[replications] = shapes[0][0]
+        assert rows[20] == rows[200]

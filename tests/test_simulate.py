@@ -13,6 +13,7 @@ from harmreg import (
     SamplingGrid,
     covariance,
     gaussian_path,
+    gaussian_paths,
     make_transform,
     observe,
     preset_noise,
@@ -249,6 +250,20 @@ def test_gaussian_path_one_real_fft(smooth, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     gaussian_path(smooth, GRID, seed=2)
     assert calls == {"fft": 0, "rfft": 0, "irfft": 1}
+
+
+@pytest.mark.parametrize("spec_name", ["smooth", "seasonal", "mixed"])
+@pytest.mark.parametrize("horizon", [64.0, 64.25, 1024.0])
+def test_gaussian_paths_rows_are_single_paths(spec_name, horizon, request):
+    # each row of the batched draw is the one-seed path, bit for bit, for
+    # exact and clamped embeddings and odd and even n
+    spec = request.getfixturevalue(spec_name)
+    grid = SamplingGrid(horizon=horizon, dt=0.25)
+    seeds = [np.random.SeedSequence(entropy=9, spawn_key=(0, r)) for r in range(5)]
+    paths = gaussian_paths(spec, grid, seeds)
+    assert paths.shape == (len(seeds), grid.n)
+    for row, seed in zip(paths, seeds):
+        assert np.array_equal(row, gaussian_path(spec, grid, seed))
 
 
 def test_embedding_clamp_bound_cached(smooth, seasonal):
