@@ -1,9 +1,9 @@
 """Limit covariance machinery for the harmonic least-squares estimator.
 
-Self-convolutions of the noise spectral density are computed as cosine
-transforms of powers of the covariance: a Gauss-Legendre body on nodes
-shared by all orders, and a closed-form tail on the exact expansion of
-each power into envelope-times-cosine lines. On top of that sit the
+Self-convolutions of the noise spectral density come from the
+cosine-transform engine of the spectral module, gated here by Hermite rank,
+integrability and an error budget, and weighted by the Hermite
+coefficients into the spectral factor. On top of that sit the
 per-harmonic limit Gram blocks, the 3x3 covariance blocks of the
 normalized estimation errors (in both published variants), the general
 spectral-measure form, and the plug-in estimator with truncation tails.
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from . import _quad
 from .errors import (
     ExperimentError,
     NonIntegrableError,
@@ -28,302 +27,30 @@ from .errors import (
 )
 from .hermite import TransformSpec
 from .simulate import HarmonicModel
-from .spectral import NoiseSpec, covariance, covariance_envelope, singular_points
+from .spectral import (
+    NoiseSpec,
+    _power_transforms,
+    covariance,
+    covariance_envelope,
+    singular_points,
+)
 
 DEFAULT_J_MAX = 20
 _COEFF_SKIP = 1e-12  # scale-free floor below which a Hermite term is dropped
-# t1 doubles until one order's tail error estimate is below this; the lines
-# of B^k carry total weight 1, so each line's transform gets about 0.5e-7
-_TAIL_TARGET = 0.5e-7 / math.pi
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_CHUNK_PANELS = 2048  # with the double-width rule: 49152 nodes per chunk
-_NODE_CACHE_CHUNKS = 32  # chunks of nodes, weights and B kept across calls
-_GRADE_START = 2.0**-30  # right edge of the first graded panel at t = 0
-_GROWTH = 0.5  # graded panel width over its left edge
-_SEG_PANELS = 4  # panels for the a-posteriori zero-frequency tail check
 MODES = ("derived", "as-printed")
 
 
 # ---------------------------------------------------------------------------
-# powers of the covariance as sums of envelope * cos(omega t)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _cos_power(kappa: float, n: int) -> dict:
-    """cos^n(kappa t) as {frequency: coefficient} over cos(freq t)."""
-    out = {}
-    for i in range(n + 1):
-        freq = abs((n - 2 * i) * kappa)
-        out[freq] = out.get(freq, 0.0) + math.comb(n, i) * 0.5**n
-    return out
-
-
-def _merge_products(dicts) -> dict:
-    acc = {0.0: 1.0}
-    for d in dicts:
-        nxt = {}
-        for w1, c1 in acc.items():
-            for w2, c2 in d.items():
-                for w in (abs(w1 + w2), abs(w1 - w2)):
-                    nxt[w] = nxt.get(w, 0.0) + 0.5 * c1 * c2
-        acc = nxt
-    return acc
-
-
-@dataclass(frozen=True)
-class _PowerLines:
-    """B(t)^k as sum_i coef_i * U_i(t) * cos(omega_i t), one row per line.
-
-    U_i(t) = prod_j (1 + t^rho_j)^(-expo[i, j]), where expo[i, j] is
-    n_j alpha_j / 2 for the multinomial composition n of k behind line i.
-    """
-
-    coef: np.ndarray
-    omega: np.ndarray
-    expo: np.ndarray
-    rho: np.ndarray
-
-    def envelope(self, t: float):
-        """(U(t), U'(t), local decay exponent -t U'(t) / U(t)) per line."""
-        tr = t**self.rho
-        u = np.exp(-self.expo @ np.log1p(tr))
-        beta_loc = self.expo @ (self.rho * tr / (1.0 + tr))
-        return u, -u * beta_loc / t, beta_loc
-
-    def envelope_on(self, t: np.ndarray) -> np.ndarray:
-        """U on a node array, shape (lines, nodes)."""
-        return np.exp(-self.expo @ np.log1p(t[None, :] ** self.rho[:, None]))
-
-
-@functools.lru_cache(maxsize=4096)
-def _power_lines(spec: NoiseSpec, k: int) -> _PowerLines:
-    """Exact trigonometric expansion of B(t)^k into envelope-times-cosine
-    lines; it does not depend on the frequency it is transformed at."""
-    comps = spec.components
-    coef, omega, expo = [], [], []
-    for n in _compositions(k, len(comps)):
-        weight = math.factorial(k)
-        dicts = []
-        for nj, comp in zip(n, comps):
-            weight /= math.factorial(nj)
-            weight *= comp.weight**nj
-            if nj > 0 and comp.kappa != 0.0:
-                dicts.append(_cos_power(comp.kappa, nj))
-        freq_map = _merge_products(dicts) if dicts else {0.0: 1.0}
-        row = [nj * comp.alpha / 2.0 for nj, comp in zip(n, comps)]
-        for freq, c in sorted(freq_map.items()):
-            coef.append(weight * c)
-            omega.append(freq)
-            expo.append(row)
-    arrays = [np.array(x) for x in (coef, omega, expo, [c.rho for c in comps])]
-    for arr in arrays:
-        arr.flags.writeable = False  # the cached tables are shared
-    return _PowerLines(*arrays)
-
-
-# ---------------------------------------------------------------------------
-# self-convolutions: shared-node body integral plus closed-form tails
-
-
-def _panel_nodes(edges: np.ndarray):
-    """Gauss-Legendre nodes and weights on the panels between consecutive
-    edges, each of shape (panels, nodes per panel)."""
-    half = 0.5 * np.diff(edges)[:, None]
-    return edges[:-1, None] + half * (_GL_X + 1.0), half * _GL_W
-
-
-def _envelope_integral(lines: _PowerLines, lo: float, hi: float):
-    """int_lo^hi U per line, and its difference to the same rule at twice
-    the panel width."""
-    edges = np.linspace(lo, hi, _SEG_PANELS + 1)
-    fine, coarse = (
-        lines.envelope_on(t.ravel()) @ w.ravel()
-        for t, w in (_panel_nodes(edges), _panel_nodes(edges[::2]))
-    )
-    return fine, np.abs(fine - coarse)
-
-
-def _tail_closure(lines: _PowerLines, lam: float):
-    """(t1, tail, error estimate) closing (1/pi) int_t1^inf B^k cos(lam t).
-
-    Each line splits into cos(mu t) with mu = |lam - omega| and lam + omega.
-    For mu > 0 the tail is integrated by parts twice, with the remainder
-    bounded by |U'(t1)| / mu^2; for mu == 0 it is closed as a local power
-    law and checked a posteriori against closing at t1/2. t1 doubles from
-    256 until the weighted error estimate meets _TAIL_TARGET or hits the cap.
-    """
-    mu = np.concatenate([np.abs(lam - lines.omega), lam + lines.omega])
-    coef = np.concatenate([lines.coef, lines.coef])
-    row = np.concatenate([np.arange(lines.omega.size)] * 2)
-    zero = mu == 0.0
-    mu_o, coef_o, row_o = mu[~zero], coef[~zero], row[~zero]
-    coef_z, row_z = coef[zero], row[zero]
-
-    def power_tail(t):
-        # closes int_t^inf U assuming U ~ c s^-beta_loc locally, per line
-        u, _, beta_loc = lines.envelope(t)
-        return u * t / (beta_loc - 1.0), beta_loc
-
-    def parts_bound(du):
-        return np.abs(coef_o) @ (np.abs(du[row_o]) / mu_o**2)
-
-    t1 = _quad._T_START
-    while True:
-        _, du, _ = lines.envelope(t1)
-        err = parts_bound(du)
-        if row_z.size:
-            # drift of the local exponent over one doubling tracks how far
-            # U is from an exact power law, which is what the closure misses
-            closed, beta_loc = power_tail(t1)
-            _, beta_half = power_tail(0.5 * t1)
-            drift = np.abs(beta_loc - beta_half)
-            err += np.abs(coef_z) @ (closed * 2.0 * drift)[row_z]
-        if err / (2.0 * math.pi) <= _TAIL_TARGET or t1 >= _quad._T_CAP:
-            break
-        t1 *= 2.0
-
-    u, du, _ = lines.envelope(t1)
-    tail = coef_o @ (
-        -u[row_o] * np.sin(mu_o * t1) / mu_o
-        - du[row_o] * np.cos(mu_o * t1) / mu_o**2
-    )
-    err = parts_bound(du)
-    if row_z.size:
-        closed, _ = power_tail(t1)
-        half, _ = power_tail(0.5 * t1)
-        seg, seg_err = _envelope_integral(lines, 0.5 * t1, t1)
-        tail += coef_z @ closed[row_z]
-        # a-posteriori check: closing the tail at t1/2 must agree with
-        # integrating [t1/2, t1] and closing at t1
-        err += np.abs(coef_z) @ (np.abs(half - (seg + closed)) + seg_err)[row_z]
-    return t1, float(tail) / (2.0 * math.pi), float(err) / (2.0 * math.pi)
-
-
-def _block_layout(a: float, b: float, width: float) -> tuple[int, int, bool]:
-    """The integers that fix the panels of _block_edges(a, b, width): the
-    number of graded head edges, the number of uniform panels, and whether
-    the parity fix split the last head panel. Given a and b they determine
-    every edge, so nearby widths share one layout."""
-    head = [a] if a > 0.0 else [0.0, _GRADE_START]
-    while head[-1] < b and _GROWTH * head[-1] < width:
-        head.append(min(head[-1] * (1.0 + _GROWTH), b))
-    n = math.ceil((b - head[-1]) / width) if head[-1] < b else 0
-    split = False
-    if (len(head) - 1 + n) % 2:
-        if n:
-            n += 1
-        else:
-            split = True
-    return len(head), n, split
-
-
-def _chunk_count(layout) -> int:
-    heads, n, split = layout
-    return math.ceil((heads - 1 + split + n) / _CHUNK_PANELS)
-
-
-def _chunk_edges(a: float, b: float, layout, chunk: int) -> np.ndarray:
-    """Edges of one chunk of at most _CHUNK_PANELS panels of the block
-    [a, b] laid out as _block_layout describes."""
-    heads, n, split = layout
-    head = [a] if a > 0.0 else [0.0, _GRADE_START]
-    while len(head) < heads:
-        head.append(min(head[-1] * (1.0 + _GROWTH), b))
-    if split:
-        head.insert(-1, 0.5 * (head[-2] + head[-1]))
-    start = head[-1]
-    head = np.array(head)
-    last = head.size - 1
-    p0 = chunk * _CHUNK_PANELS
-    j = np.arange(p0, min(p0 + _CHUNK_PANELS, last + n) + 1)
-    uniform = start + (b - start) * (j - last) / max(n, 1)
-    return np.where(j <= last, head[np.minimum(j, last)], uniform)
-
-
-def _block_edges(a: float, b: float, width: float):
-    """Panel edges covering [a, b], in chunks of at most _CHUNK_PANELS
-    panels with an even count each, so the comparison rule at twice the
-    panel width pairs panels within a chunk.
-
-    Panels are graded geometrically toward t = 0 (the first ends at
-    _GRADE_START, each later one is as wide as _GROWTH times its left
-    edge), which resolves the t^rho cusp of B at the origin, until they
-    reach `width`; the rest of the block is cut into equal panels no wider
-    than `width`.
-    """
-    layout = _block_layout(a, b, width)
-    for chunk in range(_chunk_count(layout)):
-        yield _chunk_edges(a, b, layout, chunk)
-
-
-@functools.lru_cache(maxsize=_NODE_CACHE_CHUNKS)
-def _chunk_nodes(spec: NoiseSpec, a: float, b: float, layout, chunk: int):
-    """Nodes of one chunk (the rule's, then those of the rule at twice the
-    panel width), the weights of the rule (row 0) and of the rule minus the
-    coarse rule (row 1), and B at the nodes. None of it depends on lam, so
-    plug-ins at nearby frequencies share the read-only arrays."""
-    edges = _chunk_edges(a, b, layout, chunk)
-    fine_t, fine_w = _panel_nodes(edges)
-    coarse_t, coarse_w = _panel_nodes(edges[::2])
-    t = np.concatenate([fine_t.ravel(), coarse_t.ravel()])
-    weights = np.zeros((2, t.size))
-    weights[:, : fine_w.size] = fine_w.ravel()
-    weights[1, fine_w.size :] = -coarse_w.ravel()
-    cov = covariance(spec, t)
-    for arr in (t, weights, cov):
-        arr.flags.writeable = False
-    return t, weights, cov
-
-
-def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
-    """(1/pi) int_0^t1 B(t)^k cos(lam t) dt for each order k up to its own
-    t1, and the summed differences to the same rule at twice the panel
-    width. B and cos(lam t) are evaluated once per node for all orders;
-    B^k is built by repeated multiplication. Work goes in dyadic blocks
-    [0, 256], [256, 512], ... whose panels resolve the fastest oscillation
-    k kappa_max + lam among the orders still open in the block."""
-    kappa_max = max(c.kappa for c in spec.components)
-    slot = {k: i for i, k in enumerate(orders)}
-    body = np.zeros(len(orders))
-    diff = np.zeros(len(orders))
-    a, b = 0.0, _quad._T_START
-    while a < max(t1s):
-        open_orders = {k for k, t1 in zip(orders, t1s) if t1 >= b}
-        k_top = max(open_orders)
-        omega = k_top * kappa_max + lam
-        width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
-        layout = _block_layout(a, b, width)
-        for chunk in range(_chunk_count(layout)):
-            t, weights, cov = _chunk_nodes(spec, a, b, layout, chunk)
-            weights = weights * np.cos(lam * t)
-            power = cov.copy()
-            for k in range(1, k_top + 1):
-                if k in open_orders:
-                    value, delta = weights @ power
-                    body[slot[k]] += value
-                    diff[slot[k]] += abs(delta)
-                if k < k_top:
-                    power *= cov
-        a, b = b, 2.0 * b
-    return body / math.pi, diff / math.pi
+# self-convolutions and the spectral factor
 
 
 def _self_convolutions(
     spec: NoiseSpec, rank: int, orders, lam: float, tol: float = 1e-5
 ):
     """f^(*k)(lam) and its error estimate for every k in orders, from one
-    shared evaluation of B on [0, max t1] plus a closed-form tail per
-    expansion line. Each order's estimate (body: comparison with the rule
-    at twice the panel width; tail: the closure bounds) must stay within
-    tol."""
+    call of the cosine-transform engine shared by all orders. Each order's
+    estimate (body: comparison with the rule at twice the panel width;
+    tail: the closure bounds) must stay within tol."""
     for k in orders:
         if k < 1 or k < rank:
             raise ValidationError(f"order k = {k} must be >= rank = {rank}")
@@ -335,14 +62,8 @@ def _self_convolutions(
     if not orders:
         return [], []
     lam = abs(float(lam))
-    closures = [_tail_closure(_power_lines(spec, k), lam) for k in orders]
-    body, body_err = _body_integrals(spec, lam, orders, [c[0] for c in closures])
     vals, errs = [], []
-    for k, (_, tail, tail_err), part, part_err in zip(
-        orders, closures, body, body_err
-    ):
-        val = float(part) + tail
-        err = float(part_err) + tail_err
+    for k, (val, err) in zip(orders, _power_transforms(spec, lam, orders)):
         if err > tol:
             raise QuadratureError(
                 f"self-convolution of order {k} at {lam:.4f}: error estimate "

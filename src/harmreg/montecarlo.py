@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import math
 import os
 import warnings
@@ -299,18 +300,10 @@ class MonteCarloReport:
 def _grid_result(config: ExperimentConfig, gi: int, pool) -> GridResult:
     """Run grid gi's replications, serially or on ``pool``, and fold them
     in replication order."""
-    rows: list = [None] * config.replications
-    if pool is None:
-        for r in range(config.replications):
-            rows[r] = _replication(config, gi, r)
-    else:
-        futures = [
-            pool.submit(_replication, config, gi, r)
-            for r in range(config.replications)
-        ]
-        for fut in concurrent.futures.as_completed(futures):
-            r, payload, converged = fut.result()
-            rows[r] = (r, payload, converged)
+    mapper = map if pool is None else pool.map
+    rows = mapper(
+        functools.partial(_replication, config, gi), range(config.replications)
+    )
     samples = []
     failures = []
     nonconverged = 0
@@ -349,11 +342,43 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
     """Simulate and estimate R replications on every grid of the schedule.
 
     Failures are recorded per replication and never fatal individually,
-    but more than 20% unusable replications on any grid aborts. The
-    report is identical for any worker count.
+    but more than 20% unusable replications on any grid aborts. The limit
+    blocks are computed before the first draw, so a config they reject
+    fails at once. The report is identical for any worker count.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    nh = len(config.model.harmonics)
+    if config.noise_scale == 0.0:
+        zero = np.zeros((3, 3))
+        theory = dict(
+            gamma_derived=tuple(zero.copy() for _ in range(nh)),
+            gamma_printed=tuple(zero.copy() for _ in range(nh)),
+            s_values=(0.0,) * nh,
+            tail_bounds=(0.0,) * nh,
+            quad_errors=(0.0,) * nh,
+        )
+    else:
+        report_d = asymptotics.gamma_report(
+            config.model, config.transform, config.noise, config.j_max, "derived"
+        )
+        # the as-printed blocks reuse the derived report's s, one quadrature
+        # per harmonic
+        printed = [
+            asymptotics.gamma_matrix(
+                a, b, phi, config.transform, config.noise, config.j_max,
+                "as-printed", s_value=s,
+            )
+            for a, b, phi, s in zip(*config.model.amplitudes(), report_d.s_values)
+        ]
+        scale2 = config.noise_scale**2
+        theory = dict(
+            gamma_derived=tuple(scale2 * m for m in report_d.matrices),
+            gamma_printed=tuple(scale2 * m for m in printed),
+            s_values=tuple(scale2 * s for s in report_d.s_values),
+            tail_bounds=tuple(scale2 * t for t in report_d.tail_bounds),
+            quad_errors=tuple(scale2 * e for e in report_d.quad_errors),
+        )
     # one pool serves every grid of the schedule
     executor = (
         concurrent.futures.ProcessPoolExecutor(max_workers=workers)
@@ -362,40 +387,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
     )
     with executor as pool:
         results = [_grid_result(config, gi, pool) for gi in range(len(config.grids))]
-    nh = len(config.model.harmonics)
-    if config.noise_scale == 0.0:
-        zero = np.zeros((3, 3))
-        return MonteCarloReport(
-            config=config,
-            results=tuple(results),
-            gamma_derived=tuple(zero.copy() for _ in range(nh)),
-            gamma_printed=tuple(zero.copy() for _ in range(nh)),
-            s_values=(0.0,) * nh,
-            tail_bounds=(0.0,) * nh,
-            quad_errors=(0.0,) * nh,
-        )
-    report_d = asymptotics.gamma_report(
-        config.model, config.transform, config.noise, config.j_max, "derived"
-    )
-    # the as-printed blocks reuse the derived report's s, one quadrature
-    # per harmonic
-    printed = [
-        asymptotics.gamma_matrix(
-            a, b, phi, config.transform, config.noise, config.j_max,
-            "as-printed", s_value=s,
-        )
-        for a, b, phi, s in zip(*config.model.amplitudes(), report_d.s_values)
-    ]
-    scale2 = config.noise_scale**2
-    return MonteCarloReport(
-        config=config,
-        results=tuple(results),
-        gamma_derived=tuple(scale2 * m for m in report_d.matrices),
-        gamma_printed=tuple(scale2 * m for m in printed),
-        s_values=tuple(scale2 * s for s in report_d.s_values),
-        tail_bounds=tuple(scale2 * t for t in report_d.tail_bounds),
-        quad_errors=tuple(scale2 * e for e in report_d.quad_errors),
-    )
+    return MonteCarloReport(config=config, results=tuple(results), **theory)
 
 
 def consistency_sweep(config: ExperimentConfig, workers: int = 1) -> dict:

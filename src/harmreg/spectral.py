@@ -6,24 +6,42 @@ The process has correlation function
 
 a convex mixture of damped cosine carriers. For the canonical shape
 rho_j = 2 the spectral density of each component is available in closed
-form through the modified Bessel function of the third kind; other shapes
-fall back to numerical cosine transforms and are flagged as such.
+form through the modified Bessel function of the third kind. Other shapes
+take the cosine-transform engine that also yields the self-convolutions
+f^(*k): (1/pi) int_0^inf B(t)^k cos(lam t) dt as a Gauss-Legendre body on
+nodes shared by all orders, plus a closed-form tail on the exact expansion
+of B^k into envelope-times-cosine lines. A component density is order 1
+of that engine on the component alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import integrate
 
-from . import _quad
-from .errors import SingularityError, ValidationError
+from .errors import QuadratureError, SingularityError, ValidationError
 
 _LOG_MAX = math.log(np.finfo(float).max)
 
 #: severity at or below which a carrier frequency is a spectral singularity
 SINGULAR_SEVERITY = 1.0
+# a component density whose error estimate exceeds this raises
+_DENSITY_TOL = 1e-6
+_T_START = 256.0  # first tail split point and width of the first body block
+_T_CAP = 131072.0  # largest tail split point
+# t1 doubles until one order's tail error estimate is below this; the lines
+# of B^k carry total weight 1, so each line's transform gets about 0.5e-7
+_TAIL_TARGET = 0.5e-7 / math.pi
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_CHUNK_PANELS = 2048  # with the double-width rule: 49152 nodes per chunk
+_NODE_CACHE_CHUNKS = 32  # chunks of nodes, weights and B kept across calls
+_GRADE_START = 2.0**-30  # right edge of the first graded panel at t = 0
+_GROWTH = 0.5  # graded panel width over its left edge
+_SEG_PANELS = 4  # panels for the a-posteriori zero-frequency tail check
 
 
 def c1(alpha: float) -> float:
@@ -183,6 +201,294 @@ def covariance_envelope(spec: NoiseSpec, t):
     return out if out.ndim else float(out)
 
 
+# ---------------------------------------------------------------------------
+# powers of the covariance as sums of envelope * cos(omega t)
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _cos_power(kappa: float, n: int) -> dict:
+    """cos^n(kappa t) as {frequency: coefficient} over cos(freq t)."""
+    out = {}
+    for i in range(n + 1):
+        freq = abs((n - 2 * i) * kappa)
+        out[freq] = out.get(freq, 0.0) + math.comb(n, i) * 0.5**n
+    return out
+
+
+def _merge_products(dicts) -> dict:
+    acc = {0.0: 1.0}
+    for d in dicts:
+        nxt = {}
+        for w1, c1 in acc.items():
+            for w2, c2 in d.items():
+                for w in (abs(w1 + w2), abs(w1 - w2)):
+                    nxt[w] = nxt.get(w, 0.0) + 0.5 * c1 * c2
+        acc = nxt
+    return acc
+
+
+@dataclass(frozen=True)
+class _PowerLines:
+    """B(t)^k as sum_i coef_i * U_i(t) * cos(omega_i t), one row per line.
+
+    U_i(t) = prod_j (1 + t^rho_j)^(-expo[i, j]), where expo[i, j] is
+    n_j alpha_j / 2 for the multinomial composition n of k behind line i.
+    """
+
+    coef: np.ndarray
+    omega: np.ndarray
+    expo: np.ndarray
+    rho: np.ndarray
+
+    def envelope(self, t: float):
+        """(U(t), U'(t), local decay exponent -t U'(t) / U(t)) per line."""
+        tr = t**self.rho
+        u = np.exp(-self.expo @ np.log1p(tr))
+        beta_loc = self.expo @ (self.rho * tr / (1.0 + tr))
+        return u, -u * beta_loc / t, beta_loc
+
+    def envelope_on(self, t: np.ndarray) -> np.ndarray:
+        """U on a node array, shape (lines, nodes)."""
+        return np.exp(-self.expo @ np.log1p(t[None, :] ** self.rho[:, None]))
+
+
+@functools.lru_cache(maxsize=4096)
+def _power_lines(spec: NoiseSpec, k: int) -> _PowerLines:
+    """Exact trigonometric expansion of B(t)^k into envelope-times-cosine
+    lines; it does not depend on the frequency it is transformed at."""
+    comps = spec.components
+    coef, omega, expo = [], [], []
+    for n in _compositions(k, len(comps)):
+        weight = math.factorial(k)
+        dicts = []
+        for nj, comp in zip(n, comps):
+            weight /= math.factorial(nj)
+            weight *= comp.weight**nj
+            if nj > 0 and comp.kappa != 0.0:
+                dicts.append(_cos_power(comp.kappa, nj))
+        freq_map = _merge_products(dicts) if dicts else {0.0: 1.0}
+        row = [nj * comp.alpha / 2.0 for nj, comp in zip(n, comps)]
+        for freq, c in sorted(freq_map.items()):
+            coef.append(weight * c)
+            omega.append(freq)
+            expo.append(row)
+    arrays = [np.array(x) for x in (coef, omega, expo, [c.rho for c in comps])]
+    for arr in arrays:
+        arr.flags.writeable = False  # the cached tables are shared
+    return _PowerLines(*arrays)
+
+
+# ---------------------------------------------------------------------------
+# cosine transforms of B^k: shared-node body integral plus closed-form tails
+
+
+def _panel_nodes(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights on the panels between consecutive
+    edges, each of shape (panels, nodes per panel)."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (_GL_X + 1.0), half * _GL_W
+
+
+def _envelope_integral(lines: _PowerLines, lo: float, hi: float):
+    """int_lo^hi U per line, and its difference to the same rule at twice
+    the panel width."""
+    edges = np.linspace(lo, hi, _SEG_PANELS + 1)
+    fine, coarse = (
+        lines.envelope_on(t.ravel()) @ w.ravel()
+        for t, w in (_panel_nodes(edges), _panel_nodes(edges[::2]))
+    )
+    return fine, np.abs(fine - coarse)
+
+
+def _tail_closure(lines: _PowerLines, lam: float):
+    """(t1, tail, error estimate) closing (1/pi) int_t1^inf B^k cos(lam t).
+
+    Each line splits into cos(mu t) with mu = |lam - omega| and lam + omega.
+    For mu > 0 the tail is integrated by parts twice, with the remainder
+    bounded by |U'(t1)| / mu^2; for mu == 0 it is closed as a local power
+    law and checked a posteriori against closing at t1/2. t1 doubles from
+    256 until the weighted error estimate meets _TAIL_TARGET or hits the cap.
+    """
+    mu = np.concatenate([np.abs(lam - lines.omega), lam + lines.omega])
+    coef = np.concatenate([lines.coef, lines.coef])
+    row = np.concatenate([np.arange(lines.omega.size)] * 2)
+    zero = mu == 0.0
+    mu_o, coef_o, row_o = mu[~zero], coef[~zero], row[~zero]
+    coef_z, row_z = coef[zero], row[zero]
+
+    def power_tail(t):
+        # closes int_t^inf U assuming U ~ c s^-beta_loc locally, per line
+        u, _, beta_loc = lines.envelope(t)
+        return u * t / (beta_loc - 1.0), beta_loc
+
+    def parts_bound(du):
+        return np.abs(coef_o) @ (np.abs(du[row_o]) / mu_o**2)
+
+    t1 = _T_START
+    while True:
+        _, du, _ = lines.envelope(t1)
+        err = parts_bound(du)
+        if row_z.size:
+            # drift of the local exponent over one doubling tracks how far
+            # U is from an exact power law, which is what the closure misses
+            closed, beta_loc = power_tail(t1)
+            _, beta_half = power_tail(0.5 * t1)
+            drift = np.abs(beta_loc - beta_half)
+            err += np.abs(coef_z) @ (closed * 2.0 * drift)[row_z]
+        if err / (2.0 * math.pi) <= _TAIL_TARGET or t1 >= _T_CAP:
+            break
+        t1 *= 2.0
+
+    u, du, _ = lines.envelope(t1)
+    tail = coef_o @ (
+        -u[row_o] * np.sin(mu_o * t1) / mu_o
+        - du[row_o] * np.cos(mu_o * t1) / mu_o**2
+    )
+    err = parts_bound(du)
+    if row_z.size:
+        closed, _ = power_tail(t1)
+        half, _ = power_tail(0.5 * t1)
+        seg, seg_err = _envelope_integral(lines, 0.5 * t1, t1)
+        tail += coef_z @ closed[row_z]
+        # a-posteriori check: closing the tail at t1/2 must agree with
+        # integrating [t1/2, t1] and closing at t1
+        err += np.abs(coef_z) @ (np.abs(half - (seg + closed)) + seg_err)[row_z]
+    return t1, float(tail) / (2.0 * math.pi), float(err) / (2.0 * math.pi)
+
+
+def _block_layout(a: float, b: float, width: float) -> tuple[int, int, bool]:
+    """The integers that fix the panels of _block_edges(a, b, width): the
+    number of graded head edges, the number of uniform panels, and whether
+    the parity fix split the last head panel. Given a and b they determine
+    every edge, so nearby widths share one layout."""
+    head = [a] if a > 0.0 else [0.0, _GRADE_START]
+    while head[-1] < b and _GROWTH * head[-1] < width:
+        head.append(min(head[-1] * (1.0 + _GROWTH), b))
+    n = math.ceil((b - head[-1]) / width) if head[-1] < b else 0
+    split = False
+    if (len(head) - 1 + n) % 2:
+        if n:
+            n += 1
+        else:
+            split = True
+    return len(head), n, split
+
+
+def _chunk_count(layout) -> int:
+    heads, n, split = layout
+    return math.ceil((heads - 1 + split + n) / _CHUNK_PANELS)
+
+
+def _chunk_edges(a: float, b: float, layout, chunk: int) -> np.ndarray:
+    """Edges of one chunk of at most _CHUNK_PANELS panels of the block
+    [a, b] laid out as _block_layout describes."""
+    heads, n, split = layout
+    head = [a] if a > 0.0 else [0.0, _GRADE_START]
+    while len(head) < heads:
+        head.append(min(head[-1] * (1.0 + _GROWTH), b))
+    if split:
+        head.insert(-1, 0.5 * (head[-2] + head[-1]))
+    start = head[-1]
+    head = np.array(head)
+    last = head.size - 1
+    p0 = chunk * _CHUNK_PANELS
+    j = np.arange(p0, min(p0 + _CHUNK_PANELS, last + n) + 1)
+    uniform = start + (b - start) * (j - last) / max(n, 1)
+    return np.where(j <= last, head[np.minimum(j, last)], uniform)
+
+
+def _block_edges(a: float, b: float, width: float):
+    """Panel edges covering [a, b], in chunks of at most _CHUNK_PANELS
+    panels with an even count each, so the comparison rule at twice the
+    panel width pairs panels within a chunk.
+
+    Panels are graded geometrically toward t = 0 (the first ends at
+    _GRADE_START, each later one is as wide as _GROWTH times its left
+    edge), which resolves the t^rho cusp of B at the origin, until they
+    reach `width`; the rest of the block is cut into equal panels no wider
+    than `width`.
+    """
+    layout = _block_layout(a, b, width)
+    for chunk in range(_chunk_count(layout)):
+        yield _chunk_edges(a, b, layout, chunk)
+
+
+@functools.lru_cache(maxsize=_NODE_CACHE_CHUNKS)
+def _chunk_nodes(spec: NoiseSpec, a: float, b: float, layout, chunk: int):
+    """Nodes of one chunk (the rule's, then those of the rule at twice the
+    panel width), the weights of the rule (row 0) and of the rule minus the
+    coarse rule (row 1), and B at the nodes. None of it depends on lam, so
+    plug-ins at nearby frequencies share the read-only arrays."""
+    edges = _chunk_edges(a, b, layout, chunk)
+    fine_t, fine_w = _panel_nodes(edges)
+    coarse_t, coarse_w = _panel_nodes(edges[::2])
+    t = np.concatenate([fine_t.ravel(), coarse_t.ravel()])
+    weights = np.zeros((2, t.size))
+    weights[:, : fine_w.size] = fine_w.ravel()
+    weights[1, fine_w.size :] = -coarse_w.ravel()
+    cov = covariance(spec, t)
+    for arr in (t, weights, cov):
+        arr.flags.writeable = False
+    return t, weights, cov
+
+
+def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
+    """(1/pi) int_0^t1 B(t)^k cos(lam t) dt for each order k up to its own
+    t1, and the summed differences to the same rule at twice the panel
+    width. B and cos(lam t) are evaluated once per node for all orders;
+    B^k is built by repeated multiplication. Work goes in dyadic blocks
+    [0, 256], [256, 512], ... whose panels resolve the fastest oscillation
+    k kappa_max + lam among the orders still open in the block."""
+    kappa_max = max(c.kappa for c in spec.components)
+    slot = {k: i for i, k in enumerate(orders)}
+    body = np.zeros(len(orders))
+    diff = np.zeros(len(orders))
+    a, b = 0.0, _T_START
+    while a < max(t1s):
+        open_orders = {k for k, t1 in zip(orders, t1s) if t1 >= b}
+        k_top = max(open_orders)
+        omega = k_top * kappa_max + lam
+        width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
+        layout = _block_layout(a, b, width)
+        for chunk in range(_chunk_count(layout)):
+            t, weights, cov = _chunk_nodes(spec, a, b, layout, chunk)
+            weights = weights * np.cos(lam * t)
+            power = cov.copy()
+            for k in range(1, k_top + 1):
+                if k in open_orders:
+                    value, delta = weights @ power
+                    body[slot[k]] += value
+                    diff[slot[k]] += abs(delta)
+                if k < k_top:
+                    power *= cov
+        a, b = b, 2.0 * b
+    return body / math.pi, diff / math.pi
+
+
+def _power_transforms(spec: NoiseSpec, lam: float, orders):
+    """(1/pi) int_0^inf B(t)^k cos(lam t) dt for each k in orders, lam >= 0,
+    with its error estimate: one shared evaluation of B on [0, max t1] plus
+    a closed-form tail per expansion line. Returns (value, error) pairs."""
+    closures = [_tail_closure(_power_lines(spec, k), lam) for k in orders]
+    body, body_err = _body_integrals(spec, lam, orders, [c[0] for c in closures])
+    return [
+        (float(part) + tail, float(part_err) + tail_err)
+        for (_, tail, tail_err), part, part_err in zip(closures, body, body_err)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# spectral density
+
+
 def _component_density_rho2(alpha: float, kappa: float, lam: float) -> float:
     # f_{alpha,kappa}(lam) = (c1/2) [ K|.|^((alpha-1)/2) at lam+kappa and lam-kappa ]
     nu = (alpha - 1.0) / 2.0
@@ -201,34 +507,19 @@ def _component_density_rho2(alpha: float, kappa: float, lam: float) -> float:
     return out
 
 
-def _component_density_numeric(comp: NoiseComponent, lam: float) -> float:
-    # cosine transform (1/2pi) int B_j(t) cos(lam t) dt, evaluated as
-    # (1/pi) int_0^inf u(t) cos(kappa t) cos(lam t) dt with the product
-    # of cosines split into shifted frequencies.
-    def u(t):
-        return (1.0 + t**comp.rho) ** (-comp.alpha / 2.0)
-
-    beta = comp.decay_exponent
-    total = 0.0
-    err = 0.0
-    for mu in (abs(lam - comp.kappa), abs(lam + comp.kappa)):
-        v, e = _quad.cosine_transform(u, beta, mu, tol=1e-7)
-        total += v / (2.0 * math.pi)
-        err += e
-    return total
-
-
 def spectral_density(spec: NoiseSpec, lam: float) -> float:
     """Spectral density f(lambda) of the mixture; even, integrates to 1.
 
     Components with rho = 2 use the Bessel-K closed form; other shapes
-    are computed numerically from the cosine transform of the component
-    covariance.
+    are order 1 of the cosine-transform engine on the component with unit
+    weight.
 
     Raises
     ------
     SingularityError : lambda coincides with a singular carrier
         (decay exponent <= 1) of some component.
+    QuadratureError : the error estimate of a rho != 2 component exceeds
+        1e-6, as it does very near a singular carrier.
     """
     lam = float(lam)
     out = 0.0
@@ -245,7 +536,14 @@ def spectral_density(spec: NoiseSpec, lam: float) -> float:
                 raise SingularityError(
                     f"spectral density singular at |lambda| = {comp.kappa}"
                 )
-            out += comp.weight * _component_density_numeric(comp, lam)
+            unit = NoiseSpec((replace(comp, weight=1.0),))
+            ((val, err),) = _power_transforms(unit, abs(lam), (1,))
+            if err > _DENSITY_TOL:
+                raise QuadratureError(
+                    f"spectral density at {lam:.8g}: error estimate "
+                    f"{err:.2e} exceeds {_DENSITY_TOL:.0e}"
+                )
+            out += comp.weight * val
     return out
 
 
@@ -265,6 +563,39 @@ def singular_points(spec: NoiseSpec) -> list[tuple[float, float]]:
     return sorted(pts.items())
 
 
+def _panel(f, a: float, b: float, sev_a=None, sev_b=None, tol: float = 1e-6) -> float:
+    """Integrate f on [a, b] where either endpoint may carry an integrable
+    power-law singularity f ~ C |x - end|^(sev - 1), 0 < sev <= 1.
+
+    Power endpoints (sev < 1) are removed exactly by the substitution
+    x = end +/- u^(1/sev); logarithmic endpoints (sev == 1) are left to the
+    adaptive rule, whose nodes are interior.
+    """
+    if b <= a:
+        return 0.0
+    if sev_a is not None and sev_b is not None:
+        mid = 0.5 * (a + b)
+        return _panel(f, a, mid, sev_a, None, tol) + _panel(f, mid, b, None, sev_b, tol)
+    if sev_a is not None and sev_a < 1.0:
+        e = sev_a
+        g = lambda u: f(a + u ** (1.0 / e)) * (1.0 / e) * u ** (1.0 / e - 1.0)
+        val, _ = integrate.quad(g, 0.0, (b - a) ** e, epsabs=tol, epsrel=tol, limit=200)
+        return val
+    if sev_b is not None and sev_b < 1.0:
+        e = sev_b
+        g = lambda u: f(b - u ** (1.0 / e)) * (1.0 / e) * u ** (1.0 / e - 1.0)
+        val, _ = integrate.quad(g, 0.0, (b - a) ** e, epsabs=tol, epsrel=tol, limit=200)
+        return val
+    val, _ = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200)
+    return val
+
+
+def _upper_tail(f, lo: float, tol: float = 1e-6) -> float:
+    """Integrate f on [lo, inf) for exponentially decaying f."""
+    val, _ = integrate.quad(f, lo, math.inf, epsabs=tol, epsrel=tol, limit=200)
+    return val
+
+
 def spectral_integral(spec: NoiseSpec, tol: float = 1e-6) -> float:
     """Integral of f over the real line by singularity-aware quadrature.
 
@@ -279,7 +610,7 @@ def spectral_integral(spec: NoiseSpec, tol: float = 1e-6) -> float:
     total = 0.0
     f = lambda x: spectral_density(spec, x)
     for a, b in zip(knots, knots[1:]):
-        total += _quad.panel(f, a, b, sing.get(a), sing.get(b), tol=tol)
-    total += _quad.upper_tail(f, hi, tol=tol)
+        total += _panel(f, a, b, sing.get(a), sing.get(b), tol=tol)
+    total += _upper_tail(f, hi, tol=tol)
     # f is even: double the [0, inf) part
     return 2.0 * total

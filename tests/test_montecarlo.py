@@ -2,6 +2,7 @@
 counts, aggregation and report logic, and the statistical diagnostics."""
 
 import concurrent.futures
+import dataclasses
 import math
 import os
 
@@ -14,6 +15,7 @@ from harmreg.errors import (
     DegenerateVarianceError,
     ExperimentError,
     InsufficientSamplesError,
+    NonIntegrableError,
     ValidationError,
 )
 from harmreg.hermite import make_transform
@@ -34,6 +36,7 @@ from harmreg.simulate import (
     SamplingGrid,
     regression_signal,
 )
+from harmreg.spectral import NoiseComponent, NoiseSpec
 
 from oracles import lemma2_oracle
 
@@ -266,6 +269,32 @@ class TestRunReplications:
         report = run_replications(config, workers=2)
         assert opened == [2]
         assert report.to_text() == run_replications(config).to_text()
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"j_max": 0}, ValidationError),
+            (
+                {
+                    "noise": NoiseSpec((NoiseComponent(1.0, 0.8),)),
+                    "allow_a4_violation": True,
+                },
+                NonIntegrableError,
+            ),
+        ],
+    )
+    def test_rejected_theory_fails_before_drawing(
+        self, base_config, overrides, error, monkeypatch
+    ):
+        # the limit blocks are formed before any replication runs
+        def unexpected(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "_replication", unexpected)
+        config = dataclasses.replace(base_config, **overrides)
+        for workers in (1, 2):
+            with pytest.raises(error):
+                run_replications(config, workers=workers)
 
     def test_workers_must_be_positive(self, base_config):
         with pytest.raises(ValidationError, match="workers"):

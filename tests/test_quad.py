@@ -1,114 +1,110 @@
-"""Quadrature helpers: singular panels, tails, cosine transforms."""
+"""Quadrature: singular panels and tails of spectral_integral, and the
+cosine-transform engine behind the spectral density and its
+self-convolutions."""
 
 import math
 
 import pytest
 from scipy import integrate
 
-from harmreg import _quad
 from harmreg.errors import QuadratureError
+from harmreg.spectral import (
+    NoiseComponent,
+    NoiseSpec,
+    _panel,
+    _power_transforms,
+    _upper_tail,
+    spectral_density,
+)
+
+# B(t) = 1 / (1 + t^2)
+LORENTZIAN = NoiseSpec((NoiseComponent(1.0, 2.0, 0.0, 2.0),))
 
 
 def test_panel_smooth():
-    assert abs(_quad.panel(lambda x: x * x, 0.0, 1.0) - 1.0 / 3.0) < 1e-9
+    assert abs(_panel(lambda x: x * x, 0.0, 1.0) - 1.0 / 3.0) < 1e-9
 
 
 def test_panel_empty_interval():
-    assert _quad.panel(lambda x: 1.0, 1.0, 1.0) == 0.0
-    assert _quad.panel(lambda x: 1.0, 2.0, 1.0) == 0.0
+    assert _panel(lambda x: 1.0, 1.0, 1.0) == 0.0
+    assert _panel(lambda x: 1.0, 2.0, 1.0) == 0.0
 
 
 def test_panel_power_singularity_left():
-    val = _quad.panel(lambda x: x ** -0.5, 0.0, 1.0, sev_a=0.5)
+    val = _panel(lambda x: x ** -0.5, 0.0, 1.0, sev_a=0.5)
     assert abs(val - 2.0) < 1e-8
 
 
 def test_panel_power_singularity_right():
-    val = _quad.panel(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0, sev_b=0.5)
+    val = _panel(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0, sev_b=0.5)
     assert abs(val - 2.0) < 1e-8
 
 
 def test_panel_both_endpoints():
     f = lambda x: x ** -0.5 * (1.0 - x) ** -0.5
-    val = _quad.panel(f, 0.0, 1.0, sev_a=0.5, sev_b=0.5)
+    val = _panel(f, 0.0, 1.0, sev_a=0.5, sev_b=0.5)
     assert abs(val - math.pi) < 1e-8
 
 
 def test_panel_log_endpoint():
     # sev = 1 marks a logarithmic endpoint, left to the adaptive rule
-    val = _quad.panel(lambda x: -math.log(x), 0.0, 1.0, sev_a=1.0)
+    val = _panel(lambda x: -math.log(x), 0.0, 1.0, sev_a=1.0)
     assert abs(val - 1.0) < 1e-7
 
 
 def test_panel_offset_interval():
     f = lambda x: (x - 2.0) ** -0.25
-    val = _quad.panel(f, 2.0, 3.0, sev_a=0.75)
+    val = _panel(f, 2.0, 3.0, sev_a=0.75)
     assert abs(val - 4.0 / 3.0) < 1e-8
 
 
 def test_upper_tail():
-    val = _quad.upper_tail(lambda x: math.exp(-x), 1.0)
+    val = _upper_tail(lambda x: math.exp(-x), 1.0)
     assert abs(val - math.exp(-1.0)) < 1e-9
 
 
+def transform(spec, mu):
+    # int_0^inf B(t) cos(mu t) dt and its error estimate
+    ((val, err),) = _power_transforms(spec, mu, (1,))
+    return math.pi * val, math.pi * err
+
+
 def test_cosine_transform_lorentzian():
-    u = lambda t: 1.0 / (1.0 + t * t)
-    du = lambda t: -2.0 * t / (1.0 + t * t) ** 2
     exact = 0.5 * math.pi * math.exp(-1.0)
-    val, err = _quad.cosine_transform(u, 2.0, 1.0, du=du)
+    val, err = transform(LORENTZIAN, 1.0)
     assert abs(val - exact) < 1e-6
     assert abs(val - exact) <= err + 1e-9
 
 
-def test_cosine_transform_default_derivative():
-    u = lambda t: 1.0 / (1.0 + t * t)
-    exact = 0.5 * math.pi * math.exp(-1.0)
-    val, _ = _quad.cosine_transform(u, 2.0, 1.0)
-    assert abs(val - exact) < 1e-6
-
-
 def test_cosine_transform_matches_independent_route():
+    # B(t) = (1 + t)^-2: rho = 1 puts a cusp at the origin
     u = lambda t: (1.0 + t) ** -2.0
-    du = lambda t: -2.0 * (1.0 + t) ** -3.0
     oracle, _ = integrate.quad(
         u, 0.0, math.inf, weight="cos", wvar=0.7, epsabs=1e-12, limlst=120
     )
-    val, err = _quad.cosine_transform(u, 2.0, 0.7, du=du)
+    val, err = transform(NoiseSpec((NoiseComponent(1.0, 4.0, 0.0, 1.0),)), 0.7)
     assert abs(val - oracle) < 1e-7
     assert err < 1e-5
 
 
 def test_cosine_transform_zero_frequency():
-    u = lambda t: 1.0 / (1.0 + t * t)
-    du = lambda t: -2.0 * t / (1.0 + t * t) ** 2
-    val, err = _quad.cosine_transform(u, 2.0, 0.0, du=du)
+    val, err = transform(LORENTZIAN, 0.0)
     assert abs(val - 0.5 * math.pi) < 1e-6
     assert err < 1e-5
 
 
-def test_cosine_transform_zero_frequency_needs_integrability():
-    u = lambda t: 1.0 / (1.0 + t)
-    with pytest.raises(QuadratureError, match="not integrable"):
-        _quad.cosine_transform(u, 1.0, 0.0)
-
-
-def test_cosine_transform_rejects_negative_frequency():
-    with pytest.raises(ValueError):
-        _quad.cosine_transform(lambda t: math.exp(-t), 2.0, -1.0)
+def test_cosine_transform_error_budget():
+    # 1e-6 from a singular carrier the tail needs a split point far beyond
+    # the cap, so the density's error estimate exceeds its budget
+    spec = NoiseSpec((NoiseComponent(1.0, 0.5, 1.0, 1.0),))
+    with pytest.raises(QuadratureError, match="exceeds"):
+        spectral_density(spec, 1.0 + 1e-6)
 
 
 def test_local_exponent_guard():
-    # stated beta clears the gate but the supplied derivative reveals a
-    # borderline tail, which the closure must refuse
-    u = lambda t: 1.0 / (1.0 + t)
-    du = lambda t: -1.0 / (1.0 + t) ** 2
-    with pytest.raises(QuadratureError, match="local exponent"):
-        _quad.cosine_transform(u, 1.5, 0.0, du=du)
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_cosine_transform_error_budget():
-    u = lambda t: (1.0 + t) ** -1.1
-    du = lambda t: -1.1 * (1.0 + t) ** -2.1
-    with pytest.raises(QuadratureError, match="exceeds budget"):
-        _quad.cosine_transform(u, 1.1, 0.01, du=du, tol=1e-12)
+    # decay exponent 1.0001 with rho = 0.5: at every split point up to the
+    # cap the local exponent of the envelope is still below 1, so a power-law
+    # closure there is wrong, and its a-posteriori check must refuse it
+    spec = NoiseSpec((NoiseComponent(1.0, 4.0002, 0.0, 0.5),))
+    with pytest.raises(QuadratureError, match="exceeds"):
+        spectral_density(spec, 0.0)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from harmreg import (
     NoiseComponent,
@@ -201,6 +202,42 @@ def test_density_numeric_shape_path():
     spec = NoiseSpec((NoiseComponent(1.0, 3.0, 0.0, 1.0),))
     ref = density_oracle_fast(spec, 0.7)
     assert abs(spectral_density(spec, 0.7) - ref) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha, rho", [(3.0, 1.0), (1.6, 1.5)])
+def test_density_at_zero_other_shapes(alpha, rho):
+    # f(0) = (1/pi) int_0^inf (1 + t^rho)^(-alpha/2) dt
+    #      = Beta(1/rho, alpha/2 - 1/rho) / (pi rho)
+    spec = NoiseSpec((NoiseComponent(1.0, alpha, 0.0, rho),))
+    a, b = 1.0 / rho, alpha / 2.0 - 1.0 / rho
+    exact = math.gamma(a) * math.gamma(b) / math.gamma(a + b) / (math.pi * rho)
+    assert abs(spectral_density(spec, 0.0) - exact) <= 1e-7
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.3])
+def test_density_slow_decay_between_carriers(lam):
+    # decay exponent 0.25: the covariance is not integrable, but off the
+    # carrier every shifted frequency is nonzero and the tails close
+    spec = NoiseSpec((NoiseComponent(1.0, 0.5, 1.0, 1.0),))
+    ref = density_oracle_fast(spec, lam)
+    assert abs(spectral_density(spec, lam) - ref) <= 1e-8
+
+
+def test_density_other_shapes_skip_adaptive_quadrature(monkeypatch):
+    calls = []
+    quad = integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counted)
+    spec = NoiseSpec(
+        (NoiseComponent(0.7, 3.0, 0.0, 1.0), NoiseComponent(0.3, 1.6, 1.5, 1.5))
+    )
+    for lam in (0.0, 0.7, 2.6):
+        spectral_density(spec, lam)
+    assert calls == []
 
 
 def test_density_limit_at_zero_for_integrable_decay(smooth):
