@@ -4,7 +4,7 @@ At a point (A, B, phi) of the harmonic regression everything the estimator
 needs -- signal values, residual, objective, Jacobian, Hessian -- derives
 from one trigonometric design: the (n, N) matrices cos(phi_k t_i) and
 sin(phi_k t_i). ``trig_design`` builds that pair once per point;
-``jacobian`` and ``hessian`` reuse it. ``fourier_pair`` is the
+``signal``, ``jacobian`` and ``hessian`` reuse it. ``fourier_pair`` is the
 single-frequency inner product behind the periodogram at arbitrary
 frequencies.
 """
@@ -23,6 +23,11 @@ def fourier_pair(x, t, lam):
 def trig_design(t, phi):
     u = np.outer(t, phi)
     return np.cos(u), np.sin(u)
+
+
+def signal(c, s, a, b):
+    # np.dot, not @: numpy's matmul takes a slow path for a single column
+    return np.dot(c, a) + np.dot(s, b)
 
 
 def jacobian(t, c, s, a, b):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fourier_pair, hessian, jacobian, trig_design
+from ._kernels import fourier_pair, hessian, jacobian, signal, trig_design
 from .errors import (
     InsufficientPeaksError,
     NoiseFloorWarning,
@@ -104,14 +104,12 @@ def normalized_errors(
 def objective(path: SamplePath, model: HarmonicModel) -> float:
     """Q_T(tau) = (dt / T) * sum of squared residuals on the grid."""
     a, b, phi = model.amplitudes()
-    return _objective_raw(path.values, path.grid.times(), path.grid.dt,
-                          path.grid.horizon, a, b, phi)
+    return _objective_raw(path, trig_design(path.grid.times(), phi), a, b)
 
 
-def _objective_raw(x, t, dt, horizon, a, b, phi) -> float:
-    c, s = trig_design(t, phi)
-    r = x - (c @ a + s @ b)
-    return float(r @ r) * dt / horizon
+def _objective_raw(path: SamplePath, design, a, b) -> float:
+    r = path.values - signal(*design, a, b)
+    return float(r @ r) * path.grid.dt / path.grid.horizon
 
 
 def periodogram(path: SamplePath, lam) -> float | np.ndarray:
@@ -244,23 +242,25 @@ def detect_frequencies(
     return np.sort(np.asarray(picks))
 
 
-def amplitudes_given_frequencies(path: SamplePath, phis) -> tuple[np.ndarray, np.ndarray]:
+def amplitudes_given_frequencies(
+    path: SamplePath, phis, design=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve the 2N x 2N normal equations for (A_k, B_k) at fixed
     frequencies; entries are (dt/T)-weighted products of the trigonometric
     regressors. Falls back to the decoupled approximation A_j = 2c_j^(1),
-    B_j = 2c_j^(2) when the Gram matrix condition number exceeds 1e8."""
+    B_j = 2c_j^(2) when the Gram matrix condition number exceeds 1e8.
+    design, when given, is the trigonometric design (cos, sin) at phis."""
     phis = np.asarray(phis, dtype=float)
     nh = len(phis)
     if nh == 0:
         raise ValidationError("need at least one frequency")
     if np.min(np.diff(np.sort(phis)), initial=np.inf) < 1e-12:
         raise SingularSystemError("duplicate frequencies in amplitude solve")
-    t = path.grid.times()
     w = path.grid.dt / path.grid.horizon
-    c, s = trig_design(t, phis)
-    design = np.hstack([c, s])
-    gram = w * (design.T @ design)
-    rhs = w * (design.T @ path.values)
+    c, s = trig_design(path.grid.times(), phis) if design is None else design
+    regressors = np.hstack([c, s])
+    gram = w * (regressors.T @ regressors)
+    rhs = w * (regressors.T @ path.values)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         return 2.0 * rhs[:nh], 2.0 * rhs[nh:]
@@ -323,6 +323,7 @@ def refine(
     phi0,
     band=DEFAULT_BAND,
     policy: SeparationPolicy | None = None,
+    design=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
     """Newton's method with a Levenberg-Marquardt safeguard on the
     objective over all 3N parameters.
@@ -335,23 +336,28 @@ def refine(
     T so all entries share the amplitude scale); the step computed at the
     first point below GRAD_TOL is still taken unless it is uphill, and the
     iteration stops there. Frequencies are projected to respect the band
-    and the separation policy. Every step counts as an iteration. Returns
-    (a, b, phi, objective, iterations, converged)."""
+    and the separation policy. Every step counts as an iteration. design,
+    when given, is the trigonometric design (cos, sin) at phi0, used if the
+    projection leaves phi0 unchanged. Returns (a, b, phi, objective,
+    iterations, converged)."""
     policy = policy or SeparationPolicy()
     x = path.values
     t = path.grid.times()
     horizon = path.grid.horizon
     a = np.asarray(a0, dtype=float).copy()
     b = np.asarray(b0, dtype=float).copy()
-    phi = _project_frequencies(np.asarray(phi0, dtype=float), band, policy, horizon)
+    phi0 = np.asarray(phi0, dtype=float)
+    phi = _project_frequencies(phi0, band, policy, horizon)
     nh = len(a)
     scale = np.concatenate([np.ones(2 * nh), np.full(nh, horizon)])
     w = path.grid.dt / horizon
 
     # one trigonometric design per evaluated point: the signal values m,
     # the residual r, the Jacobian and the Hessian all come from (c, s)
-    c, s = trig_design(t, phi)
-    m = c @ a + s @ b
+    if design is None or not np.array_equal(phi, phi0):
+        design = trig_design(t, phi)
+    c, s = design
+    m = signal(c, s, a, b)
     r = x - m
     q = w * float(r @ r)
     mu = 0.0
@@ -379,7 +385,7 @@ def refine(
                 ca, cb = a + step[:nh], b + step[nh:2 * nh]
                 cphi = _project_frequencies(phi + step[2 * nh:], band, policy, horizon)
                 c1, s1 = trig_design(t, cphi)
-                m1 = c1 @ ca + s1 @ cb
+                m1 = signal(c1, s1, ca, cb)
                 dq, err = _objective_change(
                     t, w, r, m, m1, _reach(a, b, phi) + _reach(ca, cb, cphi)
                 )
@@ -413,11 +419,13 @@ def estimate_harmonics(
     """
     policy = policy or SeparationPolicy()
     phis = detect_frequencies(path, n_harmonics, band, policy)
-    a0, b0 = amplitudes_given_frequencies(path, phis)
+    # one design at the detected frequencies serves the amplitude solve,
+    # the initial objective and refine's starting point
+    design = trig_design(path.grid.times(), phis)
+    a0, b0 = amplitudes_given_frequencies(path, phis, design)
     horizon = path.grid.horizon
-    q0 = _objective_raw(path.values, path.grid.times(), path.grid.dt,
-                        horizon, a0, b0, phis)
-    a, b, phi, q, it, conv = refine(path, a0, b0, phis, band, policy)
+    q0 = _objective_raw(path, design, a0, b0)
+    a, b, phi, q, it, conv = refine(path, a0, b0, phis, band, policy, design)
     model = HarmonicModel(tuple(zip(a, b, phi)), band=tuple(band))
     res = EstimationResult(
         model=model,

@@ -9,9 +9,10 @@ rho_j = 2 the spectral density of each component is available in closed
 form through the modified Bessel function of the third kind. Other shapes
 take the cosine-transform engine that also yields the self-convolutions
 f^(*k): (1/pi) int_0^inf B(t)^k cos(lam t) dt as a Gauss-Legendre body on
-nodes shared by all orders, plus a closed-form tail on the exact expansion
-of B^k into envelope-times-cosine lines. A component density is order 1
-of that engine on the component alone.
+nodes shared by all orders, with cos(lam t) factored over panel edges and
+node offsets, plus closed-form tails on the exact expansion of B^k into
+envelope-times-cosine lines, closed for all orders in one pass. A
+component density is order 1 of that engine on the component alone.
 """
 
 from __future__ import annotations
@@ -237,7 +238,9 @@ def _merge_products(dicts) -> dict:
 
 @dataclass(frozen=True)
 class _PowerLines:
-    """B(t)^k as sum_i coef_i * U_i(t) * cos(omega_i t), one row per line.
+    """B(t)^k for one or more orders k as sums of coef_i * U_i(t) *
+    cos(omega_i t), one row per line; order[i] is the position, in the
+    tuple of orders the table serves, of the order line i belongs to.
 
     U_i(t) = prod_j (1 + t^rho_j)^(-expo[i, j]), where expo[i, j] is
     n_j alpha_j / 2 for the multinomial composition n of k behind line i.
@@ -247,25 +250,28 @@ class _PowerLines:
     omega: np.ndarray
     expo: np.ndarray
     rho: np.ndarray
+    order: np.ndarray
 
     def envelope(self, t: float):
-        """(U(t), U'(t), local decay exponent -t U'(t) / U(t)) per line."""
+        """(U(t), U'(t), U''(t), local decay exponent -t U'(t) / U(t)) per
+        line."""
         tr = t**self.rho
+        share = self.rho * tr / (1.0 + tr)
         u = np.exp(-self.expo @ np.log1p(tr))
-        beta_loc = self.expo @ (self.rho * tr / (1.0 + tr))
-        return u, -u * beta_loc / t, beta_loc
+        beta_loc = self.expo @ share
+        # t^2 U'' / U = beta_loc^2 - t^2 (beta_loc / t)'
+        curv = self.expo @ (share * (tr + 1.0 - self.rho) / (1.0 + tr))
+        return u, -u * beta_loc / t, u * (beta_loc**2 + curv) / t**2, beta_loc
 
-    def envelope_on(self, t: np.ndarray) -> np.ndarray:
-        """U on a node array, shape (lines, nodes)."""
-        return np.exp(-self.expo @ np.log1p(t[None, :] ** self.rho[:, None]))
+    def envelope_on(self, t: np.ndarray, rows) -> np.ndarray:
+        """U of the given lines on a node array, shape (lines, nodes)."""
+        return np.exp(-self.expo[rows] @ np.log1p(t[None, :] ** self.rho[:, None]))
 
 
-@functools.lru_cache(maxsize=4096)
-def _power_lines(spec: NoiseSpec, k: int) -> _PowerLines:
+def _power_lines(spec: NoiseSpec, k: int):
     """Exact trigonometric expansion of B(t)^k into envelope-times-cosine
-    lines; it does not depend on the frequency it is transformed at."""
+    lines, as (coefficient, frequency, envelope exponents) triples."""
     comps = spec.components
-    coef, omega, expo = [], [], []
     for n in _compositions(k, len(comps)):
         weight = math.factorial(k)
         dicts = []
@@ -277,10 +283,21 @@ def _power_lines(spec: NoiseSpec, k: int) -> _PowerLines:
         freq_map = _merge_products(dicts) if dicts else {0.0: 1.0}
         row = [nj * comp.alpha / 2.0 for nj, comp in zip(n, comps)]
         for freq, c in sorted(freq_map.items()):
-            coef.append(weight * c)
-            omega.append(freq)
-            expo.append(row)
-    arrays = [np.array(x) for x in (coef, omega, expo, [c.rho for c in comps])]
+            yield weight * c, freq, row
+
+
+@functools.lru_cache(maxsize=256)
+def _stacked_lines(spec: NoiseSpec, orders: tuple) -> _PowerLines:
+    """The expansion lines of B^k for every k in orders, in one table; it
+    does not depend on the frequency it is transformed at."""
+    lines = [
+        (c, freq, row, slot)
+        for slot, k in enumerate(orders)
+        for c, freq, row in _power_lines(spec, k)
+    ]
+    coef, omega, expo, order = (np.array(x) for x in zip(*lines))
+    rho = np.array([c.rho for c in spec.components])
+    arrays = (coef, omega, expo.reshape(len(lines), rho.size), rho, order)
     for arr in arrays:
         arr.flags.writeable = False  # the cached tables are shared
     return _PowerLines(*arrays)
@@ -297,25 +314,31 @@ def _panel_nodes(edges: np.ndarray):
     return edges[:-1, None] + half * (_GL_X + 1.0), half * _GL_W
 
 
-def _envelope_integral(lines: _PowerLines, lo: float, hi: float):
-    """int_lo^hi U per line, and its difference to the same rule at twice
-    the panel width."""
+def _envelope_integral(lines: _PowerLines, rows, lo: float, hi: float):
+    """int_lo^hi U for the given lines, and its difference to the same rule
+    at twice the panel width."""
     edges = np.linspace(lo, hi, _SEG_PANELS + 1)
     fine, coarse = (
-        lines.envelope_on(t.ravel()) @ w.ravel()
+        lines.envelope_on(t.ravel(), rows) @ w.ravel()
         for t, w in (_panel_nodes(edges), _panel_nodes(edges[::2]))
     )
     return fine, np.abs(fine - coarse)
 
 
-def _tail_closure(lines: _PowerLines, lam: float):
-    """(t1, tail, error estimate) closing (1/pi) int_t1^inf B^k cos(lam t).
+def _tail_closures(lines: _PowerLines, lam: float, count: int):
+    """(t1, tail, error estimate) arrays closing (1/pi) int_t1^inf B^k
+    cos(lam t) for each of the count orders of the stacked lines.
 
     Each line splits into cos(mu t) with mu = |lam - omega| and lam + omega.
-    For mu > 0 the tail is integrated by parts twice, with the remainder
-    bounded by |U'(t1)| / mu^2; for mu == 0 it is closed as a local power
-    law and checked a posteriori against closing at t1/2. t1 doubles from
-    256 until the weighted error estimate meets _TAIL_TARGET or hits the cap.
+    For mu > 0 the tail is integrated by parts two or three times, per line
+    whichever remainder bound is smaller: |U'(t1)| / mu^2 after two parts,
+    |U''(t1)| / mu^3 after the third, +U''(t1) sin(mu t1) / mu^3. The bounds
+    take |U'| and |U''| to decrease beyond t1, as they do once every factor
+    of U follows its power law. For mu == 0 a line is closed as a local
+    power law and checked a posteriori against closing at t1/2. One loop
+    doubles t1 from 256 for all orders at once; each order closes at the
+    first t1 where its weighted error estimate meets _TAIL_TARGET, or at
+    the cap.
     """
     mu = np.concatenate([np.abs(lam - lines.omega), lam + lines.omega])
     coef = np.concatenate([lines.coef, lines.coef])
@@ -323,45 +346,53 @@ def _tail_closure(lines: _PowerLines, lam: float):
     zero = mu == 0.0
     mu_o, coef_o, row_o = mu[~zero], coef[~zero], row[~zero]
     coef_z, row_z = coef[zero], row[zero]
+    order_o, order_z = lines.order[row_o], lines.order[row_z]
+
+    def per_order(order, values):
+        # sums per order; astype: bincount gives integer zeros when empty
+        return np.bincount(order, weights=values, minlength=count).astype(float)
 
     def power_tail(t):
         # closes int_t^inf U assuming U ~ c s^-beta_loc locally, per line
-        u, _, beta_loc = lines.envelope(t)
+        u, _, _, beta_loc = lines.envelope(t)
         return u * t / (beta_loc - 1.0), beta_loc
 
-    def parts_bound(du):
-        return np.abs(coef_o) @ (np.abs(du[row_o]) / mu_o**2)
-
+    t1s, tails, errs = np.zeros(count), np.zeros(count), np.zeros(count)
+    open_orders = np.ones(count, dtype=bool)
     t1 = _T_START
-    while True:
-        _, du, _ = lines.envelope(t1)
-        err = parts_bound(du)
+    while open_orders.any():
+        u, du, d2u, _ = lines.envelope(t1)
+        bound2 = np.abs(du[row_o]) / mu_o**2
+        bound3 = np.abs(d2u[row_o]) / mu_o**3
+        bound = per_order(order_o, np.abs(coef_o) * np.minimum(bound2, bound3))
+        err = bound.copy()
         if row_z.size:
             # drift of the local exponent over one doubling tracks how far
             # U is from an exact power law, which is what the closure misses
             closed, beta_loc = power_tail(t1)
             _, beta_half = power_tail(0.5 * t1)
             drift = np.abs(beta_loc - beta_half)
-            err += np.abs(coef_z) @ (closed * 2.0 * drift)[row_z]
-        if err / (2.0 * math.pi) <= _TAIL_TARGET or t1 >= _T_CAP:
-            break
+            err += per_order(order_z, np.abs(coef_z) * (closed * 2.0 * drift)[row_z])
+        done = open_orders & ((err / (2.0 * math.pi) <= _TAIL_TARGET) | (t1 >= _T_CAP))
+        if done.any():
+            sin, cos = np.sin(mu_o * t1), np.cos(mu_o * t1)
+            part = -u[row_o] * sin / mu_o - du[row_o] * cos / mu_o**2
+            part += np.where(bound3 < bound2, d2u[row_o] * sin / mu_o**3, 0.0)
+            tail = per_order(order_o, coef_o * part)
+            if row_z.size:
+                closing = done[order_z]
+                rows = row_z[closing]
+                half, _ = power_tail(0.5 * t1)
+                seg, seg_err = _envelope_integral(lines, rows, 0.5 * t1, t1)
+                # a-posteriori check: closing the tail at t1/2 must agree
+                # with integrating [t1/2, t1] and closing at t1
+                check = np.abs(half[rows] - (seg + closed[rows])) + seg_err
+                tail += per_order(order_z[closing], coef_z[closing] * closed[rows])
+                bound += per_order(order_z[closing], np.abs(coef_z[closing]) * check)
+            t1s[done], tails[done], errs[done] = t1, tail[done], bound[done]
+            open_orders &= ~done
         t1 *= 2.0
-
-    u, du, _ = lines.envelope(t1)
-    tail = coef_o @ (
-        -u[row_o] * np.sin(mu_o * t1) / mu_o
-        - du[row_o] * np.cos(mu_o * t1) / mu_o**2
-    )
-    err = parts_bound(du)
-    if row_z.size:
-        closed, _ = power_tail(t1)
-        half, _ = power_tail(0.5 * t1)
-        seg, seg_err = _envelope_integral(lines, 0.5 * t1, t1)
-        tail += coef_z @ closed[row_z]
-        # a-posteriori check: closing the tail at t1/2 must agree with
-        # integrating [t1/2, t1] and closing at t1
-        err += np.abs(coef_z) @ (np.abs(half - (seg + closed)) + seg_err)[row_z]
-    return t1, float(tail) / (2.0 * math.pi), float(err) / (2.0 * math.pi)
+    return t1s, tails / (2.0 * math.pi), errs / (2.0 * math.pi)
 
 
 def _block_layout(a: float, b: float, width: float) -> tuple[int, int, bool]:
@@ -387,17 +418,24 @@ def _chunk_count(layout) -> int:
     return math.ceil((heads - 1 + split + n) / _CHUNK_PANELS)
 
 
-def _chunk_edges(a: float, b: float, layout, chunk: int) -> np.ndarray:
-    """Edges of one chunk of at most _CHUNK_PANELS panels of the block
-    [a, b] laid out as _block_layout describes."""
-    heads, n, split = layout
+def _head_edges(a: float, b: float, layout) -> np.ndarray:
+    """The graded head edges of the block [a, b] laid out as _block_layout
+    describes; the last one starts the uniform panels."""
+    heads, _, split = layout
     head = [a] if a > 0.0 else [0.0, _GRADE_START]
     while len(head) < heads:
         head.append(min(head[-1] * (1.0 + _GROWTH), b))
     if split:
         head.insert(-1, 0.5 * (head[-2] + head[-1]))
+    return np.array(head)
+
+
+def _chunk_edges(a: float, b: float, layout, chunk: int) -> np.ndarray:
+    """Edges of one chunk of at most _CHUNK_PANELS panels of the block
+    [a, b] laid out as _block_layout describes."""
+    n = layout[1]
+    head = _head_edges(a, b, layout)
     start = head[-1]
-    head = np.array(head)
     last = head.size - 1
     p0 = chunk * _CHUNK_PANELS
     j = np.arange(p0, min(p0 + _CHUNK_PANELS, last + n) + 1)
@@ -421,54 +459,135 @@ def _block_edges(a: float, b: float, width: float):
         yield _chunk_edges(a, b, layout, chunk)
 
 
+@dataclass(frozen=True)
+class _Chunk:
+    """Nodes of one chunk, the rule's (the first `fine` of them) and then
+    those of the rule at twice the panel width, with their weights and B.
+
+    Graded panels are stored node by node; `direct` holds the (lo, hi)
+    ranges of such nodes. Uniform panels are stored offset-major: an entry
+    (lo, panels, offsets, weights) of `uniform` puts node i of the panel
+    with left edge e_p = edges[panels][p] at index lo + i * P + p, for P
+    panels, at t = e_p + offsets[i] with weight weights[i].
+    """
+
+    t: np.ndarray
+    weights: np.ndarray
+    cov: np.ndarray
+    fine: int
+    direct: tuple
+    edges: np.ndarray
+    uniform: tuple
+
+
 @functools.lru_cache(maxsize=_NODE_CACHE_CHUNKS)
-def _chunk_nodes(spec: NoiseSpec, a: float, b: float, layout, chunk: int):
-    """Nodes of one chunk (the rule's, then those of the rule at twice the
-    panel width), the weights of the rule (row 0) and of the rule minus the
-    coarse rule (row 1), and B at the nodes. None of it depends on lam, so
-    plug-ins at nearby frequencies share the read-only arrays."""
+def _chunk_nodes(spec: NoiseSpec, a: float, b: float, layout, chunk: int) -> _Chunk:
+    """The _Chunk of one chunk of the block [a, b]. None of it depends on
+    lam, so plug-ins at nearby frequencies share the read-only arrays."""
     edges = _chunk_edges(a, b, layout, chunk)
-    fine_t, fine_w = _panel_nodes(edges)
-    coarse_t, coarse_w = _panel_nodes(edges[::2])
-    t = np.concatenate([fine_t.ravel(), coarse_t.ravel()])
-    weights = np.zeros((2, t.size))
-    weights[:, : fine_w.size] = fine_w.ravel()
-    weights[1, fine_w.size :] = -coarse_w.ravel()
+    head = _head_edges(a, b, layout)
+    width = (b - head[-1]) / max(layout[1], 1)
+    # local index of the chunk's first uniform panel, and of the first
+    # coarse panel that pairs two uniform ones
+    u = min(max(head.size - 1 - chunk * _CHUNK_PANELS, 0), edges.size - 1)
+    cu = u + u % 2
+    left = edges[u:-1]
+    t, weights, direct, uniform = [], [], [], []
+    size = fine = 0
+    # the rule, then the rule at twice the panel width
+    for graded, panels, half in (
+        (edges[: u + 1], slice(None), 0.5 * width),
+        (edges[: cu + 1 : 2], slice(cu - u, None, 2), width),
+    ):
+        nodes, w = _panel_nodes(graded)
+        if nodes.size:
+            direct.append((size, size + nodes.size))
+            t.append(nodes.ravel())
+            weights.append(w.ravel())
+            size += nodes.size
+        if left[panels].size:
+            offsets, w = half * (_GL_X + 1.0), half * _GL_W
+            uniform.append((size, panels, offsets, w))
+            t.append((offsets[:, None] + left[panels]).ravel())
+            weights.append(np.repeat(w, left[panels].size))
+            size += t[-1].size
+        fine = fine or size  # the node count of the first pass
+    t, weights = np.concatenate(t), np.concatenate(weights)
     cov = covariance(spec, t)
-    for arr in (t, weights, cov):
+    for arr in (t, weights, cov, left):
         arr.flags.writeable = False
-    return t, weights, cov
+    return _Chunk(t, weights, cov, fine, tuple(direct), left, tuple(uniform))
+
+
+def _weighted_cos(nodes: _Chunk, lam: float) -> np.ndarray:
+    """weights * cos(lam t) on every node of a chunk. On a uniform run the
+    factor is the rank-2 product cos(lam o_i) cos(lam e_p) - sin(lam o_i)
+    sin(lam e_p), so cos and sin are taken on panel edges and offsets, not
+    per node."""
+    out = np.empty_like(nodes.t)
+    for lo, hi in nodes.direct:
+        np.multiply(np.cos(lam * nodes.t[lo:hi]), nodes.weights[lo:hi], out=out[lo:hi])
+    arg = lam * nodes.edges
+    trig = np.stack([np.cos(arg), np.sin(arg)])
+    for lo, panels, offsets, weights in nodes.uniform:
+        arg = lam * offsets
+        factor = np.stack([weights * np.cos(arg), -weights * np.sin(arg)], axis=1)
+        edge_trig = trig[:, panels]
+        block = out[lo : lo + offsets.size * edge_trig.shape[1]]
+        # (offsets, 2) @ (2, panels): the long panel axis is the inner loop
+        np.matmul(factor, edge_trig, out=block.reshape(offsets.size, -1))
+    return out
+
+
+def _powers(cov: np.ndarray, orders):
+    """cov**k for each k of the ascending orders, in turn in one array: the
+    power advances by the gap to the next order, and each gap's power is
+    built once."""
+    steps = {}
+    power, prev = None, 0
+    for k in orders:
+        gap = k - prev
+        if gap not in steps:
+            step = cov
+            for _ in range(gap - 1):
+                step = step * cov
+            steps[gap] = step
+        if power is None:
+            power = steps[gap].copy()
+        else:
+            power *= steps[gap]
+        prev = k
+        yield power
 
 
 def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
     """(1/pi) int_0^t1 B(t)^k cos(lam t) dt for each order k up to its own
     t1, and the summed differences to the same rule at twice the panel
-    width. B and cos(lam t) are evaluated once per node for all orders;
-    B^k is built by repeated multiplication. Work goes in dyadic blocks
-    [0, 256], [256, 512], ... whose panels resolve the fastest oscillation
-    k kappa_max + lam among the orders still open in the block."""
+    width. B and the weighted cos(lam t) are evaluated once per node for
+    all orders. Work goes in dyadic blocks [0, 256], [256, 512], ... whose
+    panels resolve the fastest oscillation k kappa_max + lam among the
+    orders still open in the block."""
     kappa_max = max(c.kappa for c in spec.components)
-    slot = {k: i for i, k in enumerate(orders)}
+    slots = sorted(range(len(orders)), key=orders.__getitem__)
     body = np.zeros(len(orders))
     diff = np.zeros(len(orders))
     a, b = 0.0, _T_START
-    while a < max(t1s):
-        open_orders = {k for k, t1 in zip(orders, t1s) if t1 >= b}
-        k_top = max(open_orders)
-        omega = k_top * kappa_max + lam
+    while a < t1s.max():
+        open_slots = [i for i in slots if t1s[i] >= b]
+        omega = orders[open_slots[-1]] * kappa_max + lam
         width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
         layout = _block_layout(a, b, width)
         for chunk in range(_chunk_count(layout)):
-            t, weights, cov = _chunk_nodes(spec, a, b, layout, chunk)
-            weights = weights * np.cos(lam * t)
-            power = cov.copy()
-            for k in range(1, k_top + 1):
-                if k in open_orders:
-                    value, delta = weights @ power
-                    body[slot[k]] += value
-                    diff[slot[k]] += abs(delta)
-                if k < k_top:
-                    power *= cov
+            nodes = _chunk_nodes(spec, a, b, layout, chunk)
+            wcos = _weighted_cos(nodes, lam)
+            fine, coarse = wcos[: nodes.fine], wcos[nodes.fine :]
+            powers = _powers(nodes.cov, [orders[i] for i in open_slots])
+            for i, power in zip(open_slots, powers):
+                # einsum, not the BLAS dot: a threaded dot leaves threads
+                # spinning that slow down the products between the sums
+                value = np.einsum("i,i->", fine, power[: nodes.fine])
+                body[i] += value
+                diff[i] += abs(value - np.einsum("i,i->", coarse, power[nodes.fine :]))
         a, b = b, 2.0 * b
     return body / math.pi, diff / math.pi
 
@@ -476,12 +595,14 @@ def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
 def _power_transforms(spec: NoiseSpec, lam: float, orders):
     """(1/pi) int_0^inf B(t)^k cos(lam t) dt for each k in orders, lam >= 0,
     with its error estimate: one shared evaluation of B on [0, max t1] plus
-    a closed-form tail per expansion line. Returns (value, error) pairs."""
-    closures = [_tail_closure(_power_lines(spec, k), lam) for k in orders]
-    body, body_err = _body_integrals(spec, lam, orders, [c[0] for c in closures])
+    closed-form tails on the expansion lines of all orders, closed in one
+    pass. Returns (value, error) pairs."""
+    orders = tuple(orders)
+    lines = _stacked_lines(spec, orders)
+    t1s, tails, tail_errs = _tail_closures(lines, lam, len(orders))
+    body, body_err = _body_integrals(spec, lam, orders, t1s)
     return [
-        (float(part) + tail, float(part_err) + tail_err)
-        for (_, tail, tail_err), part, part_err in zip(closures, body, body_err)
+        (float(v), float(e)) for v, e in zip(body + tails, body_err + tail_errs)
     ]
 
 

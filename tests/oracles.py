@@ -248,6 +248,100 @@ def self_convolution_qawf_oracle(spec, k: int, lam: float) -> float:
     return total / math.pi
 
 
+def _envelope_reference(lines, t: float):
+    # (U, U', local decay exponent) per line, straight from the exponents
+    tr = t**lines.rho
+    u = np.exp(-lines.expo @ np.log1p(tr))
+    beta_loc = lines.expo @ (lines.rho * tr / (1.0 + tr))
+    return u, -u * beta_loc / t, beta_loc
+
+
+def _tail_closure_reference(lines, lam: float):
+    # one order's tail with its own doubling loop: two integrations by
+    # parts for mu > 0, a checked local power law for mu == 0
+    from harmreg import spectral as sp
+
+    mu = np.concatenate([np.abs(lam - lines.omega), lam + lines.omega])
+    coef = np.concatenate([lines.coef, lines.coef])
+    row = np.concatenate([np.arange(lines.omega.size)] * 2)
+    zero = mu == 0.0
+    mu_o, coef_o, row_o = mu[~zero], coef[~zero], row[~zero]
+    coef_z, row_z = coef[zero], row[zero]
+
+    def power_tail(t):
+        u, _, beta_loc = _envelope_reference(lines, t)
+        return u * t / (beta_loc - 1.0), beta_loc
+
+    def parts_bound(du):
+        return np.abs(coef_o) @ (np.abs(du[row_o]) / mu_o**2)
+
+    t1 = sp._T_START
+    while True:
+        _, du, _ = _envelope_reference(lines, t1)
+        err = parts_bound(du)
+        if row_z.size:
+            closed, beta_loc = power_tail(t1)
+            _, beta_half = power_tail(0.5 * t1)
+            err += np.abs(coef_z) @ (closed * 2.0 * np.abs(beta_loc - beta_half))[row_z]
+        if err / (2.0 * math.pi) <= sp._TAIL_TARGET or t1 >= sp._T_CAP:
+            break
+        t1 *= 2.0
+    u, du, _ = _envelope_reference(lines, t1)
+    tail = coef_o @ (
+        -u[row_o] * np.sin(mu_o * t1) / mu_o - du[row_o] * np.cos(mu_o * t1) / mu_o**2
+    )
+    err = parts_bound(du)
+    if row_z.size:
+        closed, _ = power_tail(t1)
+        half, _ = power_tail(0.5 * t1)
+        edges = np.linspace(0.5 * t1, t1, sp._SEG_PANELS + 1)
+        seg, coarse = (
+            np.exp(-lines.expo @ np.log1p(t.ravel()[None, :] ** lines.rho[:, None])) @ w.ravel()
+            for t, w in (sp._panel_nodes(edges), sp._panel_nodes(edges[::2]))
+        )
+        tail += coef_z @ closed[row_z]
+        err += np.abs(coef_z) @ (np.abs(half - (seg + closed)) + np.abs(seg - coarse))[row_z]
+    return t1, float(tail) / (2.0 * math.pi), float(err) / (2.0 * math.pi)
+
+
+def power_transforms_reference(spec, lam: float, orders) -> list[tuple[float, float]]:
+    """(1/pi) int_0^inf B(t)^k cos(lam t) dt with its error estimate for each
+    k in orders, by the cosine-transform engine as it stood before its tails
+    were stacked and its cos(lam t) factored: a tail closure per order with
+    two integrations by parts, and a body that takes cos(lam t) directly on
+    every node of the panels of ``_block_edges``, laid out panel by panel.
+    It shares only the expansion of B^k into lines and the panel edges with
+    the package."""
+    from harmreg import spectral as sp
+
+    closures = [_tail_closure_reference(sp._stacked_lines(spec, (k,)), lam) for k in orders]
+    t1s = [c[0] for c in closures]
+    kappa_max = max(c.kappa for c in spec.components)
+    body = dict.fromkeys(orders, 0.0)
+    diff = dict.fromkeys(orders, 0.0)
+    a, b = 0.0, sp._T_START
+    while a < max(t1s):
+        open_orders = {k for k, t1 in zip(orders, t1s) if t1 >= b}
+        omega = max(open_orders) * kappa_max + lam
+        width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
+        for edges in sp._block_edges(a, b, width):
+            fine_t, fine_w = sp._panel_nodes(edges)
+            coarse_t, coarse_w = sp._panel_nodes(edges[::2])
+            fine_t, coarse_t = fine_t.ravel(), coarse_t.ravel()
+            fine_w = fine_w.ravel() * np.cos(lam * fine_t)
+            coarse_w = coarse_w.ravel() * np.cos(lam * coarse_t)
+            fine_b, coarse_b = sp.covariance(spec, fine_t), sp.covariance(spec, coarse_t)
+            for k in open_orders:
+                value = fine_w @ fine_b**k
+                body[k] += value
+                diff[k] += abs(value - coarse_w @ coarse_b**k)
+        a, b = b, 2.0 * b
+    return [
+        (body[k] / math.pi + tail, diff[k] / math.pi + tail_err)
+        for k, (_, tail, tail_err) in zip(orders, closures)
+    ]
+
+
 def hermite_coefficients_oracle(g, k_max: int, breakpoints=(), dps: int = 30) -> np.ndarray:
     """C_k = int G(x) He_k(x) phi(x) dx for k = 0..k_max by mpmath
     tanh-sinh quadrature split at the breakpoints, with He_k expanded into

@@ -24,6 +24,7 @@ from harmreg.spectral import NoiseComponent, NoiseSpec, preset_noise, spectral_d
 from oracles import (
     abs_cov_power_oracle,
     density_oracle_fast,
+    power_transforms_reference,
     self_convolution_qawf_oracle,
 )
 
@@ -62,6 +63,14 @@ def _oracle_cases():
             for k in range(rank, 7):
                 if spec.alpha_min * k > 1.0 and spec.decay_exponent * k > 1.0:
                     yield pytest.param(name, k, lam, id=f"{name}-k{k}-lam{lam}")
+
+
+def _engine_cases():
+    for name, (spec, rank) in ORACLE_SPECS.items():
+        carrier = max(c.kappa for c in spec.components)
+        for lam in sorted({0.0, 0.7, 1.3, 2.7, carrier}):
+            yield pytest.param(name, lam, id=f"{name}-lam{lam}")
+
 
 # independent QAWF reference for the smooth preset density at 1.3
 F_SMOOTH_13 = 0.11717764563958491
@@ -170,6 +179,77 @@ class TestSelfConvolution:
             assert np.all(panels <= width * (1.0 + 1e-12))
         if a == 0.0:
             assert chunks[0][1] == spectral._GRADE_START
+
+    @pytest.mark.parametrize("name, lam", list(_engine_cases()))
+    def test_engine_matches_per_order_reference(self, name, lam):
+        # stacked one-pass tails (with the third integration by parts) and
+        # the rank-2 cos factor against the per-order closures and direct
+        # cos they replace: each difference lies within the sum of both
+        # error estimates, which do not cover rounding in the node sums, so
+        # a few ulps of the unit scale are allowed on top
+        spec, rank = ORACLE_SPECS[name]
+        orders = tuple(
+            k for k in range(rank, 7)
+            if spec.alpha_min * k > 1.0 and spec.decay_exponent * k > 1.0
+        )
+        engine = spectral._power_transforms(spec, lam, orders)
+        reference = power_transforms_reference(spec, lam, orders)
+        for (val, err), (ref, ref_err) in zip(engine, reference):
+            assert abs(val - ref) <= err + ref_err + 16.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 2.7, 41.3])
+    @pytest.mark.parametrize(
+        "a, b, width",
+        [(0.0, 256.0, 0.152), (0.0, 256.0, math.inf), (65536.0, 131072.0, 0.785)],
+    )
+    def test_rank2_cos_factor(self, a, b, width, lam):
+        # the offset-major chunks hold the rule of _block_edges, and their
+        # weighted cos(lam t), built from cos and sin of panel edges and
+        # offsets, matches the direct cosine to rounding in lam t
+        layout = spectral._block_layout(a, b, width)
+        edges = list(spectral._block_edges(a, b, width))
+        for chunk in range(spectral._chunk_count(layout)):
+            nodes = spectral._chunk_nodes(PLUGIN_NOISE, a, b, layout, chunk)
+            fine_t, fine_w = spectral._panel_nodes(edges[chunk])
+            coarse_t, _ = spectral._panel_nodes(edges[chunk][::2])
+            for got, want in (
+                (nodes.t[: nodes.fine], fine_t), (nodes.t[nodes.fine :], coarse_t)
+            ):
+                assert np.allclose(np.sort(got), np.sort(want.ravel()), rtol=1e-14, atol=0)
+            span = edges[chunk][-1] - edges[chunk][0]
+            assert nodes.weights[: nodes.fine].sum() == pytest.approx(span, rel=1e-13)
+            assert nodes.weights[nodes.fine :].sum() == pytest.approx(span, rel=1e-13)
+            assert bool(nodes.uniform) == (width < math.inf)
+            direct = nodes.weights * np.cos(lam * nodes.t)
+            bound = nodes.weights * 1e-13 * (1.0 + lam * nodes.t)
+            assert np.all(np.abs(spectral._weighted_cos(nodes, lam) - direct) <= bound)
+
+    def test_plug_in_takes_cos_on_panels_not_nodes(self, monkeypatch):
+        # a warm plug-in evaluates cos and sin on panel edges, offsets and
+        # graded nodes: a small fraction of the nodes it sums over
+        transform = make_transform("centered-absolute-value")
+        asy._spectral_sum(PLUGIN_NOISE, transform, 1.3, asy.DEFAULT_J_MAX)
+        counts = {"args": 0, "nodes": 0}
+        chunk_nodes = spectral._chunk_nodes
+
+        def counted_nodes(*args):
+            nodes = chunk_nodes(*args)
+            counts["nodes"] += nodes.t.size
+            return nodes
+
+        def counted(ufunc):
+            def wrapper(x, *args, **kwargs):
+                counts["args"] += np.size(x)
+                return ufunc(x, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(spectral, "_chunk_nodes", counted_nodes)
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        asy._spectral_sum(PLUGIN_NOISE, transform, 1.3 + 1e-5, asy.DEFAULT_J_MAX)
+        assert counts["nodes"] > 40000
+        assert counts["args"] < 0.25 * counts["nodes"]
 
     @pytest.mark.parametrize(
         "preset_name, k", [("seasonal", 1), ("seasonal", 2), ("mixed", 2)]
@@ -522,8 +602,9 @@ class TestPlugIn:
     )
     def test_nearby_plug_in_reuses_cached_nodes(self, spec, kind, monkeypatch):
         # the node table depends on lam only through the panel layout, so a
-        # plug-in 1e-5 away evaluates B at no new node, and the cached
-        # table gives the bits of a computation from a cleared cache
+        # plug-in 1e-5 away evaluates B at no new node and rebuilds no tail
+        # lines, and the cached tables give the bits of a computation from
+        # cleared caches
         transform = make_transform(kind)
         asy._spectral_sum(spec, transform, 1.3, asy.DEFAULT_J_MAX)
         calls = []
@@ -534,11 +615,17 @@ class TestPlugIn:
             return covariance(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "covariance", counted)
+        lines = spectral._stacked_lines.cache_info()
         warm = asy._spectral_sum(spec, transform, 1.3 + 1e-5, asy.DEFAULT_J_MAX)
         assert calls == []
+        # the stacked tail lines of all orders are reused as well
+        after = spectral._stacked_lines.cache_info()
+        assert (after.hits, after.misses) == (lines.hits + 1, lines.misses)
         spectral._chunk_nodes.cache_clear()
+        spectral._stacked_lines.cache_clear()
         cold = asy._spectral_sum(spec, transform, 1.3 + 1e-5, asy.DEFAULT_J_MAX)
         assert calls
+        assert spectral._stacked_lines.cache_info().misses == 1
         assert warm == cold
 
     @pytest.mark.parametrize("j", [1, 2, 3])

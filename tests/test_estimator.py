@@ -385,6 +385,30 @@ class TestRefine:
         if start == "wrong_basin":
             assert counts["project"] > it + 1  # some steps were rejected
 
+    @pytest.mark.parametrize("n_harmonics", [1, 2])
+    def test_estimate_builds_one_design_per_point(self, monkeypatch, n_harmonics):
+        # the design at the detected frequencies serves the amplitude solve,
+        # the initial objective and refine's start, so an estimate builds
+        # one design per projected point and no more
+        model = HarmonicModel(((1.0, 0.5, 1.3), (0.6, -0.4, 2.1))[:n_harmonics])
+        xi = gaussian_path(preset_noise("smooth"), GRID, seed=2)
+        path = SamplePath(grid=GRID, values=regression_signal(model, GRID) + xi)
+        counts = {"design": 0, "project": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(est, "trig_design", counting("design", est.trig_design))
+        monkeypatch.setattr(
+            est, "_project_frequencies", counting("project", est._project_frequencies)
+        )
+        res = est.estimate_harmonics(path, n_harmonics)
+        assert res.iterations >= 2
+        assert counts["design"] == counts["project"]
+
     @pytest.mark.parametrize("horizon, n_harmonics", [(256.0, 1), (1024.0, 2)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reaches_least_squares_oracle_minimum(self, horizon, n_harmonics, seed):

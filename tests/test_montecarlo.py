@@ -270,6 +270,39 @@ class TestRunReplications:
         assert opened == [2]
         assert report.to_text() == run_replications(config).to_text()
 
+    def test_replications_run_on_one_blas_thread(self, base_config, monkeypatch):
+        # threaded BLAS rounds long sums by the thread count, so the serial
+        # loop and every pool worker run at one thread; the caller's count
+        # comes back afterwards
+        calls = montecarlo._openblas()
+        if calls is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        _, get_threads = calls
+        before = get_threads()
+        seen = []
+        replication = montecarlo._replication
+
+        def probe(*args):
+            seen.append(get_threads())
+            return replication(*args)
+
+        monkeypatch.setattr(montecarlo, "_replication", probe)
+        run_replications(base_config)
+        assert seen and set(seen) == {1}
+        assert get_threads() == before
+        with concurrent.futures.ProcessPoolExecutor(
+            1, initializer=montecarlo._set_blas_threads, initargs=(1,)
+        ) as pool:
+            # the worker's count before this call is the initializer's
+            assert pool.submit(montecarlo._set_blas_threads, 1).result() == 1
+
+    def test_blas_pin_is_a_no_op_without_openblas(
+        self, base_config, base_report, monkeypatch
+    ):
+        monkeypatch.setattr(montecarlo, "_openblas", lambda: None)
+        assert montecarlo._set_blas_threads(1) is None
+        assert run_replications(base_config).to_text() == base_report.to_text()
+
     @pytest.mark.parametrize(
         "overrides, error",
         [

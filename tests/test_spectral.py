@@ -16,6 +16,7 @@ from harmreg import (
     spectral_density,
     spectral_integral,
 )
+from harmreg import spectral
 from harmreg.errors import SingularityError, ValidationError
 from harmreg.spectral import bessel_k, c1, c2
 
@@ -217,8 +218,12 @@ def test_density_at_zero_other_shapes(alpha, rho):
 @pytest.mark.parametrize("lam", [0.7, 1.3])
 def test_density_slow_decay_between_carriers(lam):
     # decay exponent 0.25: the covariance is not integrable, but off the
-    # carrier every shifted frequency is nonzero and the tails close
+    # carrier every shifted frequency is nonzero and the tails close, by
+    # t = 8192 with a third integration by parts (the |U'| / mu^2 bound
+    # alone runs to the 131072 cap)
     spec = NoiseSpec((NoiseComponent(1.0, 0.5, 1.0, 1.0),))
+    (t1,), _, _ = spectral._tail_closures(spectral._stacked_lines(spec, (1,)), lam, 1)
+    assert t1 <= 8192.0
     ref = density_oracle_fast(spec, lam)
     assert abs(spectral_density(spec, lam) - ref) <= 1e-8
 
