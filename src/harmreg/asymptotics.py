@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ExperimentError,
@@ -29,6 +28,9 @@ from .hermite import TransformSpec
 from .simulate import HarmonicModel
 from .spectral import (
     NoiseSpec,
+    _block_edges,
+    _gated,
+    _gauss_legendre,
     _power_transforms,
     covariance,
     covariance_envelope,
@@ -94,41 +96,54 @@ def self_convolution(
     return vals[0]
 
 
+def _sign_changes(spec: NoiseSpec, edges: np.ndarray) -> np.ndarray:
+    """Zeros of B where it changes sign between 16 equally spaced samples
+    per panel of edges, bisected until each bracket is within an ulp of its
+    right end."""
+    t = np.linspace(edges[0], edges[-1], 16 * edges.size)
+    neg = np.signbit(covariance(spec, t))
+    i = np.flatnonzero(neg[1:] != neg[:-1])
+    lo, hi, neg = t[i], t[i + 1], neg[i]
+    for _ in range(53):  # hi - lo <= hi halves to within an ulp of hi
+        mid = 0.5 * (lo + hi)
+        left = np.signbit(covariance(spec, mid)) == neg
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def abs_cov_power_integral(spec: NoiseSpec, m: int, lo: float = 0.0) -> float:
     """integral over [lo, inf) of |B(t)|^m dt. Beyond a fixed split point
     the integrand is replaced by its power-law envelope, so the result is
-    a slight overestimate there (conservative for the bounds it feeds)."""
+    a slight overestimate there (conservative for the bounds it feeds).
+
+    Up to the split, the composite Gauss-Legendre rule of the
+    cosine-transform engine sums |B|^m on the panels of its blocks: graded
+    toward t = 0 and at most one period of m kappa_max wide. For odd m,
+    |B|^m has kinks where B changes sign; those zeros become edges of the
+    rule and of its comparison rule on every other edge.
+
+    Raises
+    ------
+    NonIntegrableError : |B|^m is not integrable.
+    QuadratureError : the comparison estimate exceeds 1e-6 (relative
+        above 1).
+    """
     if spec.decay_exponent * m <= 1.0 or spec.alpha_min * m <= 1.0:
         raise NonIntegrableError(f"|B|^{m} is not integrable")
     split = max(4096.0, 4.0 * lo)
-    # composite Simpson on dyadic blocks; |B|^m has kinks at zeros of B,
-    # so adaptive rules stall at tight tolerances while a fine fixed grid
-    # with a step-halving self-check stays robust
-    block_edges = [lo]
-    width = 8.0
-    while block_edges[-1] + width < split:
-        block_edges.append(block_edges[-1] + width)
-        width *= 2.0
-    block_edges.append(split)
     kappa_max = max(c.kappa for c in spec.components)
-    main = 0.0
-    coarse = 0.0
-    for a, b in zip(block_edges[:-1], block_edges[1:]):
-        # step must resolve the fastest carrier; without one it may grow
-        # with distance since only the envelope varies
-        h = max(1.0 / 512.0, a / 1024.0)
-        if kappa_max > 0.0:
-            h = min(h, math.pi / (48.0 * kappa_max))
-        npts = 4 * max(16, math.ceil((b - a) / (4.0 * h))) + 1
-        t = np.linspace(a, b, npts)
-        y = np.abs(covariance(spec, t)) ** m
-        main += integrate.simpson(y, x=t)
-        coarse += integrate.simpson(y[::2], x=t[::2])
-    if abs(main - coarse) > 1e-6 * max(1.0, abs(main)):
-        raise QuadratureError(
-            f"|B|^{m} integral did not stabilize: "
-            f"{main:.9g} vs {coarse:.9g} on the halved grid"
-        )
+    width = 2.0 * math.pi / (m * kappa_max) if kappa_max > 0.0 else math.inf
+    power = lambda t: np.abs(covariance(spec, t)) ** m
+    main = err = 0.0
+    for edges in _block_edges(lo, split, width):
+        coarse = edges[::2]
+        if m % 2:
+            zeros = _sign_changes(spec, edges)
+            edges, coarse = np.union1d(edges, zeros), np.union1d(coarse, zeros)
+        value, diff = _gauss_legendre(power, edges, coarse)
+        main += value
+        err += diff
+    main = _gated(main, err, 1e-6, f"integral of |B|^{m}")
     # envelope tail integrates like C t^(-beta) past the split point
     beta = spec.decay_exponent * m
     tail = covariance_envelope(spec, split) ** m * split / (beta - 1.0)

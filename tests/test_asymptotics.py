@@ -23,6 +23,7 @@ from harmreg.spectral import NoiseComponent, NoiseSpec, preset_noise, spectral_d
 
 from oracles import (
     abs_cov_power_oracle,
+    abs_cov_power_quad_oracle,
     density_oracle_fast,
     power_transforms_reference,
     self_convolution_qawf_oracle,
@@ -63,6 +64,13 @@ def _oracle_cases():
             for k in range(rank, 7):
                 if spec.alpha_min * k > 1.0 and spec.decay_exponent * k > 1.0:
                     yield pytest.param(name, k, lam, id=f"{name}-k{k}-lam{lam}")
+
+
+def _abs_power_cases():
+    for name, (spec, _) in ORACLE_SPECS.items():
+        for m in range(1, 5):
+            if spec.alpha_min * m > 1.0 and spec.decay_exponent * m > 1.0:
+                yield pytest.param(name, m, id=f"{name}-m{m}")
 
 
 def _engine_cases():
@@ -274,6 +282,26 @@ class TestAbsCovPowers:
         tail = asy.abs_cov_tail(smooth, 2, 10.0)
         assert abs(tail - exact) < 1e-6 * exact
         assert tail >= exact - 1e-6 * exact
+
+    @pytest.mark.parametrize("name, m", list(_abs_power_cases()))
+    def test_b_m_matches_quad_oracle(self, name, m):
+        # the odd powers of the carrier specs have kinks at the zeros of B,
+        # and the rho != 2 ones a t^rho cusp at the origin
+        spec, _ = ORACLE_SPECS[name]
+        ref = 2.0 * abs_cov_power_quad_oracle(spec, m)
+        assert abs(asy.b_m(spec, m) - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_tail_matches_quad_oracle(self, smooth, m):
+        ref = abs_cov_power_quad_oracle(smooth, m, 10.0)
+        assert abs(asy.abs_cov_tail(smooth, m, 10.0) - ref) <= 1e-10 * ref
+
+    def test_gamma_report_on_rho05(self):
+        # B has a t^0.5 cusp at the origin; b_m of the rank feeds tail_bound
+        spec, _ = ORACLE_SPECS["rho0.5"]
+        report = asy.gamma_report(MODEL, make_transform("centered-absolute-value"), spec)
+        for value in (*report.s_values, *report.tail_bounds, *report.quad_errors):
+            assert math.isfinite(value)
 
     def test_b3_seasonal_bracketed_by_oracle(self, seasonal):
         head, tail_bound = abs_cov_power_oracle(seasonal, 3, split=256.0, dps=25)

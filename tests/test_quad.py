@@ -3,10 +3,15 @@ cosine-transform engine behind the spectral density and its
 self-convolutions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy import integrate
 
+import harmreg
 from harmreg.errors import QuadratureError
 from harmreg.spectral import (
     NoiseComponent,
@@ -15,6 +20,7 @@ from harmreg.spectral import (
     _power_transforms,
     _upper_tail,
     spectral_density,
+    spectral_integral,
 )
 
 # B(t) = 1 / (1 + t^2)
@@ -61,6 +67,62 @@ def test_panel_offset_interval():
 def test_upper_tail():
     val = _upper_tail(lambda x: math.exp(-x), 1.0)
     assert abs(val - math.exp(-1.0)) < 1e-9
+
+
+def test_upper_tail_algebraic():
+    # densities with rho != 2 decay like a power of the frequency
+    assert abs(_upper_tail(lambda x: x**-2, 1.0) - 1.0) < 1e-8
+
+
+def test_panel_and_tail_gate_their_estimate():
+    # 1/x is not integrable at 0 nor at infinity; the estimates say so
+    with pytest.raises(QuadratureError, match="exceeds"):
+        _panel(lambda x: 1.0 / x, 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="exceeds"):
+        _upper_tail(lambda x: 1.0 / x, 1.0)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        # a power singularity of severity 0.25 at the carrier 2
+        ((1.0, 0.25, 2.0),),
+        # power singularities at 0 and at 1.5
+        ((0.5, 0.3, 0.0), (0.5, 0.6, 1.5)),
+        # a logarithmic singularity at 1
+        ((1.0, 1.0, 1.0),),
+    ],
+    ids=["sev0.25", "two-powers", "log"],
+)
+def test_spectral_integral_strong_singularities(components):
+    spec = NoiseSpec(tuple(NoiseComponent(*c) for c in components))
+    assert abs(spectral_integral(spec) - 1.0) <= 1e-4
+
+
+def test_runtime_loads_no_scipy():
+    # scipy serves only the test oracles: the package and its quadrature
+    # run without importing it
+    code = """
+import sys
+import harmreg
+from harmreg.asymptotics import gamma_report
+from harmreg.hermite import make_transform
+from harmreg.simulate import HarmonicModel
+from harmreg.spectral import preset_noise, spectral_integral
+
+gamma_report(HarmonicModel(((1.0, 0.5, 1.3),)), make_transform("identity"), preset_noise("smooth"))
+spectral_integral(preset_noise("mixed"))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    path = os.pathsep.join(
+        filter(None, [str(Path(harmreg.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def transform(spec, mu):
