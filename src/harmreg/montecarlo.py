@@ -51,8 +51,8 @@ FAILURE_CAP = 0.2
 COVERAGE_LEVELS = (0.90, 0.95, 0.99)
 _Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 _FLOOR = 1e-12  # raw-error floor below which slopes are floor-limited
-# budget for the zero-padded spectrum of one lemma2_decay chunk of rows
-_SWEEP_SPECTRUM_BYTES = 8 << 20
+# budget for the largest array of one lemma2_decay chunk of rows
+_SWEEP_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,8 @@ class GridResult:
     # bound on the covariance bias from clamping the circulant embedding
     # the grid's paths were drawn from; 0.0 when exact or noiseless
     embedding_clamp_bound: float
+    # size M of that embedding; 0 when noiseless
+    embedding_size: int
 
     @property
     def n_ok(self) -> int:
@@ -277,6 +279,7 @@ class MonteCarloReport:
             lines.append(f"horizon = {res.grid.horizon:.17g}")
             lines.append(f"dt = {res.grid.dt:.17g}")
             lines.append(f"embedding_clamp_bound = {res.embedding_clamp_bound:.17g}")
+            lines.append(f"embedding_size = {res.embedding_size}")
             lines.append(f"converged = {res.n_ok}")
             lines.append(f"nonconverged = {res.n_nonconverged}")
             lines.append(f"failed = {len(res.failures)}")
@@ -369,12 +372,13 @@ def _grid_result(config: ExperimentConfig, gi: int, pool) -> GridResult:
             f"({len(failures)} failed, {nonconverged} non-converged)"
         )
     grid = config.grids[gi]
-    clamp = 0.0
+    clamp, size = 0.0, 0
     if config.noise_scale > 0.0:
         # usable replications drew from this embedding, so it exists
-        _, clamp = _clamped_embedding(
+        root, clamp = _clamped_embedding(
             config.noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR
         )
+        size = root.size
     return GridResult(
         grid=grid,
         samples=np.stack(samples),
@@ -382,6 +386,7 @@ def _grid_result(config: ExperimentConfig, gi: int, pool) -> GridResult:
         n_nonconverged=nonconverged,
         failures=tuple(failures),
         embedding_clamp_bound=clamp,
+        embedding_size=size,
     )
 
 
@@ -511,9 +516,11 @@ def lemma2_decay(
 
     Replication r on horizon g draws from SeedSequence(master_seed,
     spawn_key=(g, r)). Per horizon the replications are simulated,
-    subordinated and periodogrammed in chunks of rows whose zero-padded
-    spectrum fits in _SWEEP_SPECTRUM_BYTES (8 MiB; at least one row), so
-    the chunk size depends on the grid alone. Each row is the path
+    subordinated and periodogrammed in chunks of rows that fit in
+    _SWEEP_CHUNK_BYTES (8 MiB; at least one row), counted per row as the
+    larger of the zero-padded spectrum and the embedding's half spectrum
+    plus inverse FFT output, so the chunk size depends on the grid and the
+    embedding size alone. Each row is the path
     ``gaussian_path`` draws from its own stream, and the row maxima are
     summed in replication order, so the means are bit for bit those of a
     loop over single paths through ``eta_squared``.
@@ -526,8 +533,11 @@ def lemma2_decay(
     means = []
     for gi, grid in enumerate(grids):
         nfft, _ = _fft_grid(grid)
-        # 16 bytes per complex128 bin of one row's spectrum
-        chunk = max(1, _SWEEP_SPECTRUM_BYTES // (16 * (nfft // 2 + 1)))
+        size = _clamped_embedding(noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR)[0].size
+        # per row: complex128 bins of the zero-padded spectrum, or of the
+        # half spectrum plus the float64 output of its inverse FFT
+        row_bytes = max(16 * (nfft // 2 + 1), 16 * (size // 2 + 1) + 8 * size)
+        chunk = max(1, _SWEEP_CHUNK_BYTES // row_bytes)
         acc = 0.0
         for start in range(0, replications, chunk):
             seeds = [

@@ -22,7 +22,7 @@ DEFAULT_BAND = (0.1, 3.0)
 DEFAULT_MAX_COV_ERROR = 1e-3
 
 _EIG_CLAMP = 1e-8
-_MAX_PAD = 16
+_PADS = (1, 2, 4, 8, 16)
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -142,45 +142,27 @@ class SamplePath:
         return cls(grid=grid, values=data[:, 1], signal=signal, noise=noise)
 
 
-def _embedding_eigenvalues(spec: NoiseSpec, dt: float, m: int) -> np.ndarray:
-    lags = np.arange(m + 1) * dt
-    row = covariance(spec, lags)
+def _embedding_eigenvalues(
+    spec: NoiseSpec, dt: float, m: int, taper_from: int | None = None
+) -> np.ndarray:
+    """Eigenvalues of the size-2m circulant whose first row is B(j dt),
+    j = 0..m, mirrored. With ``taper_from = n`` the row is multiplied
+    beyond lag n - 1 by the cosine bell
+    w_j = (1 + cos(pi (j - n + 1) / (m - n + 1))) / 2, which is 1 at lag
+    n - 1 and falls to 0 with zero slope at the mirror point m; the lags
+    0..n-1 that a path of n points uses keep B."""
+    row = covariance(spec, np.arange(m + 1) * dt)
+    if taper_from is not None:
+        free = np.arange(1, m - taper_from + 2)
+        row[taper_from:] *= 0.5 * (1.0 + np.cos(np.pi * free / (m - taper_from + 1)))
     circ = np.concatenate([row, row[-2:0:-1]])
     return np.fft.fft(circ).real
 
 
-@functools.lru_cache(maxsize=8)
-def _clamped_embedding(
-    spec: NoiseSpec, dt: float, n: int, max_cov_error: float
-) -> tuple[np.ndarray, float]:
-    """The read-only scaled root sqrt(eigs / size) of the clamped
-    embedding, and the bound sum(|negative eigs|) / size on the bias that
-    clamping puts on every covariance entry (0.0 for an exact embedding)."""
-    base = 1 << (n - 1).bit_length()
-    pad = 1
-    best = None
-    while True:
-        eigs = _embedding_eigenvalues(spec, dt, base * pad)
-        worst = float(eigs.min())
-        if worst >= -_EIG_CLAMP:
-            break
-        delta = -float(eigs[eigs < 0.0].sum()) / len(eigs)
-        if best is None or delta < best[0]:
-            best = (delta, eigs, worst)
-        if pad >= _MAX_PAD:
-            delta, eigs, worst = best
-            if delta > max_cov_error:
-                raise EmbeddingError(
-                    f"circulant embedding indefinite (min eigenvalue {worst:.3e}, "
-                    f"covariance error bound {delta:.3e}) after {_MAX_PAD}x padding"
-                )
-            logger.warning(
-                "indefinite embedding after %dx padding; clamping biases "
-                "covariances by at most %.3e (min eigenvalue %.3e)",
-                _MAX_PAD, delta, worst,
-            )
-            break
-        pad *= 2
+def _scaled_root(eigs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The read-only sqrt(eigs / size) with negative eigenvalues clamped
+    to zero, and the clamp bound sum(|negative eigs|) / size."""
+    worst = float(eigs.min())
     bound = 0.0
     if worst < 0.0:
         if worst >= -_EIG_CLAMP:
@@ -195,6 +177,45 @@ def _clamped_embedding(
     return root, bound
 
 
+@functools.lru_cache(maxsize=8)
+def _clamped_embedding(
+    spec: NoiseSpec, dt: float, n: int, max_cov_error: float
+) -> tuple[np.ndarray, float]:
+    """The read-only scaled root sqrt(eigs / size) of the clamped
+    embedding, and the bound sum(|negative eigs|) / size on the bias that
+    clamping puts on every covariance entry (0.0 for an exact embedding).
+
+    The half size m doubles from the next power of two at or above n up
+    to 16x; at each size the natural row is tried first, then the row
+    tapered beyond lag n - 1, and the first candidate whose eigenvalues
+    reach no lower than -1e-8 is taken. Failing that, the candidate with
+    the smallest clamp bound over every one tried is clamped, within
+    max_cov_error."""
+    base = 1 << (n - 1).bit_length()
+    best = None
+    for pad in _PADS:
+        for taper_from in (None, n):
+            eigs = _embedding_eigenvalues(spec, dt, base * pad, taper_from)
+            worst = float(eigs.min())
+            if worst >= -_EIG_CLAMP:
+                return _scaled_root(eigs)
+            delta = -float(eigs[eigs < 0.0].sum()) / len(eigs)
+            if best is None or delta < best[0]:
+                best = (delta, eigs, worst)
+    delta, eigs, worst = best
+    if delta > max_cov_error:
+        raise EmbeddingError(
+            f"circulant embedding indefinite (min eigenvalue {worst:.3e}, "
+            f"covariance error bound {delta:.3e}) after {_PADS[-1]}x padding"
+        )
+    logger.warning(
+        "indefinite embedding after %dx padding; clamping biases "
+        "covariances by at most %.3e (min eigenvalue %.3e)",
+        _PADS[-1], delta, worst,
+    )
+    return _scaled_root(eigs)
+
+
 def gaussian_path(
     spec: NoiseSpec,
     grid: SamplingGrid,
@@ -204,18 +225,24 @@ def gaussian_path(
     """Stationary Gaussian samples with covariance B on the grid.
 
     Circulant embedding: exact in distribution when the embedding is
-    nonnegative definite. The embedding size starts at the next power of
-    two above n and doubles up to 16x; eigenvalues in [-1e-8, 0) are
-    clamped to zero with a logged warning.
+    nonnegative definite. The embedding only has to equal B on the lags
+    0..n-1 (Wood & Chan 1994; Dietrich & Newsam 1997). Its size starts at
+    twice the next power of two at or above n and doubles up to 16x; at
+    each size the natural row B(j dt) is tried first, then the same row
+    tapered to zero by a cosine bell beyond lag n - 1, and the first
+    candidate without eigenvalues below -1e-8 is taken; eigenvalues in
+    [-1e-8, 0) are clamped to zero with a logged warning. An oscillating
+    carrier (the ``seasonal`` and ``mixed`` presets) embeds exactly this
+    way, at a size of at most 4 * 2^ceil(log2 n).
 
-    Slowly decaying covariances with an oscillating carrier can stay
-    indefinite at the 1e-3 scale no matter how far the row is padded. In
-    that case clamping biases every covariance entry by at most
-    sum(|negative eigenvalues|) / size; if that bound is within
-    ``max_cov_error`` the path is still generated (with a logged warning
-    reporting the bound), otherwise EmbeddingError is raised. Pass
+    A carrier that decays very slowly (alpha below about 0.1) can stay
+    indefinite at any size, tapered or not. Then the candidate with the
+    smallest bound sum(|negative eigenvalues|) / size on the bias that
+    clamping puts on every covariance entry is clamped; if that bound is
+    within ``max_cov_error`` the path is still generated (with a logged
+    warning reporting the bound), otherwise EmbeddingError is raised. Pass
     ``max_cov_error=0.0`` to forbid the approximation. Deterministic per
-    seed either way. The scaled root sqrt(eigs / size) of the clamped
+    seed either way. The scaled root sqrt(eigs / size) of the chosen
     embedding is cached per (spec, grid).
 
     This is the one-row case of ``gaussian_paths``, which describes the

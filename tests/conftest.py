@@ -2,7 +2,7 @@
 
 import pytest
 
-from harmreg import preset_noise
+from harmreg import NoiseComponent, NoiseSpec, preset_noise
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +18,10 @@ def smooth():
 @pytest.fixture(scope="session")
 def mixed():
     return preset_noise("mixed")
+
+
+@pytest.fixture(scope="session")
+def slow_carrier():
+    # decays so slowly that its circulant embedding stays indefinite, even
+    # tapered, on the T = 256, dt = 0.25 grid
+    return NoiseSpec((NoiseComponent(1.0, 0.08, 2.0),))

@@ -102,6 +102,7 @@ def _grid_result(horizon, samples):
         n_nonconverged=0,
         failures=(),
         embedding_clamp_bound=0.0,
+        embedding_size=0,
     )
 
 
@@ -452,6 +453,7 @@ class TestReportText:
             "tail_bound = ",
             "quad_error = ",
             "embedding_clamp_bound = ",
+            "embedding_size = ",
             "derived_row = ",
             "as-printed_row = ",
             "mean_0 = ",
@@ -463,25 +465,36 @@ class TestReportText:
         # single grid: no slope section
         assert "[slopes]" not in text
 
-    @pytest.mark.parametrize("spec_name", ["smooth", "seasonal"])
+    @pytest.mark.parametrize("spec_name", ["smooth", "slow_carrier"])
     def test_embedding_clamp_bound(self, spec_name, request):
-        # the seasonal carrier keeps the embedding indefinite, and the
-        # clamp's covariance bias bound must be reported within its budget
+        # the slowly decaying carrier keeps the embedding indefinite on its
+        # grid, and the clamp's covariance bias bound must be reported
+        # within its budget; rank 13 keeps alpha * rank > 1 at alpha 0.08
+        degree, horizon = {"smooth": (3, 64.0), "slow_carrier": (13, 256.0)}[spec_name]
         config = ExperimentConfig(
             noise=request.getfixturevalue(spec_name),
-            transform=make_transform("hermite-polynomial", coeffs=(0.0, 0.0, 0.0, 1.0)),
+            transform=make_transform(
+                "hermite-polynomial", coeffs=(0.0,) * degree + (1.0,)
+            ),
             model=MODEL,
-            grids=(SamplingGrid(64.0, 0.25),),
+            grids=(SamplingGrid(horizon, 0.25),),
             replications=4,
             master_seed=7,
         )
         report = run_replications(config)
-        bound = report.results[0].embedding_clamp_bound
+        res = report.results[0]
+        bound = res.embedding_clamp_bound
+        root, _ = montecarlo._clamped_embedding(
+            config.noise, res.grid.dt, res.grid.n, montecarlo.DEFAULT_MAX_COV_ERROR
+        )
+        assert res.embedding_size == root.size
         if spec_name == "smooth":
             assert bound == 0.0
         else:
             assert 0.0 < bound <= 1e-3
-        assert f"embedding_clamp_bound = {bound:.17g}\n" in report.to_text()
+        text = report.to_text()
+        assert f"embedding_clamp_bound = {bound:.17g}\n" in text
+        assert f"embedding_size = {root.size}\n" in text
 
     def test_slopes_section_on_long_schedule(self, noiseless_config):
         text = run_replications(noiseless_config).to_text()
@@ -616,7 +629,11 @@ class TestLemma2Decay:
         # at T = 8192 one row's zero-padded spectrum is 2 MiB: every chunk
         # holds several rows within the budget, its size does not depend on
         # the replication count, and each chunk takes one forward and one
-        # inverse real FFT
+        # inverse real FFT; the embedding's own FFT is built and cached
+        # before the spies go in, whichever tests ran first
+        montecarlo._clamped_embedding(
+            smooth, 0.25, 32768, montecarlo.DEFAULT_MAX_COV_ERROR
+        )
         calls = {"fft": [], "rfft": [], "irfft": []}
         for name, record in calls.items():
             original = getattr(np.fft, name)
@@ -635,10 +652,31 @@ class TestLemma2Decay:
             shapes = [shape for shape, _ in calls["rfft"]]
             assert all(len(shape) == 2 and shape[0] > 1 for shape in shapes)
             assert all(
-                nbytes <= montecarlo._SWEEP_SPECTRUM_BYTES for _, nbytes in calls["rfft"]
+                nbytes <= montecarlo._SWEEP_CHUNK_BYTES for _, nbytes in calls["rfft"]
             )
             assert sum(shape[0] for shape in shapes) == replications
             assert not calls["fft"]
             assert [shape[0] for shape, _ in calls["irfft"]] == [s[0] for s in shapes]
             rows[replications] = shapes[0][0]
         assert rows[20] == rows[200]
+
+    def test_chunks_bound_the_embedding(self, slow_carrier, smooth, monkeypatch):
+        # the slow carrier embeds at M = 32768 for n = 1024, so one row's
+        # half spectrum and inverse FFT output (512 KiB) outweigh its
+        # zero-padded spectrum (64 KiB) and size the chunks; smooth noise
+        # keeps the chunks its spectrum sets
+        irfft_rows = []
+        original = np.fft.irfft
+
+        def spied(a, *args, **kwargs):
+            out = original(a, *args, **kwargs)
+            assert a.nbytes + out.nbytes <= montecarlo._SWEEP_CHUNK_BYTES
+            irfft_rows.append(a.shape[0])
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", spied)
+        lemma2_decay(slow_carrier, IDENTITY, (256.0,), 20, master_seed=3)
+        assert irfft_rows == [15, 5]
+        irfft_rows.clear()
+        lemma2_decay(smooth, IDENTITY, (512.0, 2048.0), 64, master_seed=3)
+        assert irfft_rows == [63, 1] + [15] * 4 + [4]

@@ -165,19 +165,80 @@ def test_embedding_definite_for_smooth_kernels():
     assert _embedding_eigenvalues(rank2, 0.25, 16384).min() > 0.0
 
 
-def test_embedding_clamp_budget(seasonal):
-    # the seasonal carrier keeps the embedding slightly indefinite at any
-    # padding; the clamp is accepted within the documented 1e-3 budget
-    path = gaussian_path(seasonal, GRID, seed=4)
+def test_embedding_clamp_budget(slow_carrier):
+    # the slowly decaying carrier keeps the embedding slightly indefinite
+    # at any padding, natural or tapered; the clamp is accepted within the
+    # documented 1e-3 budget
+    path = gaussian_path(slow_carrier, GRID, seed=4)
     assert np.all(np.isfinite(path))
     with pytest.raises(EmbeddingError):
-        gaussian_path(seasonal, GRID, seed=4, max_cov_error=0.0)
+        gaussian_path(slow_carrier, GRID, seed=4, max_cov_error=0.0)
 
 
 # the two-component noise of the plugin-validate benchmark workload
 PLUGIN_NOISE = NoiseSpec(
     (NoiseComponent(0.6, 1.5, 0.0, 2.0), NoiseComponent(0.4, 0.8, 2.0, 2.0))
 )
+
+
+# noise whose natural row embeds exactly on the grids of the fixtures
+NATURAL_SPECS = {
+    "smooth": preset_noise("smooth"),
+    "rank2": NoiseSpec((NoiseComponent(1.0, 0.8, 0.0),)),
+    "rho0.5": NoiseSpec(
+        (NoiseComponent(0.7, 3.6, 0.0, 0.5), NoiseComponent(0.3, 4.0, 1.0, 0.5))
+    ),
+    "rho1.5": NoiseSpec(
+        (NoiseComponent(0.7, 1.6, 0.0, 1.5), NoiseComponent(0.3, 2.0, 1.5, 1.5))
+    ),
+}
+
+
+def _row_taken(spec, grid):
+    """'natural' or 'tapered': the row whose eigenvalues give the cached
+    root of an exact embedding, bit for bit."""
+    root, bound = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    assert bound == 0.0
+    for kind, taper_from in (("natural", None), ("tapered", grid.n)):
+        eigs = _embedding_eigenvalues(spec, grid.dt, root.size // 2, taper_from)
+        if eigs.min() < -1e-8:
+            continue
+        if np.array_equal(root, np.sqrt(np.clip(eigs, 0.0, None) / eigs.size)):
+            return kind
+    raise AssertionError("root matches neither row")
+
+
+@pytest.mark.parametrize("spec_name", ["seasonal", "mixed", "plugin"])
+@pytest.mark.parametrize("horizon", [16.0, 16.25, 256.0, 1024.0])
+def test_carrier_noise_embeds_exactly_at_4n(spec_name, horizon, request):
+    # the natural rows of these carriers stay indefinite; tapered beyond
+    # lag n - 1 they embed exactly at M <= 4 * 2^ceil(log2 n)
+    spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
+    grid = SamplingGrid(horizon=horizon, dt=0.25)
+    root, _ = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    assert root.size <= 4 * (1 << (grid.n - 1).bit_length())
+    assert _row_taken(spec, grid) == "tapered"
+
+
+@pytest.mark.parametrize("spec_name", list(NATURAL_SPECS))
+@pytest.mark.parametrize("horizon", [256.0, 1024.0, 4096.0])
+def test_exact_natural_row_kept(spec_name, horizon):
+    # a natural row that embeds exactly is taken before any tapered one,
+    # so its root is the one of the plain padded embedding, bit for bit
+    grid = SamplingGrid(horizon=horizon, dt=0.25)
+    assert _row_taken(NATURAL_SPECS[spec_name], grid) == "natural"
+
+
+def test_tapered_row_keeps_the_kept_lags(seasonal):
+    # the bell is 1 up to lag n - 1 and 0 at the mirror point m: the
+    # tapered circulant holds B on the lags 0..n-1 a path uses, shrinks it
+    # beyond, and vanishes at m
+    n, m = 100, 256
+    cov = covariance(seasonal, np.arange(m + 1) * 0.25)
+    row = np.fft.ifft(_embedding_eigenvalues(seasonal, 0.25, m, n)).real[: m + 1]
+    assert np.max(np.abs(row[:n] - cov[:n])) <= 1e-14
+    assert np.all(np.abs(row[n:]) <= np.abs(cov[n:]) + 1e-14)
+    assert abs(row[m]) <= 1e-14
 
 
 @pytest.mark.parametrize("spec_name", ["smooth", "seasonal", "mixed", "plugin"])
@@ -220,10 +281,12 @@ def test_gaussian_path_exact_law(spec_name, horizon, request, monkeypatch):
     # the path is L z for one vector z of standard normals, so its
     # covariance is L L^T; the columns of L are the paths drawn from the
     # unit vectors, and L L^T must be the Toeplitz matrix of the covariance
-    # up to rounding and the clamp bound
+    # up to rounding and the clamp bound; the carriers take the tapered
+    # row, whose law must match on the kept lags all the same
     spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
     grid = SamplingGrid(horizon=horizon, dt=0.25)
     root, bound = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    assert _row_taken(spec, grid) == ("natural" if spec_name == "smooth" else "tapered")
     columns = []
     for k in range(root.size):
         draws = _UnitDraws(k)
@@ -266,13 +329,13 @@ def test_gaussian_paths_rows_are_single_paths(spec_name, horizon, request):
         assert np.array_equal(row, gaussian_path(spec, grid, seed))
 
 
-def test_embedding_clamp_bound_cached(smooth, seasonal):
+def test_embedding_clamp_bound_cached(smooth, slow_carrier):
     root, bound = _clamped_embedding(smooth, GRID.dt, GRID.n, 1e-3)
     assert bound == 0.0
     assert not root.flags.writeable
     eigs = _embedding_eigenvalues(smooth, GRID.dt, root.size // 2)
     assert np.array_equal(root, np.sqrt(eigs / eigs.size))
-    _, bound = _clamped_embedding(seasonal, GRID.dt, GRID.n, 1e-3)
+    _, bound = _clamped_embedding(slow_carrier, GRID.dt, GRID.n, 1e-3)
     assert 0.0 < bound <= 1e-3
 
 
