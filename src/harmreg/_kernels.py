@@ -2,11 +2,15 @@
 
 At a point (A, B, phi) of the harmonic regression everything the estimator
 needs -- signal values, residual, objective, Jacobian, Hessian -- derives
-from one trigonometric design: the (n, N) matrices cos(phi_k t_i) and
-sin(phi_k t_i). ``trig_design`` builds that pair once per point;
+from one trigonometric design: the row-major (N, n) matrices cos(phi_k t_i)
+and sin(phi_k t_i). ``trig_design`` builds that pair once per point;
 ``signal``, ``jacobian`` and ``hessian`` reuse it. ``fourier_pair`` is the
 single-frequency inner product behind the periodogram at arbitrary
 frequencies.
+
+Every sum over the n sample points is an ``np.einsum`` along a contiguous
+row, never a BLAS product: threaded BLAS splits long sums into pieces by
+its thread count, so its rounding would depend on the machine.
 """
 
 import numpy as np
@@ -17,23 +21,22 @@ HAS_NUMBA = False  # there is no jit path; the name stays for benchmark machine 
 def fourier_pair(x, t, lam):
     c = np.cos(lam * t)
     s = np.sin(lam * t)
-    return float(x @ c), float(x @ s)
+    return float(np.einsum("i,i->", x, c)), float(np.einsum("i,i->", x, s))
 
 
 def trig_design(t, phi):
-    u = np.outer(t, phi)
+    u = np.outer(phi, t)
     return np.cos(u), np.sin(u)
 
 
 def signal(c, s, a, b):
-    # np.dot, not @: numpy's matmul takes a slow path for a single column
-    return np.dot(c, a) + np.dot(s, b)
+    return np.einsum("k,ki->i", a, c) + np.einsum("k,ki->i", b, s)
 
 
 def jacobian(t, c, s, a, b):
-    # residual r = x - c @ a - s @ b, so with columns ordered
-    # (A_1..A_N, B_1..B_N, phi_1..phi_N), J[i, j] = d r_i / d tau_j
-    return np.hstack([-c, -s, t[:, None] * (s * a - c * b)])
+    # residual r = x - signal(c, s, a, b); row j of the (3N, n) result is
+    # d r / d tau_j, with tau ordered (A_1..A_N, B_1..B_N, phi_1..phi_N)
+    return np.vstack([-c, -s, t * (s * a[:, None] - c * b[:, None])])
 
 
 def hessian(t, c, s, a, b, r, jac):
@@ -46,7 +49,7 @@ def hessian(t, c, s, a, b, r, jac):
     f = 2 * nh + k
     tr = t * r
     curv = np.zeros((3 * nh, 3 * nh))
-    curv[f, f] = 0.5 * ((t * tr) @ (c * a + s * b))
-    curv[k, f] = tr @ s
-    curv[nh + k, f] = -(tr @ c)
-    return jac.T @ jac + curv + curv.T
+    curv[f, f] = 0.5 * np.einsum("i,ki->k", t * tr, c * a[:, None] + s * b[:, None])
+    curv[k, f] = np.einsum("i,ki->k", tr, s)
+    curv[nh + k, f] = -np.einsum("i,ki->k", tr, c)
+    return np.einsum("ji,ki->jk", jac, jac) + curv + curv.T

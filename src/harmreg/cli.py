@@ -63,6 +63,9 @@ def _cmd_simulate(args) -> int:
     master = args.seed if args.seed is not None else exp.get("master_seed", 0)
     allow = exp.get("allow_a4_violation", False)
     scale = exp.get("noise_scale", 1.0)
+    if scale < 0.0:
+        # observe checks this too, but the noise-only branch does not call it
+        raise ValidationError("noise_scale must be nonnegative")
     for gi, grid in enumerate(grids):
         seed = np.random.SeedSequence(entropy=master, spawn_key=(gi, 0))
         if model is None:

@@ -109,7 +109,7 @@ def objective(path: SamplePath, model: HarmonicModel) -> float:
 
 def _objective_raw(path: SamplePath, design, a, b) -> float:
     r = path.values - signal(*design, a, b)
-    return float(r @ r) * path.grid.dt / path.grid.horizon
+    return float(np.einsum("i,i->", r, r)) * path.grid.dt / path.grid.horizon
 
 
 def periodogram(path: SamplePath, lam) -> float | np.ndarray:
@@ -249,7 +249,8 @@ def amplitudes_given_frequencies(
     frequencies; entries are (dt/T)-weighted products of the trigonometric
     regressors. Falls back to the decoupled approximation A_j = 2c_j^(1),
     B_j = 2c_j^(2) when the Gram matrix condition number exceeds 1e8.
-    design, when given, is the trigonometric design (cos, sin) at phis."""
+    design, when given, is the trigonometric design (cos, sin) at phis,
+    each of shape (N, n)."""
     phis = np.asarray(phis, dtype=float)
     nh = len(phis)
     if nh == 0:
@@ -258,9 +259,9 @@ def amplitudes_given_frequencies(
         raise SingularSystemError("duplicate frequencies in amplitude solve")
     w = path.grid.dt / path.grid.horizon
     c, s = trig_design(path.grid.times(), phis) if design is None else design
-    regressors = np.hstack([c, s])
-    gram = w * (regressors.T @ regressors)
-    rhs = w * (regressors.T @ path.values)
+    regressors = np.vstack([c, s])
+    gram = w * np.einsum("ji,ki->jk", regressors, regressors)
+    rhs = w * np.einsum("ji,i->j", regressors, path.values)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         return 2.0 * rhs[:nh], 2.0 * rhs[nh:]
@@ -309,10 +310,9 @@ def _objective_change(t, w, r, m, m1, reach) -> tuple[float, float]:
     eps = np.finfo(float).eps
     d = m - m1
     ssum = r + (r + d)
-    dq = w * float(d @ ssum)
-    err = 4.0 * eps * w * float(
-        np.abs(ssum) @ (np.abs(m) + np.abs(m1) + np.abs(d) + reach * t)
-    )
+    dq = w * float(np.einsum("i,i->", d, ssum))
+    size = np.abs(m) + np.abs(m1) + np.abs(d) + reach * t
+    err = 4.0 * eps * w * float(np.einsum("i,i->", np.abs(ssum), size))
     return dq, err
 
 
@@ -337,9 +337,9 @@ def refine(
     first point below GRAD_TOL is still taken unless it is uphill, and the
     iteration stops there. Frequencies are projected to respect the band
     and the separation policy. Every step counts as an iteration. design,
-    when given, is the trigonometric design (cos, sin) at phi0, used if the
-    projection leaves phi0 unchanged. Returns (a, b, phi, objective,
-    iterations, converged)."""
+    when given, is the trigonometric design (cos, sin) at phi0, each of
+    shape (N, n), used if the projection leaves phi0 unchanged. Returns (a,
+    b, phi, objective, iterations, converged)."""
     policy = policy or SeparationPolicy()
     x = path.values
     t = path.grid.times()
@@ -359,19 +359,19 @@ def refine(
     c, s = design
     m = signal(c, s, a, b)
     r = x - m
-    q = w * float(r @ r)
+    q = w * float(np.einsum("i,i->", r, r))
     mu = 0.0
     it = 0
     while True:
         jac = jacobian(t, c, s, a, b)
-        grad = jac.T @ r
+        grad = np.einsum("ji,i->j", jac, r)
         converged = (2.0 * w) * float(np.max(np.abs(grad / scale))) < GRAD_TOL
         if it >= MAX_ITER:
             break
         it += 1
         # column equilibration keeps the solve well-conditioned: the
         # frequency columns grow like T relative to the amplitude ones
-        col = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        col = np.sqrt(np.einsum("ji,ji->j", jac, jac))
         col[col == 0.0] = 1.0
         hess = hessian(t, c, s, a, b, r, jac) / np.outer(col, col)
         accepted = False

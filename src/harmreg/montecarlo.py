@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import ctypes
 import functools
 import math
 import os
@@ -91,52 +90,6 @@ class ExperimentConfig:
                 "alpha_min * rank <= 1: limit theory does not apply "
                 "(set allow_a4_violation to override)"
             )
-
-
-@functools.lru_cache(maxsize=1)
-def _openblas():
-    """The (set, get) thread-count functions of numpy's bundled OpenBLAS,
-    or None when numpy carries no such library or it lacks the symbols."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    names = os.listdir(libs) if os.path.isdir(libs) else []
-    for name in sorted(n for n in names if n.startswith("libscipy_openblas")):
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-            return (
-                lib.scipy_openblas_set_num_threads64_,
-                lib.scipy_openblas_get_num_threads64_,
-            )
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
-def _set_blas_threads(count: int):
-    """Set the thread count of numpy's BLAS and return the previous one;
-    None, and nothing set, without a bundled OpenBLAS. Also the pool
-    worker initializer."""
-    calls = _openblas()
-    if calls is None:
-        return None
-    set_threads, get_threads = calls
-    previous = get_threads()
-    set_threads(count)
-    return previous
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's BLAS on one thread, then restore the
-    count. Threaded BLAS sums long products in pieces whose rounding
-    depends on the thread count, so replications run serially and in pool
-    workers give the same bits only at one common count; one thread also
-    keeps pool workers from oversubscribing the cores."""
-    previous = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
 
 
 def _replication(config: ExperimentConfig, grid_index: int, r: int):
@@ -222,8 +175,13 @@ class MonteCarloReport:
 
     def coverage(self, grid_index: int, k: int, level: float = 0.95) -> np.ndarray:
         """Fraction of replications with |error_i| <= z * sqrt(Gamma_ii)
-        (derived mode), per component."""
-        z = _Z[round(level, 2)]
+        (derived mode), per component; level is one of COVERAGE_LEVELS."""
+        z = _Z.get(round(level, 2))
+        if z is None:
+            raise ValidationError(
+                f"coverage level {level!r} is not one of COVERAGE_LEVELS "
+                f"{COVERAGE_LEVELS}"
+            )
         sd = np.sqrt(np.diag(self.gamma_derived[k]))
         samp = self.results[grid_index].samples[:, :, k]
         return (np.abs(samp) <= z * sd).mean(axis=0)
@@ -396,9 +354,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
     Failures are recorded per replication and never fatal individually,
     but more than 20% unusable replications on any grid aborts. The limit
     blocks are computed before the first draw, so a config they reject
-    fails at once. Replications run with numpy's BLAS on one thread, in
-    this process (restored on return) and in every pool worker, so the
-    report is identical for any worker count.
+    fails at once. The report is identical for any worker count.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
@@ -435,13 +391,11 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
         )
     # one pool serves every grid of the schedule
     executor = (
-        concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
-        )
+        concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         if workers > 1
         else contextlib.nullcontext()
     )
-    with _one_blas_thread(), executor as pool:
+    with executor as pool:
         results = [_grid_result(config, gi, pool) for gi in range(len(config.grids))]
     return MonteCarloReport(config=config, results=tuple(results), **theory)
 

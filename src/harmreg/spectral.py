@@ -321,7 +321,7 @@ def _gauss_legendre(g, edges: np.ndarray, coarse=None):
     if coarse is None:
         coarse = edges[::2]
     fine, rough = (
-        g(t.ravel()) @ w.ravel()
+        np.einsum("...i,i->...", g(t.ravel()), w.ravel())
         for t, w in (_panel_nodes(edges), _panel_nodes(coarse))
     )
     return fine, np.abs(fine - rough)
@@ -592,8 +592,9 @@ def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
             fine, coarse = wcos[: nodes.fine], wcos[nodes.fine :]
             powers = _powers(nodes.cov, [orders[i] for i in open_slots])
             for i, power in zip(open_slots, powers):
-                # einsum, not the BLAS dot: a threaded dot leaves threads
-                # spinning that slow down the products between the sums
+                # einsum, not the BLAS dot: a threaded dot rounds by its
+                # thread count and leaves threads spinning that slow down
+                # the products between the sums
                 value = np.einsum("i,i->", fine, power[: nodes.fine])
                 body[i] += value
                 diff[i] += abs(value - np.einsum("i,i->", coarse, power[nodes.fine :]))

@@ -174,6 +174,20 @@ class TestSimulate:
         values = np.loadtxt(str(tmp_path / "path_T64.csv"), delimiter=",", skiprows=1)
         assert np.std(values[:, 1]) > 0.1
 
+    @pytest.mark.parametrize("model", ["", "[model]\na = 1.0\nb = 0.5\nphi = 1.3\n"])
+    def test_negative_noise_scale_exits_2(self, tmp_path, model):
+        # with or without a model, a negative scale is refused before any
+        # path is written
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(
+            "[noise]\npreset = smooth\n[transform]\nkind = identity\n" + model
+            + "[grid]\nhorizon = 64\ndt = 0.25\n[experiment]\nnoise_scale = -1\n"
+        )
+        code, _, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "noise_scale must be nonnegative" in err
+        assert not (tmp_path / "path_T64.csv").exists()
+
     @pytest.mark.parametrize(
         "drop, match",
         [("[grid]", "grid"), ("[noise]", "noise"), ("[transform]", "transform")],

@@ -448,7 +448,7 @@ class TestRefine:
         def signal(p):
             c, s = est.trig_design(t, p)
             u = t_ext * np.longdouble(p[0])
-            return c @ a + s @ b, np.cos(u) * a[0] + np.sin(u) * b[0]
+            return est.signal(c, s, a, b), np.cos(u) * a[0] + np.sin(u) * b[0]
 
         m, m_ext = signal(phi)
         r = x - m

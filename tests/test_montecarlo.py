@@ -5,6 +5,8 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +45,36 @@ from oracles import lemma2_oracle
 MODEL = HarmonicModel(((1.0, 0.5, 1.3),))
 IDENTITY = make_transform("identity")
 F_SMOOTH_13 = 0.11717764563958491  # spectral factor of the smooth preset at 1.3
+
+# estimate_harmonics on T = 4096 smooth / identity paths with one and two
+# harmonics, b_m and abs_cov_tail of the rank-2 plug-in noise at m = 3 and 4,
+# and a small report, all printed bit for bit
+_THREAD_PROBE = """
+import numpy as np
+from harmreg import NoiseComponent, NoiseSpec, preset_noise
+from harmreg.asymptotics import abs_cov_tail, b_m
+from harmreg.estimator import estimate_harmonics
+from harmreg.hermite import make_transform
+from harmreg.montecarlo import ExperimentConfig, run_replications
+from harmreg.simulate import HarmonicModel, SamplingGrid, observe
+
+smooth, identity = preset_noise("smooth"), make_transform("identity")
+two = HarmonicModel(((1.0, 0.5, 1.3), (0.6, -0.4, 2.1)))
+grid = SamplingGrid(4096.0, 0.25)
+for model in (HarmonicModel(two.harmonics[:1]), two):
+    for seed in range(20):
+        path = observe(model, smooth, identity, grid, seed)
+        res = estimate_harmonics(path, len(model.harmonics))
+        print(*(float(v).hex() for v in np.ravel(res.model.amplitudes())))
+plug = NoiseSpec((NoiseComponent(0.6, 1.5, 0.0), NoiseComponent(0.4, 0.8, 2.0)))
+for m in (3, 4):
+    print(float(b_m(plug, m)).hex(), float(abs_cov_tail(plug, m, 1024.0)).hex())
+config = ExperimentConfig(
+    noise=smooth, transform=identity, model=two, grids=(grid,),
+    replications=4, master_seed=3,
+)
+print(run_replications(config).to_text())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -271,38 +303,24 @@ class TestRunReplications:
         assert opened == [2]
         assert report.to_text() == run_replications(config).to_text()
 
-    def test_replications_run_on_one_blas_thread(self, base_config, monkeypatch):
-        # threaded BLAS rounds long sums by the thread count, so the serial
-        # loop and every pool worker run at one thread; the caller's count
-        # comes back afterwards
-        calls = montecarlo._openblas()
-        if calls is None:
-            pytest.skip("numpy carries no bundled OpenBLAS")
-        _, get_threads = calls
-        before = get_threads()
-        seen = []
-        replication = montecarlo._replication
-
-        def probe(*args):
-            seen.append(get_threads())
-            return replication(*args)
-
-        monkeypatch.setattr(montecarlo, "_replication", probe)
-        run_replications(base_config)
-        assert seen and set(seen) == {1}
-        assert get_threads() == before
-        with concurrent.futures.ProcessPoolExecutor(
-            1, initializer=montecarlo._set_blas_threads, initargs=(1,)
-        ) as pool:
-            # the worker's count before this call is the initializer's
-            assert pool.submit(montecarlo._set_blas_threads, 1).result() == 1
-
-    def test_blas_pin_is_a_no_op_without_openblas(
-        self, base_config, base_report, monkeypatch
-    ):
-        monkeypatch.setattr(montecarlo, "_openblas", lambda: None)
-        assert montecarlo._set_blas_threads(1) is None
-        assert run_replications(base_config).to_text() == base_report.to_text()
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # threaded BLAS splits a long sum into pieces by its thread count;
+        # the estimator, the |B|^m integrals and the harness sum without it,
+        # so a child process gives the same bits at 1 and 2 BLAS threads
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": n},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for n in ("1", "2")
+        ]
+        assert outputs[0].count("\n") > 40
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "overrides, error",
@@ -440,6 +458,13 @@ class TestReportLogic:
         cover = rep.coverage(0, 0, level)
         band = 3.0 * math.sqrt(level * (1.0 - level) / 2000.0)
         assert np.all(np.abs(cover - level) <= band)
+
+    @pytest.mark.parametrize("level", [0.8, 0.975])
+    def test_coverage_rejects_untabulated_level(self, base_config, level):
+        samples = np.zeros((4, 3, 1))
+        rep = _report(base_config, (_grid_result(64.0, samples),), (np.eye(3),))
+        with pytest.raises(ValidationError, match=r"COVERAGE_LEVELS \(0\.9, 0\.95, 0\.99\)"):
+            rep.coverage(0, 0, level)
 
 
 class TestReportText:
