@@ -47,7 +47,6 @@ from .errors import (
 )
 from .estimator import (
     EstimationResult,
-    SeparationPolicy,
     amplitudes_given_frequencies,
     detect_frequencies,
     estimate_harmonics,

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: simulate, estimate, asymptotics, montecarlo, moments.
-Global flags --seed, --out, --workers attach to every subcommand. Exit
-codes: 0 success, 2 validation error, 3 experiment failure.
+Each takes only the flags it reads: --out (output directory) on all but
+moments, --seed (master seed override) on simulate and montecarlo, and
+--workers on montecarlo. Exit codes: 0 success, 2 validation error or
+unknown flag, 3 experiment failure.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ def _cmd_simulate(args) -> int:
     master = args.seed if args.seed is not None else exp.get("master_seed", 0)
     allow = exp.get("allow_a4_violation", False)
     scale = exp.get("noise_scale", 1.0)
-    if scale < 0.0:
-        # observe checks this too, but the noise-only branch does not call it
+    if not scale >= 0.0:
+        # observe checks this too (NaN included), but the noise-only branch
+        # does not call it
         raise ValidationError("noise_scale must be nonnegative")
     for gi, grid in enumerate(grids):
         seed = np.random.SeedSequence(entropy=master, spawn_key=(gi, 0))
@@ -214,12 +217,11 @@ def _cmd_moments(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help="master seed override")
-    shared.add_argument("--out", default=None, help="output directory")
-    shared.add_argument("--workers", type=int, default=1,
-                        help="worker processes for replications")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="master seed override")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="harmreg",
@@ -228,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[shared],
+    p = sub.add_parser("simulate", parents=[seed, out],
                        help="draw sample paths from a config")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("estimate", parents=[shared],
+    p = sub.add_parser("estimate", parents=[out],
                        help="estimate harmonics from a path CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--n-harmonics", type=int, required=True)
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model config for normalized errors")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("asymptotics", parents=[shared],
+    p = sub.add_parser("asymptotics", parents=[out],
                        help="limit covariance blocks for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--noise", required=True)
@@ -251,12 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=int, default=DEFAULT_J_MAX)
     p.set_defaults(func=_cmd_asymptotics)
 
-    p = sub.add_parser("montecarlo", parents=[shared],
+    p = sub.add_parser("montecarlo", parents=[seed, out],
                        help="replication experiment from a config")
     p.add_argument("--config", required=True)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for replications")
     p.set_defaults(func=_cmd_montecarlo)
 
-    p = sub.add_parser("moments", parents=[shared],
+    p = sub.add_parser("moments",
                        help="Hermite product moment and diagram census")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_moments)

@@ -9,11 +9,13 @@ a block where noted (``row`` in ``[correlation]``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
 from .hermite import TransformSpec, make_transform
-from .simulate import DEFAULT_BAND, DEFAULT_DT, HarmonicModel, SamplingGrid
+from .simulate import DEFAULT_BAND, DEFAULT_DT, HarmonicModel, SamplingGrid, _load_csv
 from .spectral import NoiseComponent, NoiseSpec, preset_noise
 
 _BLOCK_KEYS = {
@@ -25,7 +27,6 @@ _BLOCK_KEYS = {
     "experiment": {
         "replications",
         "master_seed",
-        "gamma_mode",
         "j_max",
         "noise_scale",
         "allow_a4_violation",
@@ -67,9 +68,12 @@ def parse_blocks(text: str):
 
 def _as_float(value: str, context: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise ValidationError(f"{context}: not a number: {value!r}")
+    if not math.isfinite(out):
+        raise ValidationError(f"{context}: not a finite number: {value!r}")
+    return out
 
 
 def _as_int(value: str, context: str) -> int:
@@ -149,16 +153,17 @@ def load_transform(blocks) -> TransformSpec | None:
 
 
 def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column (x, g) CSV, header row optional."""
+    """Two-column (x, g) CSV, header row optional: a first row with a cell
+    that does not parse as a number is the header."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
-        skip = 0
         try:
-            _as_floats(first, "table")
-        except ValidationError:
+            [float(p) for p in first.split(",") if p.strip()]
+            skip = 0
+        except ValueError:
             skip = 1
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        data = _load_csv(path, skip)
     except OSError as exc:
         raise ValidationError(f"cannot read table file {path!r}: {exc}")
     if data.shape[1] != 2:
@@ -223,8 +228,6 @@ def load_experiment(blocks) -> dict:
             out["replications"] = _as_int(d["replications"], "replications")
         if "master_seed" in d:
             out["master_seed"] = _as_int(d["master_seed"], "master_seed")
-        if "gamma_mode" in d:
-            out["gamma_mode"] = d["gamma_mode"]
         if "j_max" in d:
             out["j_max"] = _as_int(d["j_max"], "j_max")
         if "noise_scale" in d:
@@ -270,23 +273,3 @@ def read_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_blocks(fh.read())
 
-
-def format_model(model: HarmonicModel) -> str:
-    lines = ["[band]", f"low = {model.band[0]:.17g}", f"high = {model.band[1]:.17g}"]
-    for a, b, phi in model.harmonics:
-        lines += ["", "[model]", f"a = {a:.17g}", f"b = {b:.17g}", f"phi = {phi:.17g}"]
-    return "\n".join(lines) + "\n"
-
-
-def format_noise(spec: NoiseSpec) -> str:
-    lines = []
-    for comp in spec.components:
-        lines += [
-            "[noise]",
-            f"d = {comp.weight:.17g}",
-            f"alpha = {comp.alpha:.17g}",
-            f"kappa = {comp.kappa:.17g}",
-            f"rho = {comp.rho:.17g}",
-            "",
-        ]
-    return "\n".join(lines[:-1]) + "\n"

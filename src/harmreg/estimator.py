@@ -1,6 +1,6 @@
 """Least-squares estimation of hidden harmonics.
 
-Pipeline: periodogram peak detection under a frequency-separation policy,
+Pipeline: periodogram peak detection under a frequency-separation rule,
 each peak moved to the vertex of a three-point parabola, amplitude normal
 equations at the detected frequencies, then Newton refinement with a
 Levenberg-Marquardt safeguard of the quadratic objective over all 3N
@@ -41,26 +41,10 @@ _MU_SHRINK = 0.1
 _MU_MAX = 1e12
 
 
-@dataclass(frozen=True)
-class SeparationPolicy:
-    """Minimum spacing rules for admissible frequency vectors.
-
-    min_gap(T) separates consecutive frequencies, min_first(T) bounds the
-    smallest one away from zero; both default to c / sqrt(T) so that
-    T * gap grows without bound.
-    """
-
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValidationError("separation constant must be positive")
-
-    def min_gap(self, horizon: float) -> float:
-        return self.c / math.sqrt(horizon)
-
-    def min_first(self, horizon: float) -> float:
-        return self.c / math.sqrt(horizon)
+def min_gap(horizon: float) -> float:
+    """1 / sqrt(T): the least spacing of admissible frequencies, and the
+    least first frequency, so that T * min_gap(T) grows without bound."""
+    return 1.0 / math.sqrt(horizon)
 
 
 @dataclass
@@ -73,19 +57,6 @@ class EstimationResult:
     converged: bool
     grid_resolution: float
     normalized_errors: np.ndarray | None = None
-
-    def d_normalizers(self) -> np.ndarray:
-        """Per-harmonic (d_A, d_B, d_phi) = (sqrt(T/2), sqrt(T/2),
-        sqrt(C^2 T^3 / 6)) rows, matching the limit-law scaling."""
-        a, b, _ = self.model.amplitudes()
-        t3 = self.horizon ** 3
-        d_ab = math.sqrt(self.horizon / 2.0)
-        d_phi = np.sqrt((a * a + b * b) * t3 / 6.0)
-        out = np.empty((len(a), 3))
-        out[:, 0] = d_ab
-        out[:, 1] = d_ab
-        out[:, 2] = d_phi
-        return out
 
 
 def normalized_errors(
@@ -178,7 +149,6 @@ def detect_frequencies(
     path: SamplePath,
     n_harmonics: int,
     band=DEFAULT_BAND,
-    policy: SeparationPolicy | None = None,
 ) -> np.ndarray:
     """Iterative periodogram peak-picking with separation constraints.
 
@@ -198,8 +168,7 @@ def detect_frequencies(
         raise NyquistError(
             f"band upper edge {band[1]} reaches Nyquist {path.grid.nyquist:.4f}"
         )
-    policy = policy or SeparationPolicy()
-    horizon = path.grid.horizon
+    gap = min_gap(path.grid.horizon)
     freqs, vals = periodogram_grid(path, band)
     if len(freqs) < 2:
         raise ValidationError(
@@ -208,7 +177,7 @@ def detect_frequencies(
             "need at least two"
         )
     spacing = freqs[1] - freqs[0]
-    admissible = freqs >= max(band[0], policy.min_first(horizon))
+    admissible = freqs >= max(band[0], gap)
     if not np.any(admissible):
         raise InsufficientPeaksError("no admissible grid frequencies in band")
     floor = NOISE_FLOOR_FACTOR * float(np.median(vals))
@@ -238,7 +207,7 @@ def detect_frequencies(
             if curv < 0.0 and mid >= max(left, right):
                 pick += 0.5 * (left - right) / curv * spacing
         picks.append(pick)
-        admissible &= np.abs(freqs - pick) >= policy.min_gap(horizon)
+        admissible &= np.abs(freqs - pick) >= gap
     return np.sort(np.asarray(picks))
 
 
@@ -272,11 +241,11 @@ def amplitudes_given_frequencies(
     return sol[:nh], sol[nh:]
 
 
-def _project_frequencies(phi, band, policy, horizon) -> np.ndarray:
-    gap = policy.min_gap(horizon)
+def _project_frequencies(phi, band, horizon) -> np.ndarray:
+    gap = min_gap(horizon)
     eps = 1e-9 * (band[1] - band[0])
     out = np.sort(phi)
-    lo = max(band[0] + eps, policy.min_first(horizon))
+    lo = max(band[0] + eps, gap)
     for j in range(len(out)):
         out[j] = max(out[j], lo)
         lo = out[j] + gap
@@ -322,7 +291,6 @@ def refine(
     b0,
     phi0,
     band=DEFAULT_BAND,
-    policy: SeparationPolicy | None = None,
     design=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
     """Newton's method with a Levenberg-Marquardt safeguard on the
@@ -336,18 +304,17 @@ def refine(
     T so all entries share the amplitude scale); the step computed at the
     first point below GRAD_TOL is still taken unless it is uphill, and the
     iteration stops there. Frequencies are projected to respect the band
-    and the separation policy. Every step counts as an iteration. design,
+    and min_gap. Every step counts as an iteration. design,
     when given, is the trigonometric design (cos, sin) at phi0, each of
     shape (N, n), used if the projection leaves phi0 unchanged. Returns (a,
     b, phi, objective, iterations, converged)."""
-    policy = policy or SeparationPolicy()
     x = path.values
     t = path.grid.times()
     horizon = path.grid.horizon
     a = np.asarray(a0, dtype=float).copy()
     b = np.asarray(b0, dtype=float).copy()
     phi0 = np.asarray(phi0, dtype=float)
-    phi = _project_frequencies(phi0, band, policy, horizon)
+    phi = _project_frequencies(phi0, band, horizon)
     nh = len(a)
     scale = np.concatenate([np.ones(2 * nh), np.full(nh, horizon)])
     w = path.grid.dt / horizon
@@ -383,7 +350,7 @@ def refine(
             if chol is not None:
                 step = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad / col)) / col
                 ca, cb = a + step[:nh], b + step[nh:2 * nh]
-                cphi = _project_frequencies(phi + step[2 * nh:], band, policy, horizon)
+                cphi = _project_frequencies(phi + step[2 * nh:], band, horizon)
                 c1, s1 = trig_design(t, cphi)
                 m1 = signal(c1, s1, ca, cb)
                 dq, err = _objective_change(
@@ -408,7 +375,6 @@ def estimate_harmonics(
     path: SamplePath,
     n_harmonics: int,
     band=DEFAULT_BAND,
-    policy: SeparationPolicy | None = None,
     truth: HarmonicModel | None = None,
 ) -> EstimationResult:
     """Full pipeline: detect frequencies, solve amplitudes, refine.
@@ -417,15 +383,14 @@ def estimate_harmonics(
     When the true model is supplied the result carries the normalized
     errors (sqrt(T) for amplitudes, T^{3/2} for frequencies).
     """
-    policy = policy or SeparationPolicy()
-    phis = detect_frequencies(path, n_harmonics, band, policy)
+    phis = detect_frequencies(path, n_harmonics, band)
     # one design at the detected frequencies serves the amplitude solve,
     # the initial objective and refine's starting point
     design = trig_design(path.grid.times(), phis)
     a0, b0 = amplitudes_given_frequencies(path, phis, design)
     horizon = path.grid.horizon
     q0 = _objective_raw(path, design, a0, b0)
-    a, b, phi, q, it, conv = refine(path, a0, b0, phis, band, policy, design)
+    a, b, phi, q, it, conv = refine(path, a0, b0, phis, band, design)
     model = HarmonicModel(tuple(zip(a, b, phi)), band=tuple(band))
     res = EstimationResult(
         model=model,

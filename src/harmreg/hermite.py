@@ -158,11 +158,11 @@ def _table_coefficients(xs, gs, k_max: int) -> tuple[np.ndarray, float, float]:
     return coeffs, shift, eg2 - shift * shift
 
 
-def hermite_rank(coeffs, tol: float = RANK_TOL) -> int:
-    """Smallest k >= 1 with |C_k|/sqrt(k!) above tolerance."""
+def hermite_rank(coeffs) -> int:
+    """Smallest k >= 1 with |C_k|/sqrt(k!) above RANK_TOL."""
     coeffs = np.asarray(coeffs, dtype=float)
     for k in range(1, len(coeffs)):
-        if abs(coeffs[k]) / math.sqrt(math.factorial(k)) > tol:
+        if abs(coeffs[k]) / math.sqrt(math.factorial(k)) > RANK_TOL:
             return k
     raise DegenerateTransformError("all Hermite coefficients below rank tolerance")
 
@@ -247,10 +247,6 @@ class TransformSpec:
             xs, gs = self._table
             return np.interp(np.asarray(x, dtype=float), xs, gs)
         raise ValidationError(f"unknown transform kind {self.kind!r}")
-
-    def tail_coefficient_mass(self) -> float:
-        """sum_{k > K_max} C_k^2 / k!, from the Parseval gap."""
-        return self.parseval_gap
 
 
 def _coefficient_mass(coeffs) -> float:

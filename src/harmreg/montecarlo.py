@@ -62,7 +62,6 @@ class ExperimentConfig:
     grids: tuple[SamplingGrid, ...]
     replications: int
     master_seed: int
-    gamma_mode: str = "derived"
     j_max: int = asymptotics.DEFAULT_J_MAX
     noise_scale: float = 1.0
     allow_a4_violation: bool = False
@@ -78,10 +77,8 @@ class ExperimentConfig:
                     f"band {self.model.band} reaches Nyquist of grid "
                     f"T={grid.horizon}, dt={grid.dt}"
                 )
-        if self.gamma_mode not in asymptotics.MODES:
-            raise ValidationError(f"gamma_mode must be one of {asymptotics.MODES}")
-        if self.noise_scale < 0.0:
-            raise ValidationError("noise_scale must be nonnegative")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValidationError("noise_scale must be nonnegative and finite")
         if (
             not self.allow_a4_violation
             and self.noise.alpha_min * self.transform.rank <= 1.0
@@ -214,7 +211,6 @@ class MonteCarloReport:
         lines = ["[report]"]
         lines.append(f"replications = {self.config.replications}")
         lines.append(f"master_seed = {self.config.master_seed}")
-        lines.append(f"gamma_mode = {self.config.gamma_mode}")
         lines.append(f"j_max = {self.config.j_max}")
         nh = len(self.config.model.harmonics)
         for k in range(nh):

@@ -34,8 +34,8 @@ class SamplingGrid:
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
-        if self.horizon <= 0.0 or self.dt <= 0.0:
-            raise ValidationError("grid horizon and step must be positive")
+        if not (0.0 < self.horizon < math.inf and 0.0 < self.dt < math.inf):
+            raise ValidationError("grid horizon and step must be positive and finite")
         n = round(self.horizon / self.dt)
         if n < 2 or abs(n * self.dt - self.horizon) > 1e-12 * max(1.0, self.horizon):
             raise ValidationError(
@@ -78,6 +78,8 @@ class HarmonicModel:
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValidationError(f"frequencies must be strictly increasing, got {freqs}")
         for a, b, p in harm:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValidationError(f"non-finite amplitude at frequency {p}")
             if a * a + b * b <= 0.0:
                 raise ValidationError(f"zero amplitude at frequency {p}")
             if not lo < p < hi:
@@ -124,7 +126,7 @@ class SamplePath:
         names = header.split(",")
         if names[:2] != ["t", "x"]:
             raise ValidationError(f"path CSV must start with header 't,x', got {header!r}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = _load_csv(path, skiprows=1)
         t = data[:, 0]
         if len(t) < 2:
             raise ValidationError("path CSV needs at least two rows")
@@ -140,6 +142,18 @@ class SamplePath:
         if "noise" in names:
             noise = data[:, names.index("noise")]
         return cls(grid=grid, values=data[:, 1], signal=signal, noise=noise)
+
+
+def _load_csv(path, skiprows: int) -> np.ndarray:
+    """The cells of a numeric CSV file as a 2-D array; ValidationError on a
+    cell that does not parse as a number or is not finite."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: holds a value that is not finite")
+    return data
 
 
 def _embedding_eigenvalues(
@@ -322,8 +336,8 @@ def observe(
     noise_scale=0 produces a noiseless path without drawing the Gaussian
     process at all.
     """
-    if noise_scale < 0.0:
-        raise ValidationError("noise_scale must be nonnegative")
+    if not 0.0 <= noise_scale < math.inf:
+        raise ValidationError("noise_scale must be nonnegative and finite")
     if spec.alpha_min * transform.rank <= 1.0:
         msg = (
             f"alpha_min * rank = {spec.alpha_min} * {transform.rank} <= 1: "

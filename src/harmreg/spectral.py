@@ -37,6 +37,9 @@ _T_CAP = 131072.0  # largest tail split point
 # of B^k carry total weight 1, so each line's transform gets about 0.5e-7
 _TAIL_TARGET = 0.5e-7 / math.pi
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_BESSEL_STEP = 0.04  # trapezoid step of bessel_k in u = log s
+# a piece of spectral_integral whose error estimate exceeds this raises
+_INTEGRAL_TOL = 1e-6
 _CHUNK_PANELS = 2048  # with the double-width rule: 49152 nodes per chunk
 _NODE_CACHE_CHUNKS = 32  # chunks of nodes, weights and B kept across calls
 _GRADE_START = 2.0**-30  # right edge of the first graded panel at t = 0
@@ -60,7 +63,7 @@ def c2(alpha: float) -> float:
     return 1.0 / (2.0 * math.gamma(alpha) * math.cos(alpha * math.pi / 2.0))
 
 
-def bessel_k(nu: float, z: float, step: float = 0.04) -> float:
+def bessel_k(nu: float, z: float) -> float:
     """Modified Bessel function of the third kind K_nu(z).
 
     Evaluates the integral representation
@@ -68,15 +71,14 @@ def bessel_k(nu: float, z: float, step: float = 0.04) -> float:
         K_nu(z) = 1/2 * int_0^inf s^(nu-1) exp(-z (s + 1/s) / 2) ds
 
     after the substitution s = e^u, which turns it into a doubly
-    exponentially decaying integrand handled by the trapezoid rule
-    (the tanh-sinh strategy). Accurate to better than 1e-10 relative
-    for z in [1e-6, 30] and |nu| <= 50.
+    exponentially decaying integrand handled by the trapezoid rule with
+    step 0.04 in u (the tanh-sinh strategy). Accurate to better than 1e-10
+    relative for z in [1e-6, 30] and |nu| <= 50.
 
     Parameters
     ----------
     nu : real order; K is even in nu.
     z : positive argument.
-    step : trapezoid step in the u variable.
 
     Raises
     ------
@@ -99,7 +101,7 @@ def bessel_k(nu: float, z: float, step: float = 0.04) -> float:
         hi += 1.0
     while expo(lo) > top - 80.0:
         lo -= 1.0
-    n = max(int(math.ceil((hi - lo) / step)), 8)
+    n = max(int(math.ceil((hi - lo) / _BESSEL_STEP)), 8)
     u = np.linspace(lo, hi, n + 1)
     ex = nu * u - z * np.cosh(u)
     m = float(ex.max())
@@ -120,12 +122,13 @@ class NoiseComponent:
     rho: float = 2.0
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise ValidationError(f"component weight must be >= 0, got {self.weight}")
-        if self.alpha <= 0.0:
-            raise ValidationError(f"component alpha must be > 0, got {self.alpha}")
-        if self.kappa < 0.0:
-            raise ValidationError(f"component kappa must be >= 0, got {self.kappa}")
+        # the chained comparisons are false for NaN and refuse infinity
+        if not 0.0 <= self.weight < math.inf:
+            raise ValidationError(f"component weight must be finite and >= 0, got {self.weight}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValidationError(f"component alpha must be finite and > 0, got {self.alpha}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValidationError(f"component kappa must be finite and >= 0, got {self.kappa}")
         if not 0.0 < self.rho <= 2.0:
             raise ValidationError(f"component rho must lie in (0, 2], got {self.rho}")
 
@@ -702,7 +705,7 @@ def _gated(total: float, err: float, tol: float, what: str) -> float:
     return total
 
 
-def _panel(f, a: float, b: float, sev_a=None, sev_b=None, tol: float = 1e-6) -> float:
+def _panel(f, a: float, b: float, sev_a=None, sev_b=None) -> float:
     """Integrate f on [a, b] where either endpoint may carry an integrable
     power-law singularity f ~ C |x - end|^(sev - 1), 0 < sev <= 1.
 
@@ -717,7 +720,7 @@ def _panel(f, a: float, b: float, sev_a=None, sev_b=None, tol: float = 1e-6) -> 
     Raises
     ------
     QuadratureError : the difference to the rule on every other edge
-        exceeds tol (relative above 1).
+        exceeds 1e-6 (relative above 1).
     """
     if b <= a:
         return 0.0
@@ -739,10 +742,10 @@ def _panel(f, a: float, b: float, sev_a=None, sev_b=None, tol: float = 1e-6) -> 
         value, diff = _gauss_legendre(g, edges)
         total += value
         err += diff
-    return _gated(total, err, tol, f"integral over [{a:.6g}, {b:.6g}]")
+    return _gated(total, err, _INTEGRAL_TOL, f"integral over [{a:.6g}, {b:.6g}]")
 
 
-def _upper_tail(f, lo: float, tol: float = 1e-6) -> float:
+def _upper_tail(f, lo: float) -> float:
     """Integrate f on [lo, inf) for f decaying faster than 1/x,
     algebraically or exponentially.
 
@@ -754,12 +757,12 @@ def _upper_tail(f, lo: float, tol: float = 1e-6) -> float:
 
     Raises
     ------
-    QuadratureError : the error estimate exceeds tol (relative above 1).
+    QuadratureError : the error estimate exceeds 1e-6 (relative above 1).
     """
-    return _panel(lambda u: f(lo + u / (1.0 - u)) / (1.0 - u) ** 2, 0.0, 1.0, tol=tol)
+    return _panel(lambda u: f(lo + u / (1.0 - u)) / (1.0 - u) ** 2, 0.0, 1.0)
 
 
-def spectral_integral(spec: NoiseSpec, tol: float = 1e-6) -> float:
+def spectral_integral(spec: NoiseSpec) -> float:
     """Integral of f over the real line by singularity-aware quadrature.
 
     Splits the domain at the carriers, grades the Gauss-Legendre panels of
@@ -769,7 +772,7 @@ def spectral_integral(spec: NoiseSpec, tol: float = 1e-6) -> float:
 
     Raises
     ------
-    QuadratureError : some piece's error estimate exceeds tol.
+    QuadratureError : some piece's error estimate exceeds 1e-6.
     """
     sing = {freq: sev for freq, sev in singular_points(spec) if freq >= 0.0}
     knots = sorted({0.0, *(c.kappa for c in spec.components)})
@@ -778,7 +781,7 @@ def spectral_integral(spec: NoiseSpec, tol: float = 1e-6) -> float:
     total = 0.0
     f = lambda x: spectral_density(spec, x)
     for a, b in zip(knots, knots[1:]):
-        total += _panel(f, a, b, sing.get(a), sing.get(b), tol=tol)
-    total += _upper_tail(f, hi, tol=tol)
+        total += _panel(f, a, b, sing.get(a), sing.get(b))
+    total += _upper_tail(f, hi)
     # f is even: double the [0, inf) part
     return 2.0 * total

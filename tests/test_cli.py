@@ -189,6 +189,25 @@ class TestSimulate:
         assert not (tmp_path / "path_T64.csv").exists()
 
     @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("horizon = 64", "horizon = nan"),
+            ("horizon = 64", "horizon = inf"),
+            ("dt = 0.25", "dt = nan"),
+            ("preset = smooth", "d = 1\nalpha = nan"),
+            ("master_seed = 7", "master_seed = 7\nnoise_scale = nan"),
+        ],
+        ids=["horizon-nan", "horizon-inf", "dt-nan", "alpha-nan", "noise_scale-nan"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, old, new):
+        cfg = tmp_path / "non_finite.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace(old, new))
+        code, _, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "not a finite number" in err
+        assert not (tmp_path / "path_T64.csv").exists()
+
+    @pytest.mark.parametrize(
         "drop, match",
         [("[grid]", "grid"), ("[noise]", "noise"), ("[transform]", "transform")],
     )
@@ -268,6 +287,22 @@ class TestEstimate:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("cell", ["1.0x", "nan", "-inf"])
+    def test_bad_cell_exits_2(self, path_csv, tmp_path, cell):
+        # an uncaught error would raise out of main here; the CLI must
+        # report the bad cell and exit 2 instead of printing estimates
+        with open(path_csv) as fh:
+            lines = fh.read().splitlines()
+        t, _, *rest = lines[10].split(",")
+        lines[10] = ",".join([t, cell, *rest])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = _run(["estimate", "--input", str(bad), "--n-harmonics", "1"])
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestAsymptotics:
@@ -413,3 +448,25 @@ class TestMoments:
         code, _, err = _run(["moments", "--config", str(cfg)])
         assert code == 2
         assert "correlation" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "run.cfg", "--workers", "2"],
+        ["estimate", "--input", "path.csv", "--n-harmonics", "1", "--seed", "1"],
+        ["estimate", "--input", "path.csv", "--n-harmonics", "1", "--workers", "9"],
+        ["asymptotics", "--model", "m.cfg", "--noise", "n.cfg", "--transform", "t.cfg",
+         "--seed", "1"],
+        ["asymptotics", "--model", "m.cfg", "--noise", "n.cfg", "--transform", "t.cfg",
+         "--workers", "2"],
+        ["moments", "--config", "run.cfg", "--seed", "4"],
+        ["moments", "--config", "run.cfg", "--workers", "2"],
+        ["moments", "--config", "run.cfg", "--out", "out"],
+    ],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

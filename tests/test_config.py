@@ -1,10 +1,13 @@
 """Config parsing, loaders, and round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from harmreg import config
 from harmreg.errors import ValidationError
+from harmreg.montecarlo import ExperimentConfig
 from harmreg.simulate import DEFAULT_BAND, DEFAULT_DT, HarmonicModel
 from harmreg.spectral import NoiseComponent, NoiseSpec, preset_noise
 
@@ -42,7 +45,6 @@ horizon = 1024
 [experiment]
 replications = 8
 master_seed = 42
-gamma_mode = derived
 j_max = 6
 noise_scale = 0.5
 allow_a4_violation = true
@@ -183,6 +185,24 @@ def test_read_table_without_header(tmp_path):
     assert np.array_equal(xs, [-1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,g\n-1.0,1.0\n0.0,zero\n1.0,1.0\n",
+        "x,g\n-1.0,1.0\n0.0,nan\n1.0,1.0\n",
+        "x,g\n-1.0,1.0\n0.0,0.0\ninf,1.0\n",
+        # a first row of numbers is data, not a header to skip
+        "nan,1.0\n0.0,0.0\n1.0,1.0\n",
+    ],
+    ids=["word", "nan", "inf", "nan-first-row"],
+)
+def test_read_table_rejects_bad_cells(tmp_path, text):
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        config.read_table(str(path))
+
+
 def test_read_table_missing_file(tmp_path):
     with pytest.raises(ValidationError, match="cannot read table file"):
         config.read_table(str(tmp_path / "absent.csv"))
@@ -242,11 +262,23 @@ def test_load_experiment_full():
     assert out == {
         "replications": 8,
         "master_seed": 42,
-        "gamma_mode": "derived",
         "j_max": 6,
         "noise_scale": 0.5,
         "allow_a4_violation": True,
     }
+
+
+def test_experiment_keys_are_the_config_fields():
+    # every [experiment] key reaches an ExperimentConfig field, and every
+    # scalar field has a key
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert config._BLOCK_KEYS["experiment"] == fields - {"noise", "transform", "model", "grids"}
+
+
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf"])
+def test_non_finite_number_rejected(raw):
+    with pytest.raises(ValidationError, match="not a finite number"):
+        config.load_grids(config.parse_blocks(f"[grid]\nhorizon = {raw}\n"))
 
 
 def test_load_experiment_absent():
@@ -305,13 +337,3 @@ def test_read_file(tmp_path):
     blocks = config.read_file(str(path))
     assert config.load_model(blocks).band == (0.1, 3.0)
 
-
-def test_format_model_round_trip():
-    model = HarmonicModel(((1.0, 0.5, 1.3), (0.25, -0.75, 2.1)), band=(0.05, 2.9))
-    text = config.format_model(model)
-    assert config.load_model(config.parse_blocks(text)) == model
-
-
-def test_format_noise_round_trip(mixed):
-    text = config.format_noise(mixed)
-    assert config.load_noise(config.parse_blocks(text)) == mixed

@@ -39,20 +39,15 @@ def _sinc(x: float) -> float:
 
 
 class TestSeparationPolicy:
+    """The separation rule min_gap(T) = 1 / sqrt(T)."""
+
     def test_defaults(self):
-        policy = est.SeparationPolicy()
-        assert policy.min_gap(256.0) == 1.0 / 16.0
-        assert policy.min_first(256.0) == 1.0 / 16.0
+        assert est.min_gap(256.0) == 1.0 / 16.0
 
     def test_t_times_gap_grows(self):
-        policy = est.SeparationPolicy()
         horizons = [64.0, 256.0, 1024.0, 4096.0]
-        scaled = [t * policy.min_gap(t) for t in horizons]
+        scaled = [t * est.min_gap(t) for t in horizons]
         assert all(b > a for a, b in zip(scaled, scaled[1:]))
-
-    def test_rejects_nonpositive_constant(self):
-        with pytest.raises(ValidationError):
-            est.SeparationPolicy(c=0.0)
 
 
 class TestObjective:
@@ -204,7 +199,7 @@ class TestDetectFrequencies:
         # so its admissible argmax lies on the edge of the first pick's
         # exclusion window, next to a larger masked value; the pick keeps
         # that grid point rather than follow the parabola into the window
-        gap = est.SeparationPolicy().min_gap(GRID.horizon)
+        gap = est.min_gap(GRID.horizon)
         model = HarmonicModel(((1.0, 0.0, 1.3), (0.1, 0.0, 1.3 + gap)))
         phis = est.detect_frequencies(_noiseless(model), 2)
         assert phis[1] - phis[0] >= gap
@@ -463,12 +458,9 @@ class TestRefine:
             assert abs(dq - float(dq_ext)) <= err
 
     def test_projection_respects_band_and_gap(self):
-        policy = est.SeparationPolicy()
-        out = est._project_frequencies(
-            np.array([0.05, 0.06]), (0.1, 3.0), policy, GRID.horizon
-        )
+        out = est._project_frequencies(np.array([0.05, 0.06]), (0.1, 3.0), GRID.horizon)
         assert out[0] >= 0.1
-        assert out[1] - out[0] >= policy.min_gap(GRID.horizon) * (1.0 - 1e-12)
+        assert out[1] - out[0] >= est.min_gap(GRID.horizon) * (1.0 - 1e-12)
 
 
 class TestEstimateHarmonics:
@@ -505,15 +497,6 @@ class TestEstimateHarmonics:
         a1, b1, p1 = res1.model.amplitudes()
         assert abs(p0[0] - p1[0]) < 1e-8
         assert abs((a0[0] ** 2 + b0[0] ** 2) - (a1[0] ** 2 + b1[0] ** 2)) < 1e-8
-
-    def test_d_normalizers(self):
-        res = est.estimate_harmonics(_noiseless(), 1)
-        d = res.d_normalizers()
-        assert d.shape == (1, 3)
-        assert math.isclose(d[0, 0], math.sqrt(GRID.horizon / 2.0), rel_tol=1e-12)
-        a, b, _ = res.model.amplitudes()
-        expect = math.sqrt((a[0] ** 2 + b[0] ** 2) * GRID.horizon ** 3 / 6.0)
-        assert math.isclose(d[0, 2], expect, rel_tol=1e-12)
 
 
 class TestNormalizedErrors:

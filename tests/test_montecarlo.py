@@ -154,7 +154,6 @@ def _report(config, results, gamma_derived, gamma_printed=None):
 
 class TestExperimentConfig:
     def test_defaults(self, base_config):
-        assert base_config.gamma_mode == "derived"
         assert base_config.j_max == 20
         assert base_config.noise_scale == 1.0
         assert not base_config.allow_a4_violation
@@ -164,7 +163,7 @@ class TestExperimentConfig:
         [
             ({"replications": 1}, "at least 2"),
             ({"grids": ()}, "schedule is empty"),
-            ({"gamma_mode": "verbatim"}, "gamma_mode"),
+            ({"noise_scale": math.nan}, "nonnegative"),
             ({"noise_scale": -0.5}, "nonnegative"),
         ],
     )

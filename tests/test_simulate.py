@@ -54,6 +54,14 @@ def test_grid_validation():
         SamplingGrid(horizon=0.25, dt=0.25)
 
 
+@pytest.mark.parametrize(
+    "horizon, dt", [(math.nan, 0.25), (math.inf, 0.25), (64.0, math.nan), (64.0, math.inf)]
+)
+def test_grid_rejects_non_finite(horizon, dt):
+    with pytest.raises(ValidationError, match="finite"):
+        SamplingGrid(horizon=horizon, dt=dt)
+
+
 # ---------------------------------------------------------------------------
 # harmonic models
 
@@ -78,6 +86,14 @@ def test_model_validation():
         HarmonicModel(harmonics=((1.0, 0.0, 1.0),), band=(2.0, 1.0))
     with pytest.raises(ValidationError):
         HarmonicModel(harmonics=((1.0, 0.0, 1.0),), band=(-0.5, 3.0))
+
+
+@pytest.mark.parametrize(
+    "a, b", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, -math.inf)]
+)
+def test_model_rejects_non_finite_amplitudes(a, b):
+    with pytest.raises(ValidationError, match="non-finite amplitude"):
+        HarmonicModel(harmonics=((a, b, 1.0),))
 
 
 def test_signal_values():
@@ -140,6 +156,14 @@ def test_from_csv_validation(tmp_path):
     with pytest.raises(ValidationError):
         SamplePath.from_csv(bad)
     bad.write_text("t,x\n1.0,1.0\n1.25,2.0\n")
+    with pytest.raises(ValidationError):
+        SamplePath.from_csv(bad)
+
+
+@pytest.mark.parametrize("cell", ["two", "nan", "inf"])
+def test_from_csv_rejects_bad_cells(tmp_path, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"t,x\n0.0,1.0\n0.25,{cell}\n0.5,3.0\n")
     with pytest.raises(ValidationError):
         SamplePath.from_csv(bad)
 
@@ -406,6 +430,12 @@ def test_observe_noise_scale(smooth):
     assert np.array_equal(silent.values, silent.signal)
     with pytest.raises(ValidationError):
         observe(MODEL, smooth, make_transform("identity"), GRID, seed=5, noise_scale=-1.0)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_observe_rejects_non_finite_noise_scale(smooth, scale):
+    with pytest.raises(ValidationError, match="noise_scale"):
+        observe(MODEL, smooth, make_transform("identity"), GRID, seed=5, noise_scale=scale)
 
 
 def test_observe_rank_compatibility_guard():

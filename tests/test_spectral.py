@@ -94,6 +94,22 @@ def test_component_validation():
         NoiseComponent(1.0, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (math.nan, 1.0, 0.0),
+        (math.inf, 1.0, 0.0),
+        (1.0, math.nan, 0.0),
+        (1.0, math.inf, 0.0),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+    ],
+)
+def test_component_rejects_non_finite(fields):
+    with pytest.raises(ValidationError, match="finite"):
+        NoiseComponent(*fields)
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         NoiseSpec(())
