@@ -216,9 +216,16 @@ def _cmd_moments(args) -> int:
     return 0
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        return cfg.as_seed(text, "master seed")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None,
+    seed.add_argument("--seed", type=_seed_flag, default=None,
                       help="master seed override")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output directory")

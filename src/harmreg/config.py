@@ -83,6 +83,14 @@ def _as_int(value: str, context: str) -> int:
         raise ValidationError(f"{context}: not an integer: {value!r}")
 
 
+def as_seed(value: str, context: str) -> int:
+    """A master seed: an integer >= 0, as numpy's SeedSequence takes."""
+    out = _as_int(value, context)
+    if out < 0:
+        raise ValidationError(f"{context}: must be nonnegative, got {out}")
+    return out
+
+
 def _as_floats(value: str, context: str) -> tuple[float, ...]:
     return tuple(_as_float(p, context) for p in value.split(",") if p.strip())
 
@@ -227,7 +235,7 @@ def load_experiment(blocks) -> dict:
         if "replications" in d:
             out["replications"] = _as_int(d["replications"], "replications")
         if "master_seed" in d:
-            out["master_seed"] = _as_int(d["master_seed"], "master_seed")
+            out["master_seed"] = as_seed(d["master_seed"], "master_seed")
         if "j_max" in d:
             out["j_max"] = _as_int(d["j_max"], "j_max")
         if "noise_scale" in d:

@@ -25,11 +25,16 @@ from .errors import (
     ValidationError,
 )
 from .simulate import DEFAULT_BAND, HarmonicModel, SamplePath
+from .spectral import _workspace
 
 NOISE_FLOOR_FACTOR = 4.0
 GRAD_TOL = 1e-10
 MAX_ITER = 100
 GRAM_COND_LIMIT = 1e8
+
+# zero padding of the periodogram grid: transform length over path length
+_DETECT_PAD = 4  # detect_frequencies; refine does the rest
+_GRID_PAD = 8  # periodogram_grid, and through it eta^2 and Lemma 2
 
 # Levenberg-Marquardt shift on the equilibrated Hessian (unit diagonal of
 # J^T J): its first nonzero value, growth on a failed factorisation or a
@@ -100,13 +105,15 @@ def periodogram(path: SamplePath, lam) -> float | np.ndarray:
     return out if np.ndim(lam) else float(out[0])
 
 
-def _fft_grid(grid) -> tuple[int, float]:
+def _fft_grid(grid, pad: int = _GRID_PAD) -> tuple[int, float]:
     """Zero-padded transform length and its frequency spacing.
 
-    The length is the next power of two above 8n, giving grid spacing at
-    most pi / (4T): four points per resolution cell.
+    The length is the next power of two at or above pad * n, giving grid
+    spacing at most 2 pi / (pad T): pad points per Fourier spacing
+    2 pi / T. That is at most pi / (4T) for periodogram_grid (pad 8) and
+    pi / (2T) for detection (pad 4).
     """
-    nfft = 1 << (8 * grid.n - 1).bit_length()
+    nfft = 1 << (pad * grid.n - 1).bit_length()
     return nfft, 2.0 * math.pi / (nfft * grid.dt)
 
 
@@ -121,15 +128,22 @@ def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     return _band_periodogram(path.values, path.grid, band)
 
 
-def _band_periodogram(values: np.ndarray, grid, band):
+def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD):
     """``periodogram_grid`` of every path along the last axis of
     ``values``, which may carry leading batch axes: one real FFT over all
     rows, then (frequencies, values[..., band bins]). Each row is bit for
     bit the periodogram of that row alone. The band window of the spectrum
     is scaled in place and the spectrum is dropped on return, so only the
-    band outlives the call."""
-    nfft, spacing = _fft_grid(grid)
-    spec = np.fft.rfft(values, nfft)
+    band outlives the call.
+
+    pad sets the transform length (see _fft_grid). On the detection grid
+    a single row's spectrum goes into this thread's workspace instead of
+    a fresh array, so the estimator's loop maps no pages for it."""
+    nfft, spacing = _fft_grid(grid, pad)
+    out = None
+    if pad == _DETECT_PAD and values.ndim == 1:
+        out = _workspace("spectrum", nfft // 2 + 1, np.complex128)
+    spec = np.fft.rfft(values, nfft, out=out)
     size = spec.shape[-1]
     lo_cell, hi_cell = band[0] / spacing, band[1] / spacing
     # the comparisons send a NaN or infinite band edge to an end of the
@@ -152,7 +166,8 @@ def detect_frequencies(
 ) -> np.ndarray:
     """Iterative periodogram peak-picking with separation constraints.
 
-    Each pick is the admissible argmax of the zero-padded periodogram grid,
+    Each pick is the admissible argmax of the periodogram on the detection
+    grid, zero-padded to 4n and so twice as coarse as periodogram_grid,
     moved to the vertex of the parabola through it and its two neighbours
     when it is their largest (Quinn 1994); the vertex stays within half a
     grid cell, and refine does the rest. Grid points within min_gap(T) of
@@ -169,11 +184,12 @@ def detect_frequencies(
             f"band upper edge {band[1]} reaches Nyquist {path.grid.nyquist:.4f}"
         )
     gap = min_gap(path.grid.horizon)
-    freqs, vals = periodogram_grid(path, band)
+    freqs, vals = _band_periodogram(path.values, path.grid, band, _DETECT_PAD)
     if len(freqs) < 2:
         raise ValidationError(
             f"band ({band[0]}, {band[1]}) holds {len(freqs)} frequencies of the "
-            f"periodogram grid, whose spacing is {_fft_grid(path.grid)[1]:.6g}; "
+            f"detection grid, whose spacing is "
+            f"{_fft_grid(path.grid, _DETECT_PAD)[1]:.6g}; "
             "need at least two"
         )
     spacing = freqs[1] - freqs[0]
@@ -399,7 +415,7 @@ def estimate_harmonics(
         horizon=horizon,
         iterations=it,
         converged=conv,
-        grid_resolution=_fft_grid(path.grid)[1],
+        grid_resolution=_fft_grid(path.grid, _DETECT_PAD)[1],
     )
     if truth is not None:
         res.normalized_errors = normalized_errors(model, truth, horizon)

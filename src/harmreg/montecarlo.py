@@ -69,6 +69,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValidationError("need at least 2 replications")
+        if self.master_seed < 0:
+            raise ValidationError(
+                f"master_seed must be nonnegative, got {self.master_seed}"
+            )
         if not self.grids:
             raise ValidationError("grid schedule is empty")
         for grid in self.grids:
@@ -158,7 +162,12 @@ class MonteCarloReport:
 
     def deviations(self, grid_index: int, k: int, mode: str = "derived") -> np.ndarray:
         """Entry-wise |empirical - theory| / |theory| for harmonic k; a zero
-        theory entry yields 0 when matched exactly and inf otherwise."""
+        theory entry yields 0 when matched exactly and inf otherwise. mode
+        is one of asymptotics.MODES."""
+        if mode not in asymptotics.MODES:
+            raise ValidationError(
+                f"mode must be one of {asymptotics.MODES}, got {mode!r}"
+            )
         emp = self.results[grid_index].empirical_cov(k)
         theory = (
             self.gamma_derived[k] if mode == "derived" else self.gamma_printed[k]

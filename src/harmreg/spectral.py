@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,31 @@ _NODE_CACHE_CHUNKS = 32  # chunks of nodes, weights and B kept across calls
 _GRADE_START = 2.0**-30  # right edge of the first graded panel at t = 0
 _GROWTH = 0.5  # graded panel width over its left edge
 _SEG_PANELS = 4  # panels for the a-posteriori zero-frequency tail check
+
+
+class _Workspaces(threading.local):
+    def __init__(self):
+        self.arrays = {}
+
+
+_WORKSPACES = _Workspaces()
+
+
+def _workspace(key, size: int, dtype=np.float64) -> np.ndarray:
+    """The first `size` entries of this thread's scratch array `key`.
+
+    Hot loops write their large temporaries here instead of allocating
+    them per call, which would map and unmap pages on every call once
+    they pass the allocator's mmap threshold. An array only grows, so
+    after the largest request every call reuses it. Each thread has its
+    own arrays: numpy ufuncs release the GIL, and a shared array would
+    let two threads overwrite each other's sums. A caller must be done
+    with the array before it asks for the same key again.
+    """
+    buf = _WORKSPACES.arrays.get(key)
+    if buf is None or buf.size < size:
+        buf = _WORKSPACES.arrays[key] = np.empty(size, dtype)
+    return buf[:size]
 
 
 def c1(alpha: float) -> float:
@@ -532,11 +558,12 @@ def _chunk_nodes(spec: NoiseSpec, a: float, b: float, layout, chunk: int) -> _Ch
 
 
 def _weighted_cos(nodes: _Chunk, lam: float) -> np.ndarray:
-    """weights * cos(lam t) on every node of a chunk. On a uniform run the
-    factor is the rank-2 product cos(lam o_i) cos(lam e_p) - sin(lam o_i)
+    """weights * cos(lam t) on every node of a chunk, in this thread's
+    workspace, valid until the next call. On a uniform run the factor is
+    the rank-2 product cos(lam o_i) cos(lam e_p) - sin(lam o_i)
     sin(lam e_p), so cos and sin are taken on panel edges and offsets, not
     per node."""
-    out = np.empty_like(nodes.t)
+    out = _workspace("wcos", nodes.t.size)
     for lo, hi in nodes.direct:
         np.multiply(np.cos(lam * nodes.t[lo:hi]), nodes.weights[lo:hi], out=out[lo:hi])
     arg = lam * nodes.edges
@@ -552,20 +579,24 @@ def _weighted_cos(nodes: _Chunk, lam: float) -> np.ndarray:
 
 
 def _powers(cov: np.ndarray, orders):
-    """cov**k for each k of the ascending orders, in turn in one array: the
-    power advances by the gap to the next order, and each gap's power is
-    built once."""
+    """cov**k for each k of the ascending orders, in turn in one array of
+    this thread's workspace: the power advances by the gap to the next
+    order, and each gap's power is built once, left to right, in a
+    workspace of its own."""
     steps = {}
     power, prev = None, 0
     for k in orders:
         gap = k - prev
         if gap not in steps:
             step = cov
-            for _ in range(gap - 1):
-                step = step * cov
+            if gap > 1:
+                step = np.multiply(cov, cov, out=_workspace(("step", gap), cov.size))
+                for _ in range(gap - 2):
+                    step *= cov
             steps[gap] = step
         if power is None:
-            power = steps[gap].copy()
+            power = _workspace("power", cov.size)
+            np.copyto(power, steps[gap])
         else:
             power *= steps[gap]
         prev = k

@@ -231,6 +231,24 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_negative_seed_flag_exits_2(self, experiment_cfg, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", experiment_cfg, "--seed", "-1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: master seed: must be nonnegative" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "path_T64.csv").exists()
+
+    def test_negative_master_seed_exits_2(self, tmp_path):
+        cfg = tmp_path / "negative_seed.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("master_seed = 7", "master_seed = -3"))
+        code, _, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == "error: master_seed: must be nonnegative, got -3\n"
+        assert not (tmp_path / "path_T64.csv").exists()
+
 
 class TestEstimate:
     def test_round_trip_with_truth(self, experiment_cfg, path_csv, tmp_path):
@@ -415,6 +433,22 @@ class TestMontecarlo:
         code, out, _ = _run(["montecarlo", "--config", str(cfg), "--seed", "11"])
         assert code == 0
         assert "master_seed = 11" in out
+
+    def test_negative_master_seed_exits_2(self, tmp_path):
+        cfg = tmp_path / "negative_seed.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("master_seed = 7", "master_seed = -3"))
+        code, out, err = _run(["montecarlo", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == "error: master_seed: must be nonnegative, got -3\n"
+        assert out == ""
+
+    def test_negative_seed_flag_exits_2(self, experiment_cfg, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["montecarlo", "--config", experiment_cfg, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: master seed: must be nonnegative" in err
+        assert "Traceback" not in err
 
     def test_unusable_replications_exit_3(self, tmp_path):
         cfg = tmp_path / "close.cfg"

@@ -281,6 +281,13 @@ def test_non_finite_number_rejected(raw):
         config.load_grids(config.parse_blocks(f"[grid]\nhorizon = {raw}\n"))
 
 
+@pytest.mark.parametrize("raw", ["-1", "-3"])
+def test_negative_master_seed_rejected(raw):
+    # numpy's SeedSequence takes only nonnegative entropy
+    with pytest.raises(ValidationError, match="master_seed: must be nonnegative"):
+        config.load_experiment(config.parse_blocks(f"[experiment]\nmaster_seed = {raw}\n"))
+
+
 def test_load_experiment_absent():
     assert config.load_experiment(config.parse_blocks("[grid]\nhorizon = 4\n")) == {}
 

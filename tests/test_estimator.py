@@ -183,16 +183,38 @@ class TestPeriodogramGrid:
 
 
 class TestDetectFrequencies:
-    @pytest.mark.parametrize("offset", [0.0, 0.125, 0.25, 0.375, 0.5, -0.3])
-    def test_noiseless_single_harmonic(self, offset):
-        # the true frequency sits `offset` grid cells from the grid point
-        # nearest 1.3, so the three-point vertex is checked across a cell
+    @staticmethod
+    def _vertex_bound(grid, spacing):
+        # a noiseless peak is the sinc^2 main lobe in u = T (lam - phi) / 2,
+        # sampled h = T spacing / 2 apart; with the grid point g from the
+        # truth, the three-point vertex misses by (2/15) g (h^2 - 4 g^2) in
+        # u at leading order, at most 2 h^3 / (45 sqrt 3). The bound is
+        # twice that in lam, for the higher-order terms and the mirror
+        # peak at -phi: 0.050 / T on the 4n grid (h = pi / 4)
+        h = grid.horizon * spacing / 2.0
+        return 2.0 * (2.0 / grid.horizon) * 2.0 * h**3 / (45.0 * math.sqrt(3.0))
+
+    def _check_offset(self, offset):
+        # the true frequency sits `offset` detection-grid cells from the
+        # grid point nearest 1.3, so the three-point vertex is checked
+        # across a cell, and the refined estimate at the same truth
         grid = SamplingGrid(1024.0, 0.25)
-        spacing = est._fft_grid(grid)[1]
+        spacing = est._fft_grid(grid, est._DETECT_PAD)[1]
         phi = (round(1.3 / spacing) + offset) * spacing
         model = HarmonicModel(((1.0, 0.5, phi),))
-        phis = est.detect_frequencies(_noiseless(model, grid), 1)
-        assert abs(phis[0] - phi) < 1e-2 / grid.horizon
+        path = _noiseless(model, grid)
+        phis = est.detect_frequencies(path, 1)
+        assert abs(phis[0] - phi) < self._vertex_bound(grid, spacing)
+        refined = est.estimate_harmonics(path, 1).model.amplitudes()[2]
+        assert abs(refined[0] - phi) < 1e-10
+
+    @pytest.mark.parametrize("offset", [0.0, 0.125, 0.25, 0.375, 0.5, -0.3])
+    def test_noiseless_single_harmonic(self, offset):
+        self._check_offset(offset)
+
+    def test_vertex_across_a_cell(self):
+        for offset in np.linspace(-0.5, 0.5, 81):
+            self._check_offset(offset)
 
     def test_vertex_stays_out_of_exclusion_window(self):
         # the weak second harmonic sits one min_gap above the strong first,
@@ -475,8 +497,9 @@ class TestEstimateHarmonics:
         assert np.max(np.abs(res.normalized_errors)) < 1e-5
 
     def test_grid_resolution_bound(self):
+        # the detection grid: zero-padded to 4n, two points per pi / T
         res = est.estimate_harmonics(_noiseless(), 1)
-        assert res.grid_resolution <= math.pi / (4.0 * GRID.horizon) + 1e-15
+        assert res.grid_resolution <= math.pi / (2.0 * GRID.horizon) + 1e-15
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_noisy_paths_converge(self, seed):

@@ -165,6 +165,7 @@ class TestExperimentConfig:
             ({"grids": ()}, "schedule is empty"),
             ({"noise_scale": math.nan}, "nonnegative"),
             ({"noise_scale": -0.5}, "nonnegative"),
+            ({"master_seed": -1}, "master_seed must be nonnegative"),
         ],
     )
     def test_rejects_bad_fields(self, smooth, override, match):
@@ -448,6 +449,15 @@ class TestReportLogic:
         np.testing.assert_allclose(
             np.diag(rep.deviations(0, 0, "as-printed")), 0.5, atol=1e-12
         )
+
+    @pytest.mark.parametrize("mode", ["derivd", "printed", "Derived", ""])
+    def test_deviation_rejects_unknown_mode(self, base_config, mode):
+        # a misspelt mode must not fall back to the as-printed blocks
+        samples = np.zeros((2, 3, 1))
+        samples[:, 0, 0] = [1.0, -1.0]
+        rep = _report(base_config, (_grid_result(64.0, samples),), (np.eye(3),))
+        with pytest.raises(ValidationError, match="mode must be one of"):
+            rep.deviations(0, 0, mode)
 
     @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
     def test_coverage_nominal_on_exact_gaussians(self, base_config, level):
