@@ -128,7 +128,8 @@ def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     return _band_periodogram(path.values, path.grid, band)
 
 
-def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD):
+def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD,
+                      out: np.ndarray | None = None):
     """``periodogram_grid`` of every path along the last axis of
     ``values``, which may carry leading batch axes: one real FFT over all
     rows, then (frequencies, values[..., band bins]). Each row is bit for
@@ -136,27 +137,36 @@ def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD):
     is scaled in place and the spectrum is dropped on return, so only the
     band outlives the call.
 
-    pad sets the transform length (see _fft_grid). On the detection grid
-    a single row's spectrum goes into this thread's workspace instead of
-    a fresh array, so the estimator's loop maps no pages for it."""
-    nfft, spacing = _fft_grid(grid, pad)
-    out = None
-    if pad == _DETECT_PAD and values.ndim == 1:
+    pad sets the transform length (see _fft_grid). The spectrum goes into
+    out when given, an array of the spectrum's shape. Else on the
+    detection grid a single row's spectrum goes into this thread's
+    workspace instead of a fresh array, so the estimator's loop maps no
+    pages for it."""
+    nfft, lo, freqs, keep = _band_window(grid, band, pad)
+    if out is None and pad == _DETECT_PAD and values.ndim == 1:
         out = _workspace("spectrum", nfft // 2 + 1, np.complex128)
     spec = np.fft.rfft(values, nfft, out=out)
-    size = spec.shape[-1]
+    window = spec[..., lo:lo + freqs.size]
+    window *= grid.dt / grid.horizon
+    vals = np.abs(window)
+    np.square(vals, out=vals)
+    return freqs[keep], vals[..., keep]
+
+
+def _band_window(grid, band, pad: int = _GRID_PAD):
+    """The band's index window on the pad grid, without a transform:
+    (nfft, lo, freqs, keep) for the transform length, the window's first
+    bin, its frequencies and the mask of those inside the band."""
+    nfft, spacing = _fft_grid(grid, pad)
+    size = nfft // 2 + 1
     lo_cell, hi_cell = band[0] / spacing, band[1] / spacing
     # the comparisons send a NaN or infinite band edge to an end of the
     # spectrum, where the band test below decides as it would on all of it
     lo = math.floor(min(lo_cell, size)) - 1 if lo_cell > 1.0 else 0
     hi = min(math.ceil(max(hi_cell, 0.0)) + 2, size) if hi_cell < size else size
     freqs = np.arange(lo, hi) * spacing
-    window = spec[..., lo:hi]
-    window *= grid.dt / grid.horizon
-    vals = np.abs(window)
-    np.square(vals, out=vals)
     keep = (freqs >= band[0]) & (freqs <= band[1])
-    return freqs[keep], vals[..., keep]
+    return nfft, lo, freqs, keep
 
 
 def detect_frequencies(

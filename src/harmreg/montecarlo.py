@@ -14,7 +14,9 @@ import concurrent.futures
 import contextlib
 import functools
 import math
+import numbers
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +31,7 @@ from .errors import (
 )
 from .estimator import (
     _band_periodogram,
+    _band_window,
     _fft_grid,
     estimate_harmonics,
     periodogram_grid,
@@ -40,7 +43,7 @@ from .simulate import (
     HarmonicModel,
     SamplingGrid,
     _clamped_embedding,
-    gaussian_paths,
+    _fill_paths,
     observe,
     subordinate,
 )
@@ -50,7 +53,7 @@ FAILURE_CAP = 0.2
 COVERAGE_LEVELS = (0.90, 0.95, 0.99)
 _Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 _FLOOR = 1e-12  # raw-error floor below which slopes are floor-limited
-# budget for the largest array of one lemma2_decay chunk of rows
+# budget for the largest arrays of every lemma2_decay chunk in flight
 _SWEEP_CHUNK_BYTES = 8 << 20
 
 
@@ -454,11 +457,61 @@ def normality_diagnostics(samples, gamma: np.ndarray | None = None) -> dict:
     return out
 
 
+def _check_band(grid, band) -> None:
+    """Refuse a band that holds no frequency of the grid's 8n periodogram."""
+    if not np.any(_band_window(grid, band)[3]):
+        raise ValidationError(
+            f"band {tuple(band)} holds no frequency of the periodogram grid "
+            f"of T={grid.horizon:g}, dt={grid.dt:g}"
+        )
+
+
 def eta_squared(path, band=DEFAULT_BAND) -> float:
     """Lemma-2 functional: sup over the fine frequency grid of the
     periodogram, i.e. sup_lambda |(dt/T) sum x e^(-i lambda t)|^2."""
+    _check_band(path.grid, band)
     _, vals = periodogram_grid(path, band)
     return float(np.max(vals))
+
+
+def _sweep_threads() -> int:
+    """Threads lemma2_decay runs its chunks on: one per CPU this process
+    may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(task, count: int, slots, pool) -> list:
+    """[task(0, slot), ..., task(count - 1, slot)] computed on the calling
+    thread and on one ``pool`` thread per further slot. Each thread owns
+    one slot, runs one task at a time and takes the lowest index not yet
+    taken. After a task raises no thread starts another; the calling
+    thread's exception propagates, else the first of the helpers' in
+    submission order."""
+    results = [None] * count
+    pending = iter(range(count))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain(slot):
+        while not failed.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(i, slot)
+            except BaseException:
+                failed.set()
+                raise
+
+    futures = [pool.submit(drain, slot) for slot in slots[1:]]
+    drain(slots[0])
+    for future in futures:
+        future.result()
+    return results
 
 
 def lemma2_decay(
@@ -475,38 +528,80 @@ def lemma2_decay(
 
     Replication r on horizon g draws from SeedSequence(master_seed,
     spawn_key=(g, r)). Per horizon the replications are simulated,
-    subordinated and periodogrammed in chunks of rows that fit in
-    _SWEEP_CHUNK_BYTES (8 MiB; at least one row), counted per row as the
-    larger of the zero-padded spectrum and the embedding's half spectrum
-    plus inverse FFT output, so the chunk size depends on the grid and the
-    embedding size alone. Each row is the path
-    ``gaussian_path`` draws from its own stream, and the row maxima are
-    summed in replication order, so the means are bit for bit those of a
-    loop over single paths through ``eta_squared``.
+    subordinated and periodogrammed in chunks of rows. The chunks run on
+    the calling thread and on one helper thread per further CPU this
+    process may use, one chunk per thread at a time, so the
+    _SWEEP_CHUNK_BYTES budget (8 MiB) is shared by every chunk in flight:
+    a chunk holds budget // (threads * row_bytes) rows, and at least one.
+    A row counts as the larger of the zero-padded spectrum and the
+    embedding's half spectrum plus inverse FFT output, so the chunk size
+    depends on the grid, the embedding size and the thread count alone.
+    Each row is the path ``gaussian_path`` draws from its own stream, and
+    the row maxima are summed in replication order, so for any thread
+    count the means are bit for bit those of a loop over single paths
+    through ``eta_squared``. A bad count, seed or band raises
+    ValidationError before the first draw. The helpers live in a pool
+    that is shut down, and its threads joined, before the call returns.
     """
-    if replications < 1:
-        raise ValidationError("need at least 1 replication")
+    for name, value, least in (("replications", replications, 1),
+                               ("master_seed", master_seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}, got {value}")
     grids = tuple(SamplingGrid(float(h), dt) for h in horizons)
     if not grids:
         raise ValidationError("horizon schedule is empty")
-    means = []
-    for gi, grid in enumerate(grids):
+    for grid in grids:
+        _check_band(grid, band)
+    threads = _sweep_threads()
+
+    def horizon_mean(gi, grid, pool):
         nfft, _ = _fft_grid(grid)
-        size = _clamped_embedding(noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR)[0].size
-        # per row: complex128 bins of the zero-padded spectrum, or of the
-        # half spectrum plus the float64 output of its inverse FFT
-        row_bytes = max(16 * (nfft // 2 + 1), 16 * (size // 2 + 1) + 8 * size)
-        chunk = max(1, _SWEEP_CHUNK_BYTES // row_bytes)
+        root = _clamped_embedding(noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR)[0]
+        size = root.size
+        # per row, in float64 words: the complex zero-padded spectrum, or
+        # the complex half spectrum and the output of its inverse FFT
+        row_words = max(nfft + 2, 2 * size + 2)
+        rows = min(max(1, _SWEEP_CHUNK_BYTES // (threads * 8 * row_words)),
+                   replications)
+        starts = range(0, replications, rows)
+        # the calling thread allocates every thread's chunk arrays in one
+        # block, so a helper's allocator keeps little more than the FFTs'
+        # own scratch once the helper is gone; per thread a scratch part
+        # for the spectra and a part for the paths, each 16-byte aligned
+        scratch_words, path_words = rows * row_words, rows * grid.n
+        path_words += path_words % 2
+        width = scratch_words + path_words
+        block = np.empty(min(threads, len(starts)) * width)
+        slots = [(block[k:k + scratch_words], block[k + scratch_words:k + width])
+                 for k in range(0, block.size, width)]
+
+        def row_maxima(c, slot):
+            start = starts[c]
+            seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(gi, r))
+                     for r in range(start, min(start + rows, replications))]
+            m = len(seeds)
+            scratch, paths = slot
+            xi = _fill_paths(
+                root, seeds,
+                scratch[:m * (size + 2)].view(complex).reshape(m, -1),
+                scratch[m * (size + 2):m * (2 * size + 2)].reshape(m, size),
+                paths[:m * grid.n].reshape(m, grid.n),
+            )
+            spectrum = scratch[:m * (nfft + 2)].view(complex).reshape(m, -1)
+            eps = subordinate(xi, transform)
+            return _band_periodogram(eps, grid, band, out=spectrum)[1].max(axis=-1)
+
         acc = 0.0
-        for start in range(0, replications, chunk):
-            seeds = [
-                np.random.SeedSequence(entropy=master_seed, spawn_key=(gi, r))
-                for r in range(start, min(start + chunk, replications))
-            ]
-            eps = subordinate(gaussian_paths(noise, grid, seeds), transform)
-            for row_max in _band_periodogram(eps, grid, band)[1].max(axis=-1):
+        for maxima in _run_chunks(row_maxima, len(starts), slots, pool):
+            for row_max in maxima:  # sequential fold in replication order
                 acc += float(row_max)
-        means.append(acc / replications)
+        return acc / replications
+
+    # one pool serves every horizon of the call
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        means = [horizon_mean(gi, grid, pool) for gi, grid in enumerate(grids)]
     decreasing = all(b < a for a, b in zip(means, means[1:]))
     return {"horizons": tuple(g.horizon for g in grids),
             "mean_eta_squared": tuple(means),

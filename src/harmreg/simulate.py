@@ -289,10 +289,17 @@ def gaussian_paths(
     axis, whose rows are the bits of the one-row transform. Embedding
     failures and warnings are those of ``gaussian_path``.
     """
-    n = grid.n
-    root, _ = _clamped_embedding(spec, grid.dt, n, max_cov_error)
+    root, _ = _clamped_embedding(spec, grid.dt, grid.n, max_cov_error)
+    rows, size = len(seeds), root.size
+    return _fill_paths(root, seeds, np.empty((rows, size // 2 + 1), dtype=complex),
+                       np.empty((rows, size)), np.empty((rows, grid.n)))
+
+
+def _fill_paths(root, seeds, half, inverse, out):
+    """``gaussian_paths`` on the scaled root, written into given arrays:
+    the (rows, M/2 + 1) complex half spectrum, the (rows, M) output of its
+    inverse FFT and the (rows, n) paths, which are returned."""
     size = root.size
-    half = np.empty((len(seeds), size // 2 + 1), dtype=complex)
     z = half.view(float)  # per row: Re W_0, Im W_0, Re W_1, Im W_1, ...
     for row, seed in zip(z, seeds):
         np.random.default_rng(seed).standard_normal(out=row[:size])
@@ -300,7 +307,8 @@ def gaussian_paths(
     z[:, 0] *= _SQRT2
     z[:, 1] = z[:, size + 1] = 0.0
     half *= root[:half.shape[1]]
-    return (size / _SQRT2) * np.fft.irfft(half, size)[:, :n]
+    np.fft.irfft(half, size, out=inverse)
+    return np.multiply(inverse[:, :out.shape[1]], size / _SQRT2, out=out)
 
 
 def subordinate(xi: np.ndarray, transform: TransformSpec) -> np.ndarray:

@@ -3,10 +3,13 @@ counts, aggregation and report logic, and the statistical diagnostics."""
 
 import concurrent.futures
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -615,6 +618,17 @@ class TestEtaSquared:
         grid = SamplingGrid(256.0, 0.25)
         assert eta_squared(SamplePath(grid=grid, values=np.zeros(grid.n))) == 0.0
 
+    @pytest.mark.parametrize(
+        "band", [(3.0, 0.1), (math.nan, 3.0), (0.1, 0.1000001)]
+    )
+    def test_rejects_band_without_grid_frequency(self, band):
+        # at T = 128 the grid spacing is 2 pi / 1024, so no point lies in
+        # (0.1, 0.1000001); the other two bands are empty or undefined
+        grid = SamplingGrid(128.0, 0.25)
+        path = SamplePath(grid=grid, values=np.ones(grid.n))
+        with pytest.raises(ValidationError, match="holds no frequency"):
+            eta_squared(path, band)
+
 
 class TestLemma2Decay:
     def test_mean_decay_over_schedule(self, smooth):
@@ -637,8 +651,9 @@ class TestLemma2Decay:
     )
     def test_matches_per_path_oracle(self, smooth, kind, replications):
         # odd n, a non-power-of-two n, one chunk of every replication, and
-        # a T = 8192 horizon split into several multi-row chunks with a
-        # partial last one: the means are the per-path loop's bits
+        # a T = 8192 horizon split into several chunks (of 3 rows, with a
+        # partial last one, on one CPU): the means are the per-path loop's
+        # bits
         horizons = (64.25, 100.0, 512.0, 8192.0)
         transform = make_transform(kind)
         out = lemma2_decay(smooth, transform, horizons, replications, master_seed=20260817)
@@ -655,16 +670,164 @@ class TestLemma2Decay:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a path")
 
-        monkeypatch.setattr(montecarlo, "gaussian_paths", no_draws)
+        monkeypatch.setattr(montecarlo, "_fill_paths", no_draws)
         with pytest.raises(ValidationError):
             lemma2_decay(smooth, IDENTITY, horizons, replications, master_seed=1)
 
+    @pytest.mark.parametrize(
+        "master_seed, replications, band",
+        [
+            (-1, 3, (0.1, 3.0)),
+            (1.5, 3, (0.1, 3.0)),
+            (True, 3, (0.1, 3.0)),
+            (1, 2.5, (0.1, 3.0)),
+            (1, True, (0.1, 3.0)),
+            (1, 3, (3.0, 0.1)),
+            (1, 3, (math.nan, 3.0)),
+            (1, 3, (0.1, 0.1000001)),
+        ],
+    )
+    def test_rejects_bad_seed_count_or_band_before_drawing(
+        self, smooth, monkeypatch, master_seed, replications, band
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a path")
+
+        monkeypatch.setattr(montecarlo, "_fill_paths", no_draws)
+        with pytest.raises(ValidationError):
+            lemma2_decay(smooth, IDENTITY, (128.0,), replications, master_seed,
+                         band=band)
+
+    @pytest.mark.parametrize(
+        "kind", ["identity", "cube", "centered-absolute-value"]
+    )
+    def test_thread_count_keeps_the_oracle_bits(self, smooth, monkeypatch, kind):
+        # one thread runs 3-row chunks at T = 8192, two and three threads
+        # run 1-row chunks, all with a partial last chunk on some horizon
+        horizons = (64.25, 100.0, 512.0, 8192.0)
+        transform = make_transform(kind)
+        expected = lemma2_oracle(smooth, transform, horizons, 20, 20260817)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
+            out = lemma2_decay(smooth, transform, horizons, 20, master_seed=20260817)
+            assert [m.hex() for m in out["mean_eta_squared"]] == [
+                m.hex() for m in expected
+            ], threads
+
+    def test_sweep_threads_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._sweep_threads() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert montecarlo._sweep_threads() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("threads, budget", [(2, None), (3, None), (3, 1)])
+    def test_chunks_in_flight_share_the_budget(self, smooth, monkeypatch,
+                                               threads, budget):
+        # every zero-padded spectrum, half spectrum and inverse FFT output
+        # is counted from its FFT call until it is freed; the sum over all
+        # threads stays within the budget, or within one row per thread
+        # when the budget is smaller than that
+        horizons, replications = (512.0, 2048.0, 8192.0), 20
+        # build the embeddings before the spies go in
+        lemma2_decay(smooth, IDENTITY, horizons, 2, master_seed=3)
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_SWEEP_CHUNK_BYTES", budget)
+        monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
+        lock = threading.RLock()
+        live = {"bytes": 0, "peak": 0, "row": 0}
+
+        def track(array, rows):
+            with lock:
+                live["bytes"] += array.nbytes
+                live["peak"] = max(live["peak"], live["bytes"])
+                live["row"] = max(live["row"], array.nbytes // rows)
+            weakref.finalize(array, release, array.nbytes)
+
+        def release(nbytes):
+            with lock:
+                live["bytes"] -= nbytes
+
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def spied_rfft(a, *args, **kwargs):
+            out = rfft(a, *args, **kwargs)
+            track(out, out.shape[0])
+            return out
+
+        def spied_irfft(a, *args, **kwargs):
+            track(a, a.shape[0])
+            out = irfft(a, *args, **kwargs)
+            track(out, out.shape[0])
+            return out
+
+        monkeypatch.setattr(np.fft, "rfft", spied_rfft)
+        monkeypatch.setattr(np.fft, "irfft", spied_irfft)
+        lemma2_decay(smooth, IDENTITY, horizons, replications, master_seed=3)
+        gc.collect()
+        assert live["bytes"] == 0
+        if budget is None:
+            assert live["peak"] <= montecarlo._SWEEP_CHUNK_BYTES
+        else:
+            # one row: a spectrum, or a half spectrum and its inverse
+            assert live["peak"] <= threads * 2 * live["row"]
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_raising_chunk_leaves_no_thread(self, smooth, monkeypatch, where):
+        # the first chunk of the raising side waits for the other side to
+        # start one, so both sides run chunks whichever is scheduled first
+        caller = threading.get_ident()
+        started = {"helper": threading.Event(), "caller": threading.Event()}
+        raised = []
+        original = montecarlo.subordinate
+
+        def subordinate(xi, transform):
+            side = "caller" if threading.get_ident() == caller else "helper"
+            started[side].set()
+            if side == where:
+                started["caller" if side == "helper" else "helper"].wait(10.0)
+                raised.append(RuntimeError(f"chunk failed on the {side}"))
+                raise raised[-1]
+            return original(xi, transform)
+
+        monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: 3)
+        before = threading.active_count()
+        lemma2_decay(smooth, IDENTITY, (8192.0,), 20, master_seed=3)
+        assert threading.active_count() == before
+        monkeypatch.setattr(montecarlo, "subordinate", subordinate)
+        with pytest.raises(RuntimeError) as info:
+            lemma2_decay(smooth, IDENTITY, (8192.0,), 20, master_seed=3)
+        assert started["helper"].is_set() and started["caller"].is_set()
+        assert info.value in raised
+        assert threading.active_count() == before
+
+    def test_chunk_queue_under_contention(self):
+        # more threads than CPUs and a short switch interval: every chunk
+        # is taken exactly once and lands at its own index
+        taken = []
+
+        def task(i, slot):
+            taken.append(i)
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=7) as pool:
+                for _ in range(20):
+                    taken.clear()
+                    out = montecarlo._run_chunks(task, 500, list(range(8)), pool)
+                    assert out == list(range(500))
+                    assert sorted(taken) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_chunks_bound_the_spectrum(self, smooth, monkeypatch):
-        # at T = 8192 one row's zero-padded spectrum is 2 MiB: every chunk
-        # holds several rows within the budget, its size does not depend on
-        # the replication count, and each chunk takes one forward and one
-        # inverse real FFT; the embedding's own FFT is built and cached
-        # before the spies go in, whichever tests ran first
+        # at T = 8192 one row's zero-padded spectrum is 2 MiB: a chunk holds
+        # budget // (threads * row) rows, 3 at one thread and 1 at two, and
+        # its size does not depend on the replication count; each chunk
+        # takes one forward and one inverse real FFT; the embedding's own
+        # FFT is built and cached before the spies go in, whichever tests
+        # ran first
         montecarlo._clamped_embedding(
             smooth, 0.25, 32768, montecarlo.DEFAULT_MAX_COV_ERROR
         )
@@ -678,39 +841,49 @@ class TestLemma2Decay:
                 return out
 
             monkeypatch.setattr(np.fft, name, spied)
-        rows = {}
-        for replications in (20, 200):
-            for record in calls.values():
-                record.clear()
-            lemma2_decay(smooth, IDENTITY, (8192.0,), replications, master_seed=3)
-            shapes = [shape for shape, _ in calls["rfft"]]
-            assert all(len(shape) == 2 and shape[0] > 1 for shape in shapes)
-            assert all(
-                nbytes <= montecarlo._SWEEP_CHUNK_BYTES for _, nbytes in calls["rfft"]
-            )
-            assert sum(shape[0] for shape in shapes) == replications
-            assert not calls["fft"]
-            assert [shape[0] for shape, _ in calls["irfft"]] == [s[0] for s in shapes]
-            rows[replications] = shapes[0][0]
-        assert rows[20] == rows[200]
+        for threads, rows in ((1, 3), (2, 1)):
+            monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
+            for replications in (20, 200):
+                for record in calls.values():
+                    record.clear()
+                lemma2_decay(smooth, IDENTITY, (8192.0,), replications, master_seed=3)
+                # threads finish chunks in any order: compare sorted row counts
+                counts = sorted(shape[0] for shape, _ in calls["rfft"])
+                assert all(len(shape) == 2 for shape, _ in calls["rfft"])
+                assert all(
+                    nbytes <= montecarlo._SWEEP_CHUNK_BYTES // threads
+                    for _, nbytes in calls["rfft"]
+                )
+                full, tail = divmod(replications, rows)
+                assert counts == sorted([rows] * full + ([tail] if tail else []))
+                assert sum(counts) == replications
+                assert not calls["fft"]
+                assert sorted(shape[0] for shape, _ in calls["irfft"]) == counts
 
     def test_chunks_bound_the_embedding(self, slow_carrier, smooth, monkeypatch):
         # the slow carrier embeds at M = 32768 for n = 1024, so one row's
         # half spectrum and inverse FFT output (512 KiB) outweigh its
         # zero-padded spectrum (64 KiB) and size the chunks; smooth noise
-        # keeps the chunks its spectrum sets
+        # keeps the chunks its spectrum sets; a chunk holds
+        # budget // (threads * row) rows
         irfft_rows = []
         original = np.fft.irfft
+        for threads, carrier_rows, smooth_rows in (
+            (1, [15, 5], [63, 1] + [15] * 4 + [4]),
+            (2, [7, 7, 6], [31, 31, 2] + [7] * 9 + [1]),
+        ):
+            monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
 
-        def spied(a, *args, **kwargs):
-            out = original(a, *args, **kwargs)
-            assert a.nbytes + out.nbytes <= montecarlo._SWEEP_CHUNK_BYTES
-            irfft_rows.append(a.shape[0])
-            return out
+            def spied(a, *args, _threads=threads, **kwargs):
+                out = original(a, *args, **kwargs)
+                assert a.nbytes + out.nbytes <= montecarlo._SWEEP_CHUNK_BYTES // _threads
+                irfft_rows.append(a.shape[0])
+                return out
 
-        monkeypatch.setattr(np.fft, "irfft", spied)
-        lemma2_decay(slow_carrier, IDENTITY, (256.0,), 20, master_seed=3)
-        assert irfft_rows == [15, 5]
-        irfft_rows.clear()
-        lemma2_decay(smooth, IDENTITY, (512.0, 2048.0), 64, master_seed=3)
-        assert irfft_rows == [63, 1] + [15] * 4 + [4]
+            monkeypatch.setattr(np.fft, "irfft", spied)
+            irfft_rows.clear()
+            lemma2_decay(slow_carrier, IDENTITY, (256.0,), 20, master_seed=3)
+            assert sorted(irfft_rows) == sorted(carrier_rows)
+            irfft_rows.clear()
+            lemma2_decay(smooth, IDENTITY, (512.0, 2048.0), 64, master_seed=3)
+            assert sorted(irfft_rows) == sorted(smooth_rows)
