@@ -23,6 +23,7 @@ from .errors import (
     OverlapError,
     QuadratureError,
     ValidationError,
+    require_count,
 )
 from .hermite import TransformSpec
 from .simulate import HarmonicModel
@@ -46,6 +47,16 @@ MODES = ("derived", "as-printed")
 # self-convolutions and the spectral factor
 
 
+def _require_integrable(spec: NoiseSpec, k: int, what: str) -> None:
+    """Refuse a power B^k that is not integrable. Every rho is at most 2,
+    so the decay exponent is at most alpha_min and alone decides."""
+    if spec.decay_exponent * k <= 1.0:
+        raise NonIntegrableError(
+            f"{what} is not integrable: decay_exponent * {k} = "
+            f"{spec.decay_exponent * k:.3f}"
+        )
+
+
 def _self_convolutions(
     spec: NoiseSpec, rank: int, orders, lam: float, tol: float = 1e-5
 ):
@@ -56,11 +67,7 @@ def _self_convolutions(
     for k in orders:
         if k < 1 or k < rank:
             raise ValidationError(f"order k = {k} must be >= rank = {rank}")
-        if spec.alpha_min * k <= 1.0 or spec.decay_exponent * k <= 1.0:
-            raise NonIntegrableError(
-                f"self-convolution of order {k} is not integrable: "
-                f"alpha_min * k = {spec.alpha_min * k:.3f}"
-            )
+        _require_integrable(spec, k, f"self-convolution of order {k}")
     if not orders:
         return [], []
     lam = abs(float(lam))
@@ -88,9 +95,9 @@ def self_convolution(
     """k-fold self-convolution of the spectral density at frequency lam,
     computed as (1/2pi) * integral of B(t)^k cos(lam t) dt.
 
-    Requires k >= rank and an integrable power: alpha_min * k > 1 (and the
-    envelope decay exponent times k > 1 when rho != 2). Even in lam. The
-    quadrature error estimate must stay within tol.
+    Requires k >= rank and an integrable power: the envelope decay
+    exponent times k above 1 (alpha_min * k when every rho = 2). Even in
+    lam. The quadrature error estimate must stay within tol.
     """
     vals, _ = _self_convolutions(spec, rank, (k,), lam, tol)
     return vals[0]
@@ -128,8 +135,7 @@ def abs_cov_power_integral(spec: NoiseSpec, m: int, lo: float = 0.0) -> float:
     QuadratureError : the comparison estimate exceeds 1e-6 (relative
         above 1).
     """
-    if spec.decay_exponent * m <= 1.0 or spec.alpha_min * m <= 1.0:
-        raise NonIntegrableError(f"|B|^{m} is not integrable")
+    _require_integrable(spec, m, f"|B|^{m}")
     split = max(4096.0, 4.0 * lo)
     kappa_max = max(c.kappa for c in spec.components)
     width = 2.0 * math.pi / (m * kappa_max) if kappa_max > 0.0 else math.inf
@@ -162,6 +168,7 @@ def abs_cov_tail(spec: NoiseSpec, m: int, horizon: float) -> float:
 
 
 def _active_orders(transform: TransformSpec, j_max: int):
+    require_count("j_max", j_max, transform.rank)
     orders = []
     for j in range(transform.rank, min(j_max, transform.k_max) + 1):
         c = transform.coeffs[j]
@@ -181,8 +188,6 @@ def _spectral_sum(
     spec: NoiseSpec, transform: TransformSpec, lam: float, j_max: int
 ) -> tuple[float, float, float]:
     """(s, truncation tail bound, weighted quadrature error estimate)."""
-    if j_max < transform.rank:
-        raise ValidationError("j_max below the transform rank")
     active = _active_orders(transform, j_max)
     vals, errs = _self_convolutions(
         spec, transform.rank, [j for j, _ in active], lam

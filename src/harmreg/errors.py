@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the check of integer counts and seeds.
 
 ValidationError subclasses signal bad inputs or specs (CLI exit code 2);
 ExperimentError subclasses signal runtime/data failures (CLI exit code 3).
 """
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -26,7 +28,7 @@ class DegenerateTransformError(ValidationError):
 
 
 class NonIntegrableError(ValidationError):
-    """Self-convolution requested where alpha_min * k <= 1."""
+    """Power B^k requested where decay_exponent * k <= 1."""
 
 
 class OverlapError(ValidationError):
@@ -35,6 +37,16 @@ class OverlapError(ValidationError):
 
 class OutOfBandError(ValidationError):
     """Frequency argument outside the admissible open interval."""
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Refuse a count or seed that is a bool, not an integer, or below
+    least, before it reaches numpy."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValidationError(f"{name} must be {bound}, got {value}")
 
 
 class ExperimentError(RuntimeError):

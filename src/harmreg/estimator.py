@@ -23,6 +23,7 @@ from .errors import (
     OutOfBandError,
     SingularSystemError,
     ValidationError,
+    require_count,
 )
 from .simulate import DEFAULT_BAND, HarmonicModel, SamplePath
 from .spectral import _workspace
@@ -138,13 +139,8 @@ def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD,
     band outlives the call.
 
     pad sets the transform length (see _fft_grid). The spectrum goes into
-    out when given, an array of the spectrum's shape. Else on the
-    detection grid a single row's spectrum goes into this thread's
-    workspace instead of a fresh array, so the estimator's loop maps no
-    pages for it."""
+    out when given, an array of the spectrum's shape."""
     nfft, lo, freqs, keep = _band_window(grid, band, pad)
-    if out is None and pad == _DETECT_PAD and values.ndim == 1:
-        out = _workspace("spectrum", nfft // 2 + 1, np.complex128)
     spec = np.fft.rfft(values, nfft, out=out)
     window = spec[..., lo:lo + freqs.size]
     window *= grid.dt / grid.horizon
@@ -185,8 +181,7 @@ def detect_frequencies(
     floor (4x the median periodogram over the band) raises
     NoiseFloorWarning; a later one raises InsufficientPeaksError.
     """
-    if n_harmonics < 1:
-        raise ValidationError("n_harmonics must be at least 1")
+    require_count("n_harmonics", n_harmonics, 1)
     if band[0] <= 0.0 or band[1] <= band[0]:
         raise ValidationError("band must satisfy 0 < lo < hi")
     if band[1] >= path.grid.nyquist:
@@ -194,13 +189,16 @@ def detect_frequencies(
             f"band upper edge {band[1]} reaches Nyquist {path.grid.nyquist:.4f}"
         )
     gap = min_gap(path.grid.horizon)
-    freqs, vals = _band_periodogram(path.values, path.grid, band, _DETECT_PAD)
+    nfft, cell = _fft_grid(path.grid, _DETECT_PAD)
+    # the spectrum goes into this thread's workspace, so the estimator's
+    # loop maps no pages for it
+    spectrum = _workspace("spectrum", nfft // 2 + 1, np.complex128)
+    freqs, vals = _band_periodogram(path.values, path.grid, band, _DETECT_PAD,
+                                    out=spectrum)
     if len(freqs) < 2:
         raise ValidationError(
             f"band ({band[0]}, {band[1]}) holds {len(freqs)} frequencies of the "
-            f"detection grid, whose spacing is "
-            f"{_fft_grid(path.grid, _DETECT_PAD)[1]:.6g}; "
-            "need at least two"
+            f"detection grid, whose spacing is {cell:.6g}; need at least two"
         )
     spacing = freqs[1] - freqs[0]
     admissible = freqs >= max(band[0], gap)

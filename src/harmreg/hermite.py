@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTransformError, QuadratureError, ValidationError
+from .errors import (
+    DegenerateTransformError,
+    QuadratureError,
+    ValidationError,
+    require_count,
+)
 from .spectral import NoiseSpec, covariance
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -32,13 +37,8 @@ def hermite(k: int, x):
         raise ValidationError(f"hermite order must be a nonnegative integer, got {k}")
     if k > 60:
         raise ValidationError(f"hermite order overflow: k = {k} exceeds 60")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for j in range(1, k):
-        h, h_prev = x * h - j * h_prev, h
+    for h in _hermite_rows(np.asarray(x, dtype=float), int(k)):
+        pass  # only the last row, H_k, is kept
     return h if h.ndim else float(h)
 
 
@@ -58,7 +58,7 @@ def _hermite_rows(x, k_max: int):
 def _stable(prev: np.ndarray, cur: np.ndarray) -> bool:
     # the natural magnitude of C_k grows like sqrt(k!), which puts an
     # absolute criterion below roundoff at high order
-    scale = np.sqrt([math.factorial(k) for k in range(len(cur))])
+    scale = np.sqrt([float(math.factorial(k)) for k in range(len(cur))])
     return bool(np.max(np.abs(cur - prev) / scale) <= _STABILITY)
 
 
@@ -128,8 +128,10 @@ def hermite_coefficients(g, k_max: int = DEFAULT_K_MAX, breakpoints=()) -> np.nd
     Raises
     ------
     QuadratureError : the 8- and 16-node rules disagree by more than 1e-9.
-    ValidationError : |C_0| > 1e-8 (the transform must be centered).
+    ValidationError : |C_0| > 1e-8 (the transform must be centered), or
+        k_max is not an integer of at least 1.
     """
+    require_count("k_max", k_max, 1)
     return _coefficients(g, k_max, breakpoints)[0]
 
 
@@ -280,10 +282,13 @@ def _finish_transform(kind: str, coeffs: np.ndarray, eg2: float, aux: tuple = ()
 def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K_MAX) -> TransformSpec:
     """Build a TransformSpec for one of the supported kinds.
 
-    kind='hermite-polynomial' takes ``coeffs`` as the C_k list (moment
-    convention); kind='user-table' takes ``table`` as an (x, G(x)) pair of
-    arrays covering the bulk of the standard normal range.
+    kind='hermite-polynomial' takes ``coeffs`` as the list C_0, C_1, ...
+    (moment convention) with C_0 = 0, so G = H_2 is (0, 0, 2);
+    kind='user-table' takes ``table`` as an (x, G(x)) pair of arrays
+    covering the bulk of the standard normal range. k_max, the last order
+    kept, is an integer of at least 1.
     """
+    require_count("k_max", k_max, 1)
     if kind in _CLOSED_FORM:
         g, kinks = _CLOSED_FORM[kind]
         return _finish_transform(kind, *_coefficients(g, k_max, kinks))

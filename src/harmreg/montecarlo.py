@@ -14,7 +14,6 @@ import concurrent.futures
 import contextlib
 import functools
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -28,6 +27,7 @@ from .errors import (
     ExperimentError,
     InsufficientSamplesError,
     ValidationError,
+    require_count,
 )
 from .estimator import (
     _band_periodogram,
@@ -70,12 +70,10 @@ class ExperimentConfig:
     allow_a4_violation: bool = False
 
     def __post_init__(self):
-        if self.replications < 2:
-            raise ValidationError("need at least 2 replications")
-        if self.master_seed < 0:
-            raise ValidationError(
-                f"master_seed must be nonnegative, got {self.master_seed}"
-            )
+        require_count("replications", self.replications, 2)
+        require_count("master_seed", self.master_seed, 0)
+        # gamma_report refuses a j_max below the transform's rank
+        require_count("j_max", self.j_max, 0)
         if not self.grids:
             raise ValidationError("grid schedule is empty")
         for grid in self.grids:
@@ -153,6 +151,19 @@ class GridResult:
         return np.cov(self.samples[:, :, k].T, ddof=1)
 
 
+def _coverage(samples: np.ndarray, gamma, level: float) -> np.ndarray:
+    """Fraction of the rows of samples with |x_i| <= z * sqrt(gamma_ii), per
+    component, for z the two-sided normal quantile of level."""
+    z = _Z.get(round(level, 2))
+    if z is None:
+        raise ValidationError(
+            f"coverage level {level!r} is not one of COVERAGE_LEVELS "
+            f"{COVERAGE_LEVELS}"
+        )
+    sd = np.sqrt(np.diag(np.asarray(gamma, dtype=float)))
+    return (np.abs(samples) <= z * sd).mean(axis=0)
+
+
 @dataclass
 class MonteCarloReport:
     config: ExperimentConfig
@@ -185,15 +196,8 @@ class MonteCarloReport:
     def coverage(self, grid_index: int, k: int, level: float = 0.95) -> np.ndarray:
         """Fraction of replications with |error_i| <= z * sqrt(Gamma_ii)
         (derived mode), per component; level is one of COVERAGE_LEVELS."""
-        z = _Z.get(round(level, 2))
-        if z is None:
-            raise ValidationError(
-                f"coverage level {level!r} is not one of COVERAGE_LEVELS "
-                f"{COVERAGE_LEVELS}"
-            )
-        sd = np.sqrt(np.diag(self.gamma_derived[k]))
-        samp = self.results[grid_index].samples[:, :, k]
-        return (np.abs(samp) <= z * sd).mean(axis=0)
+        samples = self.results[grid_index].samples[:, :, k]
+        return _coverage(samples, self.gamma_derived[k], level)
 
     def consistency_slopes(self) -> dict:
         """Log-log slopes of median raw absolute errors vs T, per class
@@ -364,8 +368,7 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
     blocks are computed before the first draw, so a config they reject
     fails at once. The report is identical for any worker count.
     """
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
+    require_count("workers", workers, 1)
     nh = len(config.model.harmonics)
     if config.noise_scale == 0.0:
         zero = np.zeros((3, 3))
@@ -448,12 +451,9 @@ def normality_diagnostics(samples, gamma: np.ndarray | None = None) -> dict:
         "excess_kurtosis_standardized": kurt / se_kurt,
     }
     if gamma is not None:
-        sd_th = np.sqrt(np.diag(np.asarray(gamma, dtype=float)))
-        coverage = {}
-        for level in COVERAGE_LEVELS:
-            z = _Z[round(level, 2)]
-            coverage[level] = (np.abs(samples) <= z * sd_th).mean(axis=0)
-        out["coverage"] = coverage
+        out["coverage"] = {
+            level: _coverage(samples, gamma, level) for level in COVERAGE_LEVELS
+        }
     return out
 
 
@@ -543,12 +543,8 @@ def lemma2_decay(
     ValidationError before the first draw. The helpers live in a pool
     that is shut down, and its threads joined, before the call returns.
     """
-    for name, value, least in (("replications", replications, 1),
-                               ("master_seed", master_seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValidationError(f"{name} must be >= {least}, got {value}")
+    require_count("replications", replications, 1)
+    require_count("master_seed", master_seed, 0)
     grids = tuple(SamplingGrid(float(h), dt) for h in horizons)
     if not grids:
         raise ValidationError("horizon schedule is empty")

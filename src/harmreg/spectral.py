@@ -408,7 +408,7 @@ def _tail_closures(lines: _PowerLines, lam: float, count: int):
             # drift of the local exponent over one doubling tracks how far
             # U is from an exact power law, which is what the closure misses
             closed, beta_loc = power_tail(t1)
-            _, beta_half = power_tail(0.5 * t1)
+            half, beta_half = power_tail(0.5 * t1)
             drift = np.abs(beta_loc - beta_half)
             err += per_order(order_z, np.abs(coef_z) * (closed * 2.0 * drift)[row_z])
         done = open_orders & ((err / (2.0 * math.pi) <= _TAIL_TARGET) | (t1 >= _T_CAP))
@@ -420,7 +420,6 @@ def _tail_closures(lines: _PowerLines, lam: float, count: int):
             if row_z.size:
                 closing = done[order_z]
                 rows = row_z[closing]
-                half, _ = power_tail(0.5 * t1)
                 seg, seg_err = _envelope_integral(lines, rows, 0.5 * t1, t1)
                 # a-posteriori check: closing the tail at t1/2 must agree
                 # with integrating [t1/2, t1] and closing at t1
@@ -433,46 +432,34 @@ def _tail_closures(lines: _PowerLines, lam: float, count: int):
     return t1s, tails / (2.0 * math.pi), errs / (2.0 * math.pi)
 
 
-def _block_layout(a: float, b: float, width: float) -> tuple[int, int, bool]:
-    """The integers that fix the panels of _block_edges(a, b, width): the
-    number of graded head edges, the number of uniform panels, and whether
-    the parity fix split the last head panel. Given a and b they determine
-    every edge, so nearby widths share one layout."""
+def _block_layout(a: float, b: float, width: float) -> tuple[tuple[float, ...], int]:
+    """The panels of _block_edges(a, b, width): the graded head edges, the
+    last of which starts the uniform panels, and the number of uniform
+    panels. Given b they determine every edge, and head[0] is a, so nearby
+    widths share one layout."""
     head = [a] if a > 0.0 else [0.0, _GRADE_START]
     while head[-1] < b and _GROWTH * head[-1] < width:
         head.append(min(head[-1] * (1.0 + _GROWTH), b))
     n = math.ceil((b - head[-1]) / width) if head[-1] < b else 0
-    split = False
     if (len(head) - 1 + n) % 2:
+        # the panel count must be even: one more uniform panel, or with
+        # none the last head panel split in two
         if n:
             n += 1
         else:
-            split = True
-    return len(head), n, split
+            head.insert(-1, 0.5 * (head[-2] + head[-1]))
+    return tuple(head), n
 
 
 def _chunk_count(layout) -> int:
-    heads, n, split = layout
-    return math.ceil((heads - 1 + split + n) / _CHUNK_PANELS)
+    head, n = layout
+    return math.ceil((len(head) - 1 + n) / _CHUNK_PANELS)
 
 
-def _head_edges(a: float, b: float, layout) -> np.ndarray:
-    """The graded head edges of the block [a, b] laid out as _block_layout
-    describes; the last one starts the uniform panels."""
-    heads, _, split = layout
-    head = [a] if a > 0.0 else [0.0, _GRADE_START]
-    while len(head) < heads:
-        head.append(min(head[-1] * (1.0 + _GROWTH), b))
-    if split:
-        head.insert(-1, 0.5 * (head[-2] + head[-1]))
-    return np.array(head)
-
-
-def _chunk_edges(a: float, b: float, layout, chunk: int) -> np.ndarray:
+def _chunk_edges(b: float, layout, chunk: int) -> np.ndarray:
     """Edges of one chunk of at most _CHUNK_PANELS panels of the block
-    [a, b] laid out as _block_layout describes."""
-    n = layout[1]
-    head = _head_edges(a, b, layout)
+    ending at b laid out as _block_layout describes."""
+    head, n = np.array(layout[0]), layout[1]
     start = head[-1]
     last = head.size - 1
     p0 = chunk * _CHUNK_PANELS
@@ -494,7 +481,7 @@ def _block_edges(a: float, b: float, width: float):
     """
     layout = _block_layout(a, b, width)
     for chunk in range(_chunk_count(layout)):
-        yield _chunk_edges(a, b, layout, chunk)
+        yield _chunk_edges(b, layout, chunk)
 
 
 @dataclass(frozen=True)
@@ -519,15 +506,15 @@ class _Chunk:
 
 
 @functools.lru_cache(maxsize=_NODE_CACHE_CHUNKS)
-def _chunk_nodes(spec: NoiseSpec, a: float, b: float, layout, chunk: int) -> _Chunk:
-    """The _Chunk of one chunk of the block [a, b]. None of it depends on
-    lam, so plug-ins at nearby frequencies share the read-only arrays."""
-    edges = _chunk_edges(a, b, layout, chunk)
-    head = _head_edges(a, b, layout)
-    width = (b - head[-1]) / max(layout[1], 1)
+def _chunk_nodes(spec: NoiseSpec, b: float, layout, chunk: int) -> _Chunk:
+    """The _Chunk of one chunk of the block ending at b. None of it depends
+    on lam, so plug-ins at nearby frequencies share the read-only arrays."""
+    edges = _chunk_edges(b, layout, chunk)
+    head, n = layout
+    width = (b - head[-1]) / max(n, 1)
     # local index of the chunk's first uniform panel, and of the first
     # coarse panel that pairs two uniform ones
-    u = min(max(head.size - 1 - chunk * _CHUNK_PANELS, 0), edges.size - 1)
+    u = min(max(len(head) - 1 - chunk * _CHUNK_PANELS, 0), edges.size - 1)
     cu = u + u % 2
     left = edges[u:-1]
     t, weights, direct, uniform = [], [], [], []
@@ -621,7 +608,7 @@ def _body_integrals(spec: NoiseSpec, lam: float, orders, t1s):
         width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
         layout = _block_layout(a, b, width)
         for chunk in range(_chunk_count(layout)):
-            nodes = _chunk_nodes(spec, a, b, layout, chunk)
+            nodes = _chunk_nodes(spec, b, layout, chunk)
             wcos = _weighted_cos(nodes, lam)
             fine, coarse = wcos[: nodes.fine], wcos[nodes.fine :]
             powers = _powers(nodes.cov, [orders[i] for i in open_slots])

@@ -217,7 +217,7 @@ class TestSelfConvolution:
         layout = spectral._block_layout(a, b, width)
         edges = list(spectral._block_edges(a, b, width))
         for chunk in range(spectral._chunk_count(layout)):
-            nodes = spectral._chunk_nodes(PLUGIN_NOISE, a, b, layout, chunk)
+            nodes = spectral._chunk_nodes(PLUGIN_NOISE, b, layout, chunk)
             fine_t, fine_w = spectral._panel_nodes(edges[chunk])
             coarse_t, _ = spectral._panel_nodes(edges[chunk][::2])
             for got, want in (
@@ -266,6 +266,20 @@ class TestSelfConvolution:
         spec = request.getfixturevalue(preset_name)
         with pytest.raises(NonIntegrableError):
             asy.self_convolution(spec, 1, k, 0.5)
+
+    def test_negative_value_clamped_or_refused(self, smooth, monkeypatch):
+        # a value below 0 by at most max(10 err, 1e-8) is rounding and reads
+        # 0; one further below is a failed quadrature
+        out = {}
+        monkeypatch.setattr(
+            asy, "_power_transforms", lambda spec, lam, orders: [out["pair"]]
+        )
+        for pair in ((-5e-9, 1e-10), (-5e-8, 1e-8)):
+            out["pair"] = pair
+            assert asy._self_convolutions(smooth, 1, (1,), 1.3) == ([0.0], [pair[1]])
+        out["pair"] = (-2e-8, 1e-10)
+        with pytest.raises(QuadratureError, match="negative"):
+            asy._self_convolutions(smooth, 1, (1,), 1.3)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +356,21 @@ class TestSpectralFactor:
     def test_j_max_below_rank(self, smooth, square):
         with pytest.raises(ValidationError):
             asy.spectral_factor(smooth, square, 1.3, j_max=1)
+        for j_max in (2.5, True):
+            with pytest.raises(ValidationError, match="j_max"):
+                asy.gamma_report(MODEL, square, smooth, j_max=j_max)
+
+    def test_tail_bound_counts_orders_past_j_max(self, smooth):
+        # orders 7..20 of the transform are left out of s at j_max = 6, so
+        # the bound carries their mass on top of the Parseval gap
+        transform = make_transform("centered-absolute-value")
+        _, tail = asy.spectral_factor(smooth, transform, 1.3, j_max=6)
+        mass = transform.parseval_gap + sum(
+            transform.coeffs[j] ** 2 / math.factorial(j) for j in range(7, 21)
+        )
+        bound = mass * asy.b_m(smooth, 2) / (2.0 * math.pi)
+        assert tail == pytest.approx(bound, rel=1e-14)
+        assert mass > 2.0 * transform.parseval_gap
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,20 @@ class TestAsymptotics:
         assert len(csv) == 1 + 9
         assert float(csv[1].split(",")[-1]) == pytest.approx(first_row[0])
 
+    @pytest.mark.parametrize("k_max, code", [("21", 0), ("-1", 2)])
+    def test_transform_k_max(self, component_cfgs, tmp_path, k_max, code):
+        # 21! exceeds int64; a k_max below 1 is a validation error
+        model, noise, _ = component_cfgs
+        transform = tmp_path / "transform.cfg"
+        transform.write_text(f"[transform]\nkind = identity\nk_max = {k_max}\n")
+        got, out, err = _run(
+            ["asymptotics", "--model", model, "--noise", noise, "--transform", str(transform)]
+        )
+        assert got == code
+        assert "Traceback" not in err
+        if code == 0:
+            assert float(_value(out, "s")) == pytest.approx(F_SMOOTH_13, rel=1e-8)
+
     def test_as_printed_mode_is_indefinite(self, component_cfgs):
         model, noise, transform = component_cfgs
         code, out, _ = _run(

@@ -280,6 +280,11 @@ class TestDetectFrequencies:
         path = _noiseless()
         with pytest.raises(ValidationError):
             est.detect_frequencies(path, 0)
+        for n_harmonics in (1.5, True):
+            with pytest.raises(ValidationError, match="n_harmonics"):
+                est.detect_frequencies(path, n_harmonics)
+            with pytest.raises(ValidationError, match="n_harmonics"):
+                est.estimate_harmonics(path, n_harmonics)
         with pytest.raises(ValidationError):
             est.detect_frequencies(path, 1, band=(0.0, 3.0))
         with pytest.raises(NyquistError):

@@ -33,6 +33,9 @@ def test_hermite_low_orders():
     assert hermite(1, 3.7) == 3.7
     assert hermite(2, 2.0) == 3.0
     assert hermite(3, 1.5) == 1.5**3 - 3 * 1.5
+    # an integral float order is that integer
+    assert hermite(0.0, 3.7) == 1.0
+    assert hermite(3.0, 1.5) == hermite(3, 1.5)
 
 
 def test_hermite_fifth_order_expansion():
@@ -220,6 +223,27 @@ def test_k_max_property():
     tr = make_transform("identity", k_max=12)
     assert tr.k_max == 12
     assert len(tr.coeffs) == 13
+
+
+@pytest.mark.parametrize("k_max", [21, 40])
+@pytest.mark.parametrize("kind", ["identity", "cube", "centered-absolute-value"])
+def test_k_max_past_int64_factorials(kind, k_max):
+    # 21! exceeds int64; each C_k comes from its own sum over the same
+    # nodes, so the first 21 are those of the default k_max
+    tr = make_transform(kind, k_max=k_max)
+    default = make_transform(kind)
+    assert tr.k_max == k_max
+    assert tr.coeffs[:21] == default.coeffs
+    assert tr.rank == default.rank
+    assert tr.parseval_gap <= default.parseval_gap
+
+
+@pytest.mark.parametrize("k_max", [-1, 0, 2.5, True])
+def test_k_max_must_be_a_positive_integer(k_max):
+    with pytest.raises(ValidationError, match="k_max"):
+        make_transform("identity", k_max=k_max)
+    with pytest.raises(ValidationError, match="k_max"):
+        hermite_coefficients(np.abs, k_max, breakpoints=(0.0,))
 
 
 # ---------------------------------------------------------------------------

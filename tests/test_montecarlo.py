@@ -169,6 +169,13 @@ class TestExperimentConfig:
             ({"noise_scale": math.nan}, "nonnegative"),
             ({"noise_scale": -0.5}, "nonnegative"),
             ({"master_seed": -1}, "master_seed must be nonnegative"),
+            ({"replications": 2.5}, "replications must be an integer"),
+            ({"replications": True}, "replications must be an integer"),
+            ({"master_seed": 1.5}, "master_seed must be an integer"),
+            ({"master_seed": True}, "master_seed must be an integer"),
+            ({"j_max": 2.5}, "j_max must be an integer"),
+            ({"j_max": False}, "j_max must be an integer"),
+            ({"j_max": -1}, "j_max must be nonnegative"),
         ],
     )
     def test_rejects_bad_fields(self, smooth, override, match):
@@ -351,9 +358,15 @@ class TestRunReplications:
             with pytest.raises(error):
                 run_replications(config, workers=workers)
 
-    def test_workers_must_be_positive(self, base_config):
-        with pytest.raises(ValidationError, match="workers"):
-            run_replications(base_config, workers=0)
+    def test_workers_must_be_positive(self, base_config, monkeypatch):
+        # refused before the limit blocks' quadrature
+        def unexpected(*args):
+            raise AssertionError("gamma_report ran")
+
+        monkeypatch.setattr(montecarlo.asymptotics, "gamma_report", unexpected)
+        for workers in (0, 2.5, True):
+            with pytest.raises(ValidationError, match="workers"):
+                run_replications(base_config, workers=workers)
 
     def test_failure_cap_aborts(self, failing_config):
         with pytest.raises(ExperimentError, match="unusable"):
@@ -501,6 +514,37 @@ class TestReportText:
             assert key in text
         # single grid: no slope section
         assert "[slopes]" not in text
+
+    def test_failed_and_nonconverged_rows(self, base_config, monkeypatch):
+        # replication 2 fails and 5 stalls among converged ones: neither
+        # enters the samples, the report names both, and one more unusable
+        # row passes FAILURE_CAP
+        def rows(unusable):
+            def fake(config, gi, r):
+                if r == 2:
+                    return r, "InsufficientPeaksError: no peak", None
+                return r, np.full((3, 1), float(r)), r not in unusable
+
+            return fake
+
+        config = dataclasses.replace(base_config, replications=10)
+        monkeypatch.setattr(montecarlo, "_replication", rows({5}))
+        report = run_replications(config, workers=1)
+        res = report.results[0]
+        assert (res.n_requested, res.n_ok, res.n_nonconverged) == (10, 8, 1)
+        assert res.failures == ("r=2: InsufficientPeaksError: no peak",)
+        assert res.samples[:, 0, 0].tolist() == [0, 1, 3, 4, 6, 7, 8, 9]
+        assert (
+            "converged = 8\nnonconverged = 1\nfailed = 1\n"
+            "failure = r=2: InsufficientPeaksError: no peak\nmean_0 = "
+        ) in report.to_text()
+        monkeypatch.setattr(montecarlo, "_replication", rows({5, 7}))
+        with pytest.raises(
+            ExperimentError,
+            match=r"^3/10 replications unusable on grid T=64\.0 "
+            r"\(1 failed, 2 non-converged\)$",
+        ):
+            run_replications(config, workers=1)
 
     @pytest.mark.parametrize("spec_name", ["smooth", "slow_carrier"])
     def test_embedding_clamp_bound(self, spec_name, request):

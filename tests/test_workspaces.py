@@ -103,12 +103,20 @@ def test_interleaved_calls_keep_earlier_results(call):
 
 
 def test_detection_spectrum_is_not_returned():
+    # detect_frequencies passes its workspace as out; the band it returns
+    # must not alias it
     path = _paths()[0]
-    freqs, vals = est._band_periodogram(path.values, path.grid, (0.1, 3.0), est._DETECT_PAD)
     nfft, _ = est._fft_grid(path.grid, est._DETECT_PAD)
     scratch = spectral._workspace("spectrum", nfft // 2 + 1, np.complex128)
+    freqs, vals = est._band_periodogram(
+        path.values, path.grid, (0.1, 3.0), est._DETECT_PAD, out=scratch
+    )
     assert not np.shares_memory(vals, scratch)
     assert not np.shares_memory(freqs, scratch)
+    scratch[-1] = np.nan
+    est.detect_frequencies(path, 2)
+    # detection wrote its spectrum there; bins past the band stay unscaled
+    assert scratch[-1] == np.fft.rfft(path.values, nfft)[-1]
 
 
 def test_threads_match_serial_plug_ins():
