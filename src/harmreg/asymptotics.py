@@ -25,8 +25,8 @@ from .errors import (
     ValidationError,
     require_count,
 )
-from .hermite import TransformSpec
-from .simulate import HarmonicModel
+from .hermite import TransformSpec, hermite_weight
+from .simulate import HarmonicModel, amplitude_squared
 from .spectral import (
     NoiseSpec,
     _block_edges,
@@ -40,6 +40,7 @@ from .spectral import (
 
 DEFAULT_J_MAX = 20
 _COEFF_SKIP = 1e-12  # scale-free floor below which a Hermite term is dropped
+_SELF_CONV_TOL = 1e-5  # error budget of each self-convolution
 MODES = ("derived", "as-printed")
 
 
@@ -57,13 +58,11 @@ def _require_integrable(spec: NoiseSpec, k: int, what: str) -> None:
         )
 
 
-def _self_convolutions(
-    spec: NoiseSpec, rank: int, orders, lam: float, tol: float = 1e-5
-):
+def _self_convolutions(spec: NoiseSpec, rank: int, orders, lam: float):
     """f^(*k)(lam) and its error estimate for every k in orders, from one
     call of the cosine-transform engine shared by all orders. Each order's
     estimate (body: comparison with the rule at twice the panel width;
-    tail: the closure bounds) must stay within tol."""
+    tail: the closure bounds) must stay within _SELF_CONV_TOL (1e-5)."""
     for k in orders:
         if k < 1 or k < rank:
             raise ValidationError(f"order k = {k} must be >= rank = {rank}")
@@ -73,10 +72,10 @@ def _self_convolutions(
     lam = abs(float(lam))
     vals, errs = [], []
     for k, (val, err) in zip(orders, _power_transforms(spec, lam, orders)):
-        if err > tol:
+        if err > _SELF_CONV_TOL:
             raise QuadratureError(
                 f"self-convolution of order {k} at {lam:.4f}: error estimate "
-                f"{err:.2e} exceeds {tol:.2e}"
+                f"{err:.2e} exceeds {_SELF_CONV_TOL:.2e}"
             )
         if val < 0.0:
             if val < -max(10.0 * err, 1e-8):
@@ -89,17 +88,15 @@ def _self_convolutions(
     return vals, errs
 
 
-def self_convolution(
-    spec: NoiseSpec, rank: int, k: int, lam: float, tol: float = 1e-5
-) -> float:
+def self_convolution(spec: NoiseSpec, rank: int, k: int, lam: float) -> float:
     """k-fold self-convolution of the spectral density at frequency lam,
     computed as (1/2pi) * integral of B(t)^k cos(lam t) dt.
 
     Requires k >= rank and an integrable power: the envelope decay
     exponent times k above 1 (alpha_min * k when every rho = 2). Even in
-    lam. The quadrature error estimate must stay within tol.
+    lam. The quadrature error estimate must stay within 1e-5.
     """
-    vals, _ = _self_convolutions(spec, rank, (k,), lam, tol)
+    vals, _ = _self_convolutions(spec, rank, (k,), lam)
     return vals[0]
 
 
@@ -173,14 +170,14 @@ def _active_orders(transform: TransformSpec, j_max: int):
     for j in range(transform.rank, min(j_max, transform.k_max) + 1):
         c = transform.coeffs[j]
         if abs(c) / math.sqrt(math.factorial(j)) > _COEFF_SKIP:
-            orders.append((j, c * c / math.factorial(j)))
+            orders.append((j, hermite_weight(c, j)))
     return orders
 
 
 def _tail_mass(transform: TransformSpec, j_max: int) -> float:
     mass = transform.parseval_gap  # sum_{k > K_max} C_k^2 / k!
     for j in range(j_max + 1, transform.k_max + 1):
-        mass += transform.coeffs[j] ** 2 / math.factorial(j)
+        mass += hermite_weight(transform.coeffs[j], j)
     return mass
 
 
@@ -231,9 +228,7 @@ class GramBlock:
 
 
 def gram_block(a: float, b: float) -> GramBlock:
-    c2 = a * a + b * b
-    if c2 <= 0.0:
-        raise ValidationError("harmonic amplitude is zero")
+    c2 = amplitude_squared(a, b)
     c = math.sqrt(c2)
     off_b = math.sqrt(3.0) * b / (2.0 * c)
     off_c = -math.sqrt(3.0) * a / (2.0 * c)
@@ -267,9 +262,7 @@ def gamma_matrix(
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
-    c2 = a * a + b * b
-    if c2 <= 0.0:
-        raise ValidationError("harmonic amplitude is zero")
+    c2 = amplitude_squared(a, b)
     if s_value is None:
         s_value, _ = spectral_factor(spec, transform, phi, j_max)
     pref = 4.0 * math.pi * s_value / c2
@@ -351,10 +344,7 @@ def trig_spectral_measure(a: float, b: float, phi: float):
     """Atoms (location, 3x3 Hermitian mass block) of the spectral measure
     of one normalized harmonic regressor triple; masses at +phi and -phi
     are complex conjugates and sum to the real Gram block."""
-    c2 = a * a + b * b
-    if c2 <= 0.0:
-        raise ValidationError("harmonic amplitude is zero")
-    c = math.sqrt(c2)
+    c = math.sqrt(amplitude_squared(a, b))
     beta_p = math.sqrt(3.0) * (b - 1j * a) / (4.0 * c)
     gamma_p = -math.sqrt(3.0) * (a + 1j * b) / (4.0 * c)
     m_plus = np.array([

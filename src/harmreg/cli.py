@@ -27,6 +27,7 @@ from .simulate import (
     SamplePath,
     gaussian_path,
     observe,
+    require_noise_scale,
     subordinate,
 )
 
@@ -65,10 +66,8 @@ def _cmd_simulate(args) -> int:
     master = args.seed if args.seed is not None else exp.get("master_seed", 0)
     allow = exp.get("allow_a4_violation", False)
     scale = exp.get("noise_scale", 1.0)
-    if not scale >= 0.0:
-        # observe checks this too (NaN included), but the noise-only branch
-        # does not call it
-        raise ValidationError("noise_scale must be nonnegative")
+    # the noise-only branch does not go through observe, which checks it too
+    require_noise_scale(scale)
     for gi, grid in enumerate(grids):
         seed = np.random.SeedSequence(entropy=master, spawn_key=(gi, 0))
         if model is None:

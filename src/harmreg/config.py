@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_count
 from .hermite import TransformSpec, make_transform
 from .simulate import DEFAULT_BAND, DEFAULT_DT, HarmonicModel, SamplingGrid, _load_csv
 from .spectral import NoiseComponent, NoiseSpec, preset_noise
@@ -86,8 +86,7 @@ def _as_int(value: str, context: str) -> int:
 def as_seed(value: str, context: str) -> int:
     """A master seed: an integer >= 0, as numpy's SeedSequence takes."""
     out = _as_int(value, context)
-    if out < 0:
-        raise ValidationError(f"{context}: must be nonnegative, got {out}")
+    require_count(context, out, 0)
     return out
 
 

@@ -19,13 +19,12 @@ from ._kernels import fourier_pair, hessian, jacobian, signal, trig_design
 from .errors import (
     InsufficientPeaksError,
     NoiseFloorWarning,
-    NyquistError,
     OutOfBandError,
     SingularSystemError,
     ValidationError,
     require_count,
 )
-from .simulate import DEFAULT_BAND, HarmonicModel, SamplePath
+from .simulate import DEFAULT_BAND, HarmonicModel, SamplePath, require_band
 from .spectral import _workspace
 
 NOISE_FLOOR_FACTOR = 4.0
@@ -182,12 +181,7 @@ def detect_frequencies(
     NoiseFloorWarning; a later one raises InsufficientPeaksError.
     """
     require_count("n_harmonics", n_harmonics, 1)
-    if band[0] <= 0.0 or band[1] <= band[0]:
-        raise ValidationError("band must satisfy 0 < lo < hi")
-    if band[1] >= path.grid.nyquist:
-        raise NyquistError(
-            f"band upper edge {band[1]} reaches Nyquist {path.grid.nyquist:.4f}"
-        )
+    require_band(band, path.grid)
     gap = min_gap(path.grid.horizon)
     nfft, cell = _fft_grid(path.grid, _DETECT_PAD)
     # the spectrum goes into this thread's workspace, so the estimator's

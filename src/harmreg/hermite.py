@@ -169,15 +169,19 @@ def hermite_rank(coeffs) -> int:
     raise DegenerateTransformError("all Hermite coefficients below rank tolerance")
 
 
-def subordinated_covariance(coeffs, spec: NoiseSpec, t, rank: int | None = None):
-    """Covariance of G(xi) at lag t: sum_{k=m}^{K_max} (C_k^2 / k!) B(t)^k."""
+def hermite_weight(c: float, k: int) -> float:
+    """C_k^2 / k!, the weight of order k in the covariance of G(xi)."""
+    return c * c / math.factorial(k)
+
+
+def subordinated_covariance(coeffs, spec: NoiseSpec, t):
+    """Covariance of G(xi) at lag t: sum_{k=m}^{K_max} (C_k^2 / k!) B(t)^k
+    for m the Hermite rank of coeffs."""
     coeffs = np.asarray(coeffs, dtype=float)
-    m = hermite_rank(coeffs) if rank is None else rank
-    b = covariance(spec, t)
-    b_arr = np.asarray(b, dtype=float)
+    b_arr = np.asarray(covariance(spec, t), dtype=float)
     out = np.zeros_like(b_arr)
-    for k in range(m, len(coeffs)):
-        out += coeffs[k] ** 2 / math.factorial(k) * b_arr**k
+    for k in range(hermite_rank(coeffs), len(coeffs)):
+        out += hermite_weight(coeffs[k], k) * b_arr**k
     return out if out.ndim else float(out)
 
 
@@ -253,7 +257,7 @@ class TransformSpec:
 
 def _coefficient_mass(coeffs) -> float:
     """sum_{k>=1} C_k^2 / k!."""
-    return float(sum(c * c / math.factorial(k) for k, c in enumerate(coeffs) if k >= 1))
+    return float(sum(hermite_weight(c, k) for k, c in enumerate(coeffs) if k >= 1))
 
 
 def _finish_transform(kind: str, coeffs: np.ndarray, eg2: float, aux: tuple = ()) -> TransformSpec:

@@ -39,19 +39,22 @@ from .estimator import (
 from .hermite import TransformSpec
 from .simulate import (
     DEFAULT_BAND,
-    DEFAULT_MAX_COV_ERROR,
     HarmonicModel,
     SamplingGrid,
     _clamped_embedding,
     _fill_paths,
     observe,
+    require_a4,
+    require_band,
+    require_noise_scale,
     subordinate,
 )
 from .spectral import NoiseSpec
 
 FAILURE_CAP = 0.2
-COVERAGE_LEVELS = (0.90, 0.95, 0.99)
+# two-sided standard normal quantile of each tabulated coverage level
 _Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
+COVERAGE_LEVELS = tuple(_Z)
 _FLOOR = 1e-12  # raw-error floor below which slopes are floor-limited
 # budget for the largest arrays of every lemma2_decay chunk in flight
 _SWEEP_CHUNK_BYTES = 8 << 20
@@ -76,22 +79,10 @@ class ExperimentConfig:
         require_count("j_max", self.j_max, 0)
         if not self.grids:
             raise ValidationError("grid schedule is empty")
-        for grid in self.grids:
-            if self.model.band[1] >= grid.nyquist:
-                raise ValidationError(
-                    f"band {self.model.band} reaches Nyquist of grid "
-                    f"T={grid.horizon}, dt={grid.dt}"
-                )
-        if not 0.0 <= self.noise_scale < math.inf:
-            raise ValidationError("noise_scale must be nonnegative and finite")
-        if (
-            not self.allow_a4_violation
-            and self.noise.alpha_min * self.transform.rank <= 1.0
-        ):
-            raise ValidationError(
-                "alpha_min * rank <= 1: limit theory does not apply "
-                "(set allow_a4_violation to override)"
-            )
+        require_band(self.model.band, *self.grids)
+        require_noise_scale(self.noise_scale)
+        if not self.allow_a4_violation:
+            require_a4(self.noise, self.transform)
 
 
 def _replication(config: ExperimentConfig, grid_index: int, r: int):
@@ -154,7 +145,7 @@ class GridResult:
 def _coverage(samples: np.ndarray, gamma, level: float) -> np.ndarray:
     """Fraction of the rows of samples with |x_i| <= z * sqrt(gamma_ii), per
     component, for z the two-sided normal quantile of level."""
-    z = _Z.get(round(level, 2))
+    z = _Z.get(level)
     if z is None:
         raise ValidationError(
             f"coverage level {level!r} is not one of COVERAGE_LEVELS "
@@ -345,9 +336,7 @@ def _grid_result(config: ExperimentConfig, gi: int, pool) -> GridResult:
     clamp, size = 0.0, 0
     if config.noise_scale > 0.0:
         # usable replications drew from this embedding, so it exists
-        root, clamp = _clamped_embedding(
-            config.noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR
-        )
+        root, clamp = _clamped_embedding(config.noise, grid.dt, grid.n)
         size = root.size
     return GridResult(
         grid=grid,
@@ -554,7 +543,7 @@ def lemma2_decay(
 
     def horizon_mean(gi, grid, pool):
         nfft, _ = _fft_grid(grid)
-        root = _clamped_embedding(noise, grid.dt, grid.n, DEFAULT_MAX_COV_ERROR)[0]
+        root = _clamped_embedding(noise, grid.dt, grid.n)[0]
         size = root.size
         # per row, in float64 words: the complex zero-padded spectrum, or
         # the complex half spectrum and the output of its inverse FFT

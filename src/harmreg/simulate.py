@@ -19,7 +19,9 @@ logger = logging.getLogger("harmreg")
 
 DEFAULT_DT = 0.25
 DEFAULT_BAND = (0.1, 3.0)
-DEFAULT_MAX_COV_ERROR = 1e-3
+# the largest bias on every covariance entry that clamping an indefinite
+# circulant embedding may put there
+MAX_COV_ERROR = 1e-3
 
 _EIG_CLAMP = 1e-8
 _PADS = (1, 2, 4, 8, 16)
@@ -54,6 +56,49 @@ class SamplingGrid:
         return np.arange(self.n) * self.dt
 
 
+def require_band(band, *grids) -> None:
+    """Refuse a frequency band unless 0 < lo < hi and hi lies below the
+    Nyquist frequency of every grid given (NyquistError)."""
+    lo, hi = band
+    if not 0.0 < lo < hi:
+        raise ValidationError(f"band must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    for grid in grids:
+        if hi >= grid.nyquist:
+            raise NyquistError(
+                f"band upper edge {hi} reaches Nyquist {grid.nyquist:.4f} "
+                f"of grid T={grid.horizon:g}, dt={grid.dt:g}"
+            )
+
+
+def require_noise_scale(scale) -> None:
+    """Refuse a noise scale that is negative, NaN or infinite."""
+    if not 0.0 <= scale < math.inf:
+        raise ValidationError(f"noise_scale must be nonnegative and finite, got {scale}")
+
+
+def require_a4(spec: NoiseSpec, transform: TransformSpec, allow: bool = False) -> None:
+    """Refuse noise and a transform with alpha_min * rank <= 1, where the
+    subordinated noise has long memory and the limit theory does not apply
+    (assumption A4); with ``allow``, warn instead."""
+    if spec.alpha_min * transform.rank <= 1.0:
+        msg = (
+            f"alpha_min * rank = {spec.alpha_min} * {transform.rank} <= 1: the "
+            "limit theory does not apply (set allow_a4_violation to override)"
+        )
+        if not allow:
+            raise ValidationError(msg)
+        warnings.warn(msg)
+
+
+def amplitude_squared(a: float, b: float) -> float:
+    """C^2 = a^2 + b^2 of the harmonic a cos + b sin; ValidationError when
+    it is zero."""
+    c2 = a * a + b * b
+    if c2 <= 0.0:
+        raise ValidationError("harmonic amplitude is zero")
+    return c2
+
+
 @dataclass(frozen=True)
 class HarmonicModel:
     """Sum of N harmonics A_k cos(phi_k t) + B_k sin(phi_k t).
@@ -71,17 +116,15 @@ class HarmonicModel:
         )
         object.__setattr__(self, "harmonics", harm)
         object.__setattr__(self, "band", (float(self.band[0]), float(self.band[1])))
+        require_band(self.band)
         lo, hi = self.band
-        if not 0.0 <= lo < hi:
-            raise ValidationError(f"invalid frequency band {self.band}")
         freqs = [p for _, _, p in harm]
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValidationError(f"frequencies must be strictly increasing, got {freqs}")
         for a, b, p in harm:
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValidationError(f"non-finite amplitude at frequency {p}")
-            if a * a + b * b <= 0.0:
-                raise ValidationError(f"zero amplitude at frequency {p}")
+            amplitude_squared(a, b)
             if not lo < p < hi:
                 raise ValidationError(
                     f"frequency {p} must lie strictly inside the band {self.band}"
@@ -192,9 +235,7 @@ def _scaled_root(eigs: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 @functools.lru_cache(maxsize=8)
-def _clamped_embedding(
-    spec: NoiseSpec, dt: float, n: int, max_cov_error: float
-) -> tuple[np.ndarray, float]:
+def _clamped_embedding(spec: NoiseSpec, dt: float, n: int) -> tuple[np.ndarray, float]:
     """The read-only scaled root sqrt(eigs / size) of the clamped
     embedding, and the bound sum(|negative eigs|) / size on the bias that
     clamping puts on every covariance entry (0.0 for an exact embedding).
@@ -204,7 +245,7 @@ def _clamped_embedding(
     tapered beyond lag n - 1, and the first candidate whose eigenvalues
     reach no lower than -1e-8 is taken. Failing that, the candidate with
     the smallest clamp bound over every one tried is clamped, within
-    max_cov_error."""
+    MAX_COV_ERROR."""
     base = 1 << (n - 1).bit_length()
     best = None
     for pad in _PADS:
@@ -217,7 +258,7 @@ def _clamped_embedding(
             if best is None or delta < best[0]:
                 best = (delta, eigs, worst)
     delta, eigs, worst = best
-    if delta > max_cov_error:
+    if delta > MAX_COV_ERROR:
         raise EmbeddingError(
             f"circulant embedding indefinite (min eigenvalue {worst:.3e}, "
             f"covariance error bound {delta:.3e}) after {_PADS[-1]}x padding"
@@ -230,12 +271,7 @@ def _clamped_embedding(
     return _scaled_root(eigs)
 
 
-def gaussian_path(
-    spec: NoiseSpec,
-    grid: SamplingGrid,
-    seed,
-    max_cov_error: float = DEFAULT_MAX_COV_ERROR,
-) -> np.ndarray:
+def gaussian_path(spec: NoiseSpec, grid: SamplingGrid, seed) -> np.ndarray:
     """Stationary Gaussian samples with covariance B on the grid.
 
     Circulant embedding: exact in distribution when the embedding is
@@ -253,24 +289,18 @@ def gaussian_path(
     indefinite at any size, tapered or not. Then the candidate with the
     smallest bound sum(|negative eigenvalues|) / size on the bias that
     clamping puts on every covariance entry is clamped; if that bound is
-    within ``max_cov_error`` the path is still generated (with a logged
-    warning reporting the bound), otherwise EmbeddingError is raised. Pass
-    ``max_cov_error=0.0`` to forbid the approximation. Deterministic per
-    seed either way. The scaled root sqrt(eigs / size) of the chosen
-    embedding is cached per (spec, grid).
+    within MAX_COV_ERROR (1e-3) the path is still generated (with a logged
+    warning reporting the bound), otherwise EmbeddingError is raised.
+    Deterministic per seed either way. The scaled root sqrt(eigs / size)
+    of the chosen embedding is cached per (spec, grid).
 
     This is the one-row case of ``gaussian_paths``, which describes the
     construction.
     """
-    return gaussian_paths(spec, grid, (seed,), max_cov_error)[0]
+    return gaussian_paths(spec, grid, (seed,))[0]
 
 
-def gaussian_paths(
-    spec: NoiseSpec,
-    grid: SamplingGrid,
-    seeds,
-    max_cov_error: float = DEFAULT_MAX_COV_ERROR,
-) -> np.ndarray:
+def gaussian_paths(spec: NoiseSpec, grid: SamplingGrid, seeds) -> np.ndarray:
     """One stationary Gaussian path per seed, as rows of a (len(seeds), n)
     array; row r is bit for bit ``gaussian_path(spec, grid, seeds[r])``.
 
@@ -289,7 +319,7 @@ def gaussian_paths(
     axis, whose rows are the bits of the one-row transform. Embedding
     failures and warnings are those of ``gaussian_path``.
     """
-    root, _ = _clamped_embedding(spec, grid.dt, grid.n, max_cov_error)
+    root, _ = _clamped_embedding(spec, grid.dt, grid.n)
     rows, size = len(seeds), root.size
     return _fill_paths(root, seeds, np.empty((rows, size // 2 + 1), dtype=complex),
                        np.empty((rows, size)), np.empty((rows, grid.n)))
@@ -318,10 +348,7 @@ def subordinate(xi: np.ndarray, transform: TransformSpec) -> np.ndarray:
 
 def regression_signal(model: HarmonicModel, grid: SamplingGrid) -> np.ndarray:
     """g(t_i, theta) on the grid; the band must clear the Nyquist bound."""
-    if model.band[1] >= grid.nyquist:
-        raise NyquistError(
-            f"band upper edge {model.band[1]} reaches Nyquist {grid.nyquist:.4f}"
-        )
+    require_band(model.band, grid)
     t = grid.times()
     out = np.zeros(grid.n)
     for a, b, phi in model.harmonics:
@@ -344,16 +371,8 @@ def observe(
     noise_scale=0 produces a noiseless path without drawing the Gaussian
     process at all.
     """
-    if not 0.0 <= noise_scale < math.inf:
-        raise ValidationError("noise_scale must be nonnegative and finite")
-    if spec.alpha_min * transform.rank <= 1.0:
-        msg = (
-            f"alpha_min * rank = {spec.alpha_min} * {transform.rank} <= 1: "
-            "the limit theory does not apply"
-        )
-        if not allow_a4_violation:
-            raise ValidationError(msg)
-        warnings.warn(msg)
+    require_noise_scale(noise_scale)
+    require_a4(spec, transform, allow_a4_violation)
     signal = regression_signal(model, grid)
     if noise_scale == 0.0:
         noise = np.zeros(grid.n)

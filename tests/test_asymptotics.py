@@ -157,17 +157,18 @@ class TestSelfConvolution:
         val = asy.self_convolution(spec, rank, k, lam)
         assert abs(val - self_convolution_qawf_oracle(spec, k, lam)) <= 1e-7
 
-    def test_near_carrier(self, seasonal):
+    def test_near_carrier(self, seasonal, monkeypatch):
         # 1e-4 from the carrier the slowest tail line needs t1 at its cap;
-        # the order's estimate still fits the default budget, and the value
-        # lies within it of the oracle
+        # the order's estimate still fits the budget, and the value lies
+        # within it of the oracle
         lam = 2.0 + 1e-4
         (val,), (err,) = asy._self_convolutions(seasonal, 1, (3,), lam)
         assert 1e-7 < err <= 1e-5
         assert abs(val - self_convolution_qawf_oracle(seasonal, 3, lam)) <= err
         assert asy.self_convolution(seasonal, 1, 3, lam) == val
+        monkeypatch.setattr(asy, "_SELF_CONV_TOL", 1e-7)
         with pytest.raises(QuadratureError):
-            asy.self_convolution(seasonal, 1, 3, lam, tol=1e-7)
+            asy.self_convolution(seasonal, 1, 3, lam)
 
     @pytest.mark.parametrize(
         "a, b, width",
@@ -371,6 +372,16 @@ class TestSpectralFactor:
         bound = mass * asy.b_m(smooth, 2) / (2.0 * math.pi)
         assert tail == pytest.approx(bound, rel=1e-14)
         assert mass > 2.0 * transform.parseval_gap
+
+    def test_order_weight_is_one_formula(self):
+        # with the C library's pow, c ** 2 / 3! and c * c / 3! differ in the
+        # last bit for this C_3, so the tail mass past j_max = 2 and the
+        # weight of order 3 in s agree only through one formula
+        c3 = 1.5151472691864707
+        transform = make_transform("hermite-polynomial", coeffs=[0.0, 1.0, 0.0, c3])
+        assert transform.parseval_gap == 0.0
+        weights = dict(asy._active_orders(transform, 3))
+        assert asy._tail_mass(transform, 2).hex() == weights[3].hex()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from harmreg import montecarlo
 from harmreg.cli import main
 
 F_SMOOTH_13 = 0.11717764563958491
@@ -237,7 +238,7 @@ class TestSimulate:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --seed: master seed: must be nonnegative" in err
+        assert "argument --seed: master seed must be nonnegative" in err
         assert "Traceback" not in err
         assert not (tmp_path / "path_T64.csv").exists()
 
@@ -246,7 +247,7 @@ class TestSimulate:
         cfg.write_text(EXPERIMENT_CFG.replace("master_seed = 7", "master_seed = -3"))
         code, _, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert err == "error: master_seed: must be nonnegative, got -3\n"
+        assert err == "error: master_seed must be nonnegative, got -3\n"
         assert not (tmp_path / "path_T64.csv").exists()
 
 
@@ -453,7 +454,7 @@ class TestMontecarlo:
         cfg.write_text(EXPERIMENT_CFG.replace("master_seed = 7", "master_seed = -3"))
         code, out, err = _run(["montecarlo", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert err == "error: master_seed: must be nonnegative, got -3\n"
+        assert err == "error: master_seed must be nonnegative, got -3\n"
         assert out == ""
 
     def test_negative_seed_flag_exits_2(self, experiment_cfg, capsys):
@@ -461,7 +462,7 @@ class TestMontecarlo:
             main(["montecarlo", "--config", experiment_cfg, "--seed", "-1"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --seed: master seed: must be nonnegative" in err
+        assert "argument --seed: master seed must be nonnegative" in err
         assert "Traceback" not in err
 
     def test_unusable_replications_exit_3(self, tmp_path):
@@ -477,6 +478,21 @@ class TestMontecarlo:
         code, _, err = _run(["montecarlo", "--config", str(cfg)])
         assert code == 2
         assert "alpha_min" in err
+
+    def test_band_at_zero_exits_2_before_drawing(self, tmp_path, monkeypatch):
+        # detection refuses a band that starts at 0, so the model refuses it
+        # too, before the Gamma quadrature or any replication runs
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a replication")
+
+        monkeypatch.setattr(montecarlo, "_replication", no_draws)
+        monkeypatch.setattr(montecarlo.asymptotics, "gamma_report", no_draws)
+        cfg = tmp_path / "band0.cfg"
+        cfg.write_text(EXPERIMENT_CFG + "\n[band]\nlow = 0\nhigh = 3\n")
+        code, out, err = _run(["montecarlo", "--config", str(cfg)])
+        assert code == 2
+        assert err == "error: band must satisfy 0 < lo < hi, got (0.0, 3.0)\n"
+        assert out == ""
 
 
 class TestMoments:

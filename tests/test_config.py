@@ -284,7 +284,7 @@ def test_non_finite_number_rejected(raw):
 @pytest.mark.parametrize("raw", ["-1", "-3"])
 def test_negative_master_seed_rejected(raw):
     # numpy's SeedSequence takes only nonnegative entropy
-    with pytest.raises(ValidationError, match="master_seed: must be nonnegative"):
+    with pytest.raises(ValidationError, match="master_seed must be nonnegative"):
         config.load_experiment(config.parse_blocks(f"[experiment]\nmaster_seed = {raw}\n"))
 
 

@@ -1,0 +1,157 @@
+"""Each input condition has one owner: every entry point that checks it
+refuses a bad value with the owner's exception class and message, and the
+command line exits 2 with that message."""
+
+import contextlib
+import io
+import re
+import warnings
+
+import pytest
+
+from harmreg import asymptotics, estimator, simulate
+from harmreg.cli import main
+from harmreg.errors import ValidationError
+from harmreg.hermite import make_transform
+from harmreg.montecarlo import ExperimentConfig
+from harmreg.simulate import HarmonicModel, SamplingGrid
+from harmreg.spectral import preset_noise
+
+GRID = SamplingGrid(64.0, 0.25)
+SMOOTH = preset_noise("smooth")
+SEASONAL = preset_noise("seasonal")  # alpha_min = 0.5: rank 1 violates A4
+IDENTITY = make_transform("identity")
+MODEL = HarmonicModel(((1.0, 0.5, 1.3),))
+BAND_AT_ZERO = (0.0, 3.0)
+PAST_NYQUIST = (0.1, 13.0)  # the grid's Nyquist frequency is 4 pi
+
+
+def _path():
+    return simulate.observe(MODEL, SMOOTH, IDENTITY, GRID, seed=1)
+
+
+def _config(**override):
+    kwargs = dict(noise=SMOOTH, transform=IDENTITY, model=MODEL, grids=(GRID,),
+                  replications=4, master_seed=0)
+    kwargs.update(override)
+    return ExperimentConfig(**kwargs)
+
+
+def _observe(**override):
+    kwargs = dict(model=MODEL, spec=SMOOTH, transform=IDENTITY, grid=GRID, seed=1)
+    kwargs.update(override)
+    return simulate.observe(**kwargs)
+
+
+def _cfg_text(noise="smooth", model="a = 1.0\nb = 0.5\nphi = 1.3\n", band=None,
+              noise_scale=None):
+    text = f"[noise]\npreset = {noise}\n[transform]\nkind = identity\n"
+    if model is not None:
+        text += "[model]\n" + model
+    if band is not None:
+        text += f"[band]\nlow = {band[0]}\nhigh = {band[1]}\n"
+    text += "[grid]\nhorizon = 64\ndt = 0.25\n[experiment]\nreplications = 4\n"
+    text += "master_seed = 0\n"
+    if noise_scale is not None:
+        text += f"noise_scale = {noise_scale}\n"
+    return text
+
+
+# per condition: the owner's refusal, then every entry point that checks it;
+# an entry point given as (command, config text) runs on the command line
+CONDITIONS = {
+    "band-at-zero": (
+        lambda: simulate.require_band(BAND_AT_ZERO),
+        {
+            "HarmonicModel": lambda: HarmonicModel(MODEL.harmonics, band=BAND_AT_ZERO),
+            "detect_frequencies": lambda: estimator.detect_frequencies(
+                _path(), 1, band=BAND_AT_ZERO),
+            "cli-simulate": ("simulate", _cfg_text(band=BAND_AT_ZERO)),
+            "cli-montecarlo": ("montecarlo", _cfg_text(band=BAND_AT_ZERO)),
+        },
+    ),
+    "band-past-nyquist": (
+        lambda: simulate.require_band(PAST_NYQUIST, GRID),
+        {
+            "ExperimentConfig": lambda: _config(
+                model=HarmonicModel(MODEL.harmonics, band=PAST_NYQUIST)),
+            "observe": lambda: _observe(
+                model=HarmonicModel(MODEL.harmonics, band=PAST_NYQUIST)),
+            "regression_signal": lambda: simulate.regression_signal(
+                HarmonicModel(MODEL.harmonics, band=PAST_NYQUIST), GRID),
+            "detect_frequencies": lambda: estimator.detect_frequencies(
+                _path(), 1, band=PAST_NYQUIST),
+            "cli-simulate": ("simulate", _cfg_text(band=PAST_NYQUIST)),
+            "cli-montecarlo": ("montecarlo", _cfg_text(band=PAST_NYQUIST)),
+        },
+    ),
+    "negative-noise-scale": (
+        lambda: simulate.require_noise_scale(-1.0),
+        {
+            "ExperimentConfig": lambda: _config(noise_scale=-1.0),
+            "observe": lambda: _observe(noise_scale=-1.0),
+            "cli-simulate": ("simulate", _cfg_text(noise_scale=-1)),
+            "cli-simulate-noise-only": ("simulate", _cfg_text(model=None, noise_scale=-1)),
+            "cli-montecarlo": ("montecarlo", _cfg_text(noise_scale=-1)),
+        },
+    ),
+    "a4-violation": (
+        lambda: simulate.require_a4(SEASONAL, IDENTITY),
+        {
+            "ExperimentConfig": lambda: _config(noise=SEASONAL),
+            "observe": lambda: _observe(spec=SEASONAL),
+            "cli-simulate": ("simulate", _cfg_text(noise="seasonal")),
+            "cli-montecarlo": ("montecarlo", _cfg_text(noise="seasonal")),
+        },
+    ),
+    "zero-amplitude": (
+        lambda: simulate.amplitude_squared(0.0, 0.0),
+        {
+            "HarmonicModel": lambda: HarmonicModel(((0.0, 0.0, 1.3),)),
+            "gram_block": lambda: asymptotics.gram_block(0.0, 0.0),
+            "gamma_matrix": lambda: asymptotics.gamma_matrix(0.0, 0.0, 1.3, IDENTITY, SMOOTH),
+            "trig_spectral_measure": lambda: asymptotics.trig_spectral_measure(0.0, 0.0, 1.3),
+            "cli-simulate": ("simulate", _cfg_text(model="a = 0\nb = 0\nphi = 1.3\n")),
+            "cli-montecarlo": ("montecarlo", _cfg_text(model="a = 0\nb = 0\nphi = 1.3\n")),
+        },
+    ),
+}
+
+
+def _refusal(call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "condition, entry",
+    [(c, e) for c, (_, entries) in CONDITIONS.items() for e in entries],
+)
+def test_one_refusal_per_condition(condition, entry, tmp_path):
+    owner, entries = CONDITIONS[condition]
+    cls, message = _refusal(owner)
+    call = entries[entry]
+    if callable(call):
+        assert _refusal(call) == (cls, message)
+        return
+    command, text = call
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(out_dir)])
+    assert (code, err.getvalue()) == (2, f"error: {message}\n")
+    assert out.getvalue() == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_allowed_a4_violation_warns_with_the_message():
+    _, message = _refusal(lambda: simulate.require_a4(SEASONAL, IDENTITY))
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        _observe(spec=SEASONAL, allow_a4_violation=True)
+    # the experiment accepts it at construction without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _config(noise=SEASONAL, allow_a4_violation=True)

@@ -484,7 +484,7 @@ class TestReportLogic:
         band = 3.0 * math.sqrt(level * (1.0 - level) / 2000.0)
         assert np.all(np.abs(cover - level) <= band)
 
-    @pytest.mark.parametrize("level", [0.8, 0.975])
+    @pytest.mark.parametrize("level", [0.8, 0.975, 0.946, 0.951, 0.904, 0.994])
     def test_coverage_rejects_untabulated_level(self, base_config, level):
         samples = np.zeros((4, 3, 1))
         rep = _report(base_config, (_grid_result(64.0, samples),), (np.eye(3),))
@@ -565,9 +565,7 @@ class TestReportText:
         report = run_replications(config)
         res = report.results[0]
         bound = res.embedding_clamp_bound
-        root, _ = montecarlo._clamped_embedding(
-            config.noise, res.grid.dt, res.grid.n, montecarlo.DEFAULT_MAX_COV_ERROR
-        )
+        root, _ = montecarlo._clamped_embedding(config.noise, res.grid.dt, res.grid.n)
         assert res.embedding_size == root.size
         if spec_name == "smooth":
             assert bound == 0.0
@@ -872,9 +870,7 @@ class TestLemma2Decay:
         # takes one forward and one inverse real FFT; the embedding's own
         # FFT is built and cached before the spies go in, whichever tests
         # ran first
-        montecarlo._clamped_embedding(
-            smooth, 0.25, 32768, montecarlo.DEFAULT_MAX_COV_ERROR
-        )
+        montecarlo._clamped_embedding(smooth, 0.25, 32768)
         calls = {"fft": [], "rfft": [], "irfft": []}
         for name, record in calls.items():
             original = getattr(np.fft, name)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from harmreg import simulate
 from harmreg import (
     HarmonicModel,
     NoiseComponent,
@@ -86,6 +87,8 @@ def test_model_validation():
         HarmonicModel(harmonics=((1.0, 0.0, 1.0),), band=(2.0, 1.0))
     with pytest.raises(ValidationError):
         HarmonicModel(harmonics=((1.0, 0.0, 1.0),), band=(-0.5, 3.0))
+    with pytest.raises(ValidationError, match="0 < lo < hi"):
+        HarmonicModel(harmonics=((1.0, 0.0, 1.0),), band=(0.0, 3.0))
 
 
 @pytest.mark.parametrize(
@@ -189,14 +192,16 @@ def test_embedding_definite_for_smooth_kernels():
     assert _embedding_eigenvalues(rank2, 0.25, 16384).min() > 0.0
 
 
-def test_embedding_clamp_budget(slow_carrier):
+def test_embedding_clamp_budget(slow_carrier, monkeypatch):
     # the slowly decaying carrier keeps the embedding slightly indefinite
     # at any padding, natural or tapered; the clamp is accepted within the
-    # documented 1e-3 budget
+    # documented 1e-3 budget, and refused without one
     path = gaussian_path(slow_carrier, GRID, seed=4)
     assert np.all(np.isfinite(path))
+    monkeypatch.setattr(simulate, "MAX_COV_ERROR", 0.0)
+    _clamped_embedding.cache_clear()
     with pytest.raises(EmbeddingError):
-        gaussian_path(slow_carrier, GRID, seed=4, max_cov_error=0.0)
+        gaussian_path(slow_carrier, GRID, seed=4)
 
 
 # the two-component noise of the plugin-validate benchmark workload
@@ -221,7 +226,7 @@ NATURAL_SPECS = {
 def _row_taken(spec, grid):
     """'natural' or 'tapered': the row whose eigenvalues give the cached
     root of an exact embedding, bit for bit."""
-    root, bound = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    root, bound = _clamped_embedding(spec, grid.dt, grid.n)
     assert bound == 0.0
     for kind, taper_from in (("natural", None), ("tapered", grid.n)):
         eigs = _embedding_eigenvalues(spec, grid.dt, root.size // 2, taper_from)
@@ -239,7 +244,7 @@ def test_carrier_noise_embeds_exactly_at_4n(spec_name, horizon, request):
     # lag n - 1 they embed exactly at M <= 4 * 2^ceil(log2 n)
     spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
     grid = SamplingGrid(horizon=horizon, dt=0.25)
-    root, _ = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    root, _ = _clamped_embedding(spec, grid.dt, grid.n)
     assert root.size <= 4 * (1 << (grid.n - 1).bit_length())
     assert _row_taken(spec, grid) == "tapered"
 
@@ -273,7 +278,7 @@ def test_gaussian_path_matches_complex_fft_oracle(spec_name, horizon, request):
     # for odd and even n
     spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
     grid = SamplingGrid(horizon=horizon, dt=0.25)
-    root, _ = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    root, _ = _clamped_embedding(spec, grid.dt, grid.n)
     for seed in (0, 5, 123):
         path = gaussian_path(spec, grid, seed)
         expected = circulant_path_oracle(root, grid.n, seed)
@@ -309,7 +314,7 @@ def test_gaussian_path_exact_law(spec_name, horizon, request, monkeypatch):
     # row, whose law must match on the kept lags all the same
     spec = PLUGIN_NOISE if spec_name == "plugin" else request.getfixturevalue(spec_name)
     grid = SamplingGrid(horizon=horizon, dt=0.25)
-    root, bound = _clamped_embedding(spec, grid.dt, grid.n, 1e-3)
+    root, bound = _clamped_embedding(spec, grid.dt, grid.n)
     assert _row_taken(spec, grid) == ("natural" if spec_name == "smooth" else "tapered")
     columns = []
     for k in range(root.size):
@@ -354,12 +359,12 @@ def test_gaussian_paths_rows_are_single_paths(spec_name, horizon, request):
 
 
 def test_embedding_clamp_bound_cached(smooth, slow_carrier):
-    root, bound = _clamped_embedding(smooth, GRID.dt, GRID.n, 1e-3)
+    root, bound = _clamped_embedding(smooth, GRID.dt, GRID.n)
     assert bound == 0.0
     assert not root.flags.writeable
     eigs = _embedding_eigenvalues(smooth, GRID.dt, root.size // 2)
     assert np.array_equal(root, np.sqrt(eigs / eigs.size))
-    _, bound = _clamped_embedding(slow_carrier, GRID.dt, GRID.n, 1e-3)
+    _, bound = _clamped_embedding(slow_carrier, GRID.dt, GRID.n)
     assert 0.0 < bound <= 1e-3
 
 
