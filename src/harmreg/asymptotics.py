@@ -44,6 +44,12 @@ _SELF_CONV_TOL = 1e-5  # error budget of each self-convolution
 MODES = ("derived", "as-printed")
 
 
+def require_mode(mode) -> None:
+    """Refuse a covariance mode that is not one of MODES."""
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 # ---------------------------------------------------------------------------
 # self-convolutions and the spectral factor
 
@@ -260,8 +266,7 @@ def gamma_matrix(
     leading diagonal entries by A^2+4B^2 and 4A^2+B^2 and is positive
     definite. Off-diagonals and the (3,3) entry agree between modes.
     """
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}")
+    require_mode(mode)
     c2 = amplitude_squared(a, b)
     if s_value is None:
         s_value, _ = spectral_factor(spec, transform, phi, j_max)
@@ -294,8 +299,7 @@ class GammaReport:
     quad_errors: tuple = ()
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}")
+        require_mode(self.mode)
         if self.mode == "derived":
             for phi, eig in zip(self.frequencies, self.eigenvalues):
                 if np.min(eig) <= 0.0:
@@ -313,7 +317,9 @@ def gamma_report(
     mode: str = "derived",
 ) -> GammaReport:
     """gamma_matrix for every harmonic of the model, with s factors, tail
-    bounds and quadrature error estimates."""
+    bounds and quadrature error estimates. A bad mode is refused before
+    any quadrature."""
+    require_mode(mode)
     a_arr, b_arr, phi_arr = model.amplitudes()
     mats, svals, tails, eigs, errs = [], [], [], [], []
     for a, b, phi in zip(a_arr, b_arr, phi_arr):

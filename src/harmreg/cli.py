@@ -33,13 +33,10 @@ from .simulate import (
 
 
 def _parse_band(text: str) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValidationError("band must be 'lo,hi'")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValidationError(f"band must be numeric, got {text!r}")
+    band = cfg._as_floats(text, "band")
+    if len(band) != 2:
+        raise ValidationError(f"band must be 'lo,hi', got {text!r}")
+    return band
 
 
 def _require(value, what: str, source: str):
@@ -92,30 +89,25 @@ def _cmd_estimate(args) -> int:
             cfg.load_model(cfg.read_file(args.truth)), "a [model] block", args.truth
         )
     result = estimate_harmonics(path, args.n_harmonics, band=band, truth=truth)
-    print("[estimate]")
-    print(f"horizon = {result.horizon:.17g}")
-    print(f"objective = {result.objective:.17g}")
-    print(f"initial_objective = {result.initial_objective:.17g}")
-    print(f"iterations = {result.iterations}")
-    print(f"converged = {str(result.converged).lower()}")
-    print(f"grid_resolution = {result.grid_resolution:.17g}")
-    for a, b, phi in result.model.harmonics:
-        print()
-        print("[model]")
-        print(f"a = {a:.17g}")
-        print(f"b = {b:.17g}")
-        print(f"phi = {phi:.17g}")
-    if result.normalized_errors is not None:
-        err = result.normalized_errors
-        print()
-        print("[normalized_errors]")
-        for label, row in zip(("a", "b", "phi"), err):
-            print(f"{label} = " + ", ".join(f"{v:.17g}" for v in row))
-        if args.out:
-            target = _out_path(args, "normalized_errors.csv")
-            np.savetxt(target, err.T, delimiter=",", fmt="%.17g",
-                       header="errA,errB,errPhi", comments="")
-            print(f"\nwrote {target}")
+    blocks = [cfg.format_block("estimate", [
+        ("horizon", result.horizon),
+        ("objective", result.objective),
+        ("initial_objective", result.initial_objective),
+        ("iterations", result.iterations),
+        ("converged", result.converged),
+        ("grid_resolution", result.grid_resolution),
+    ])]
+    blocks += [cfg.format_block("model", [("a", a), ("b", b), ("phi", phi)])
+               for a, b, phi in result.model.harmonics]
+    err = result.normalized_errors
+    if err is not None:
+        blocks.append(cfg.format_block("normalized_errors", zip(("a", "b", "phi"), err)))
+    print("\n".join(blocks), end="")
+    if err is not None and args.out:
+        target = _out_path(args, "normalized_errors.csv")
+        np.savetxt(target, err.T, delimiter=",", fmt="%.17g",
+                   header="errA,errB,errPhi", comments="")
+        print(f"\nwrote {target}")
     return 0
 
 
@@ -132,34 +124,25 @@ def _cmd_asymptotics(args) -> int:
         args.transform,
     )
     report = gamma_report(model, transform, noise, j_max=args.j_max, mode=args.mode)
-    print("[gamma_report]")
-    print(f"mode = {report.mode}")
-    print(f"j_max = {report.j_max}")
-    rows = []
+    blocks = [cfg.format_block("gamma_report", [("mode", report.mode), ("j_max", report.j_max)])]
     for k, phi in enumerate(report.frequencies):
-        mat = report.matrices[k]
-        print()
-        print("[gamma]")
-        print(f"harmonic = {k}")
-        print(f"phi = {phi:.17g}")
-        print(f"s = {report.s_values[k]:.17g}")
-        print(f"tail_bound = {report.tail_bounds[k]:.17g}")
-        print(f"quad_error = {report.quad_errors[k]:.17g}")
-        print(
-            "eigenvalues = "
-            + ", ".join(f"{v:.17g}" for v in report.eigenvalues[k])
-        )
-        for i in range(3):
-            print("row = " + ", ".join(f"{mat[i, j]:.17g}" for j in range(3)))
-        for i in range(3):
-            for j in range(3):
-                rows.append((k, phi, i, j, mat[i, j]))
+        blocks.append(cfg.format_block("gamma", [
+            ("harmonic", k),
+            ("phi", phi),
+            ("s", report.s_values[k]),
+            ("tail_bound", report.tail_bounds[k]),
+            ("quad_error", report.quad_errors[k]),
+            ("eigenvalues", report.eigenvalues[k]),
+            *(("row", row) for row in report.matrices[k]),
+        ]))
+    print("\n".join(blocks), end="")
     if args.out:
         target = _out_path(args, "gamma.csv")
         with open(target, "w", encoding="utf-8") as fh:
             fh.write("harmonic,phi,i,j,value\n")
-            for k, phi, i, j, v in rows:
-                fh.write(f"{k},{phi:.17g},{i},{j},{v:.17g}\n")
+            for k, (phi, mat) in enumerate(zip(report.frequencies, report.matrices)):
+                for (i, j), v in np.ndenumerate(mat):
+                    fh.write(f"{k},{phi:.17g},{i},{j},{v:.17g}\n")
         print(f"\nwrote {target}")
     return 0
 
@@ -205,13 +188,12 @@ def _cmd_moments(args) -> int:
     corr = _require(
         cfg.load_correlation(blocks), "a [correlation] block", args.config
     )
-    moment = hermite_product_moment(orders, corr)
-    diagrams = enumerate_diagrams(orders)
-    print("[moments]")
-    print("orders = " + ", ".join(str(v) for v in orders))
-    print(f"moment = {moment:.17g}")
-    print(f"diagrams = {len(diagrams)}")
-    print(f"regular_diagrams = {regular_census(orders)}")
+    print(cfg.format_block("moments", [
+        ("orders", orders),
+        ("moment", hermite_product_moment(orders, corr)),
+        ("diagrams", len(enumerate_diagrams(orders))),
+        ("regular_diagrams", regular_census(orders)),
+    ]), end="")
     return 0
 
 

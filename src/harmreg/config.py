@@ -1,15 +1,18 @@
-"""Structured key-value config files.
+"""Structured key-value text: config files in, reports out.
 
 A config is a sequence of ``[block]`` headers followed by ``key = value``
-lines; ``#`` starts a comment. Blocks may repeat: each ``[noise]`` block is
-one covariance component, each ``[model]`` block one harmonic, each
-``[grid]`` block one sampling grid of the schedule. Keys may repeat inside
-a block where noted (``row`` in ``[correlation]``).
+lines; ``#`` starts a comment. Three blocks repeat: each ``[noise]`` block
+is one covariance component, each ``[model]`` block one harmonic, each
+``[grid]`` block one sampling grid of the schedule. Every other block may
+appear once, and a ``preset`` ``[noise]`` block once. Keys may repeat
+inside a block where noted (``row`` in ``[correlation]``). Reports are
+written in the same syntax by ``format_block``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -94,6 +97,36 @@ def _as_floats(value: str, context: str) -> tuple[float, ...]:
     return tuple(_as_float(p, context) for p in value.split(",") if p.strip())
 
 
+def _render(value) -> str:
+    """One value as report text: a real with 17 significant digits, so it
+    reads back bit for bit, a sequence as its items joined by ", "."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, numbers.Integral):
+        return str(value)
+    if isinstance(value, numbers.Real):
+        return f"{value:.17g}"
+    return ", ".join(_render(v) for v in value)
+
+
+def format_block(name: str, pairs) -> str:
+    """``[name]`` and one ``key = value`` line per (key, value) pair, each
+    line ending in a newline; blocks joined by a newline read back through
+    ``parse_blocks``."""
+    return "".join([f"[{name}]\n"] + [f"{key} = {_render(v)}\n" for key, v in pairs])
+
+
+def _only(blocks, name: str):
+    """The (key, value) pairs of the one [name] block, or None when it is
+    absent; a repeated block is refused."""
+    found = [pairs for block, pairs in blocks if block == name]
+    if len(found) > 1:
+        raise ValidationError(f"[{name}]: may appear only once, found {len(found)}")
+    return found[0] if found else None
+
+
 def _single(pairs, context: str) -> dict:
     out = {}
     for key, value in pairs:
@@ -113,6 +146,8 @@ def load_noise(blocks) -> NoiseSpec | None:
         if "preset" in d:
             if len(d) > 1:
                 raise ValidationError("[noise]: preset excludes other keys")
+            if preset is not None:
+                raise ValidationError("[noise]: a preset may appear only once")
             preset = d["preset"]
             continue
         if "d" not in d or "alpha" not in d:
@@ -135,28 +170,27 @@ def load_noise(blocks) -> NoiseSpec | None:
 
 
 def load_transform(blocks) -> TransformSpec | None:
-    for name, pairs in blocks:
-        if name != "transform":
-            continue
-        d = _single(pairs, "[transform]")
-        if "kind" not in d:
-            raise ValidationError("[transform]: kind is required")
-        kind = d["kind"]
-        kwargs = {}
-        if "k_max" in d:
-            kwargs["k_max"] = _as_int(d["k_max"], "[transform] k_max")
-        if kind == "hermite-polynomial":
-            if "coeffs" not in d:
-                raise ValidationError("[transform]: coeffs required for this kind")
-            kwargs["coeffs"] = _as_floats(d["coeffs"], "[transform] coeffs")
-        elif kind == "user-table":
-            if "table" not in d:
-                raise ValidationError("[transform]: table path required for this kind")
-            kwargs["table"] = read_table(d["table"])
-        elif "coeffs" in d or "table" in d:
-            raise ValidationError(f"[transform]: extra keys for kind {kind!r}")
-        return make_transform(kind, **kwargs)
-    return None
+    pairs = _only(blocks, "transform")
+    if pairs is None:
+        return None
+    d = _single(pairs, "[transform]")
+    if "kind" not in d:
+        raise ValidationError("[transform]: kind is required")
+    kind = d["kind"]
+    kwargs = {}
+    if "k_max" in d:
+        kwargs["k_max"] = _as_int(d["k_max"], "[transform] k_max")
+    if kind == "hermite-polynomial":
+        if "coeffs" not in d:
+            raise ValidationError("[transform]: coeffs required for this kind")
+        kwargs["coeffs"] = _as_floats(d["coeffs"], "[transform] coeffs")
+    elif kind == "user-table":
+        if "table" not in d:
+            raise ValidationError("[transform]: table path required for this kind")
+        kwargs["table"] = read_table(d["table"])
+    elif "coeffs" in d or "table" in d:
+        raise ValidationError(f"[transform]: extra keys for kind {kind!r}")
+    return make_transform(kind, **kwargs)
 
 
 def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -179,28 +213,27 @@ def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_model(blocks) -> HarmonicModel | None:
-    harmonics = []
     band = None
+    pairs = _only(blocks, "band")
+    if pairs is not None:
+        d = _single(pairs, "[band]")
+        if set(d) != {"low", "high"}:
+            raise ValidationError("[band]: needs exactly low and high")
+        band = (_as_float(d["low"], "[band] low"), _as_float(d["high"], "[band] high"))
+    harmonics = []
     for name, pairs in blocks:
-        if name == "band":
-            d = _single(pairs, "[band]")
-            if set(d) != {"low", "high"}:
-                raise ValidationError("[band]: needs exactly low and high")
-            band = (
-                _as_float(d["low"], "[band] low"),
-                _as_float(d["high"], "[band] high"),
+        if name != "model":
+            continue
+        d = _single(pairs, "[model]")
+        if set(d) != {"a", "b", "phi"}:
+            raise ValidationError("[model]: needs exactly a, b, phi")
+        harmonics.append(
+            (
+                _as_float(d["a"], "[model] a"),
+                _as_float(d["b"], "[model] b"),
+                _as_float(d["phi"], "[model] phi"),
             )
-        elif name == "model":
-            d = _single(pairs, "[model]")
-            if set(d) != {"a", "b", "phi"}:
-                raise ValidationError("[model]: needs exactly a, b, phi")
-            harmonics.append(
-                (
-                    _as_float(d["a"], "[model] a"),
-                    _as_float(d["b"], "[model] b"),
-                    _as_float(d["phi"], "[model] phi"),
-                )
-            )
+        )
     if not harmonics:
         if band is not None:
             raise ValidationError("[band] given without any [model] block")
@@ -226,35 +259,28 @@ def load_grids(blocks) -> tuple[SamplingGrid, ...]:
 
 
 def load_experiment(blocks) -> dict:
-    for name, pairs in blocks:
-        if name != "experiment":
-            continue
-        d = _single(pairs, "[experiment]")
-        out = {}
-        if "replications" in d:
-            out["replications"] = _as_int(d["replications"], "replications")
-        if "master_seed" in d:
-            out["master_seed"] = as_seed(d["master_seed"], "master_seed")
-        if "j_max" in d:
-            out["j_max"] = _as_int(d["j_max"], "j_max")
-        if "noise_scale" in d:
-            out["noise_scale"] = _as_float(d["noise_scale"], "noise_scale")
-        if "allow_a4_violation" in d:
-            raw = d["allow_a4_violation"].lower()
-            if raw not in ("true", "false", "0", "1"):
-                raise ValidationError("allow_a4_violation must be boolean")
-            out["allow_a4_violation"] = raw in ("true", "1")
-        return out
-    return {}
+    d = _single(_only(blocks, "experiment") or (), "[experiment]")
+    out = {}
+    if "replications" in d:
+        out["replications"] = _as_int(d["replications"], "replications")
+    if "master_seed" in d:
+        out["master_seed"] = as_seed(d["master_seed"], "master_seed")
+    if "j_max" in d:
+        out["j_max"] = _as_int(d["j_max"], "j_max")
+    if "noise_scale" in d:
+        out["noise_scale"] = _as_float(d["noise_scale"], "noise_scale")
+    if "allow_a4_violation" in d:
+        raw = d["allow_a4_violation"].lower()
+        if raw not in ("true", "false", "0", "1"):
+            raise ValidationError("allow_a4_violation must be boolean")
+        out["allow_a4_violation"] = raw in ("true", "1")
+    return out
 
 
 def load_correlation(blocks) -> np.ndarray | None:
-    rows = []
-    for name, pairs in blocks:
-        if name != "correlation":
-            continue
-        for key, value in pairs:
-            rows.append(_as_floats(value, "[correlation] row"))
+    # every key of the block is a row
+    rows = [_as_floats(value, "[correlation] row")
+            for _, value in _only(blocks, "correlation") or ()]
     if not rows:
         return None
     width = len(rows[0])
@@ -264,16 +290,15 @@ def load_correlation(blocks) -> np.ndarray | None:
 
 
 def load_orders(blocks) -> tuple[int, ...] | None:
-    for name, pairs in blocks:
-        if name != "moments":
-            continue
-        d = _single(pairs, "[moments]")
-        if "orders" not in d:
-            raise ValidationError("[moments]: orders is required")
-        return tuple(
-            _as_int(p, "[moments] orders") for p in d["orders"].split(",") if p.strip()
-        )
-    return None
+    pairs = _only(blocks, "moments")
+    if pairs is None:
+        return None
+    d = _single(pairs, "[moments]")
+    if "orders" not in d:
+        raise ValidationError("[moments]: orders is required")
+    return tuple(
+        _as_int(p, "[moments] orders") for p in d["orders"].split(",") if p.strip()
+    )
 
 
 def read_file(path: str):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics
+from .config import format_block
 from .errors import (
     DegenerateVarianceError,
     ExperimentError,
@@ -169,10 +170,7 @@ class MonteCarloReport:
         """Entry-wise |empirical - theory| / |theory| for harmonic k; a zero
         theory entry yields 0 when matched exactly and inf otherwise. mode
         is one of asymptotics.MODES."""
-        if mode not in asymptotics.MODES:
-            raise ValidationError(
-                f"mode must be one of {asymptotics.MODES}, got {mode!r}"
-            )
+        asymptotics.require_mode(mode)
         emp = self.results[grid_index].empirical_cov(k)
         theory = (
             self.gamma_derived[k] if mode == "derived" else self.gamma_printed[k]
@@ -215,68 +213,46 @@ class MonteCarloReport:
 
     def to_text(self) -> str:
         """Deterministic structured-text summary (no timing metadata)."""
-        lines = ["[report]"]
-        lines.append(f"replications = {self.config.replications}")
-        lines.append(f"master_seed = {self.config.master_seed}")
-        lines.append(f"j_max = {self.config.j_max}")
+        blocks = [format_block("report", [
+            ("replications", self.config.replications),
+            ("master_seed", self.config.master_seed),
+            ("j_max", self.config.j_max),
+        ])]
         nh = len(self.config.model.harmonics)
         for k in range(nh):
-            lines.append("")
-            lines.append("[gamma]")
-            lines.append(f"harmonic = {k}")
-            lines.append(f"s = {self.s_values[k]:.17g}")
-            lines.append(f"tail_bound = {self.tail_bounds[k]:.17g}")
-            lines.append(f"quad_error = {self.quad_errors[k]:.17g}")
-            for label, mat in (
-                ("derived", self.gamma_derived[k]),
-                ("as-printed", self.gamma_printed[k]),
-            ):
-                for i in range(3):
-                    row = ", ".join(f"{mat[i, j]:.17g}" for j in range(3))
-                    lines.append(f"{label}_row = {row}")
+            blocks.append(format_block("gamma", [
+                ("harmonic", k),
+                ("s", self.s_values[k]),
+                ("tail_bound", self.tail_bounds[k]),
+                ("quad_error", self.quad_errors[k]),
+                *(("derived_row", row) for row in self.gamma_derived[k]),
+                *(("as-printed_row", row) for row in self.gamma_printed[k]),
+            ]))
         for gi, res in enumerate(self.results):
-            lines.append("")
-            lines.append("[grid_result]")
-            lines.append(f"horizon = {res.grid.horizon:.17g}")
-            lines.append(f"dt = {res.grid.dt:.17g}")
-            lines.append(f"embedding_clamp_bound = {res.embedding_clamp_bound:.17g}")
-            lines.append(f"embedding_size = {res.embedding_size}")
-            lines.append(f"converged = {res.n_ok}")
-            lines.append(f"nonconverged = {res.n_nonconverged}")
-            lines.append(f"failed = {len(res.failures)}")
-            for note in res.failures:
-                lines.append(f"failure = {note}")
+            pairs = [
+                ("horizon", res.grid.horizon),
+                ("dt", res.grid.dt),
+                ("embedding_clamp_bound", res.embedding_clamp_bound),
+                ("embedding_size", res.embedding_size),
+                ("converged", res.n_ok),
+                ("nonconverged", res.n_nonconverged),
+                ("failed", len(res.failures)),
+            ]
+            pairs += [("failure", note) for note in res.failures]
             for k in range(nh):
-                mean = res.empirical_mean(k)
-                cov = res.empirical_cov(k)
-                lines.append(
-                    f"mean_{k} = " + ", ".join(f"{v:.17g}" for v in mean)
-                )
-                for i in range(3):
-                    lines.append(
-                        f"cov_{k}_row = "
-                        + ", ".join(f"{cov[i, j]:.17g}" for j in range(3))
-                    )
+                pairs.append((f"mean_{k}", res.empirical_mean(k)))
+                pairs += [(f"cov_{k}_row", row) for row in res.empirical_cov(k)]
                 dev = self.deviations(gi, k, "derived")
-                lines.append(
-                    f"deviation_{k} = "
-                    + ", ".join(
-                        f"{dev[i, j]:.17g}" for i in range(3) for j in range(i, 3)
-                    )
-                )
-                for level in COVERAGE_LEVELS:
-                    covg = self.coverage(gi, k, level)
-                    lines.append(
-                        f"coverage{int(level * 100)}_{k} = "
-                        + ", ".join(f"{v:.17g}" for v in covg)
-                    )
+                pairs.append((f"deviation_{k}", dev[np.triu_indices(3)]))
+                pairs += [(f"coverage{int(level * 100)}_{k}", self.coverage(gi, k, level))
+                          for level in COVERAGE_LEVELS]
+            blocks.append(format_block("grid_result", pairs))
         if len(self.results) >= 3:
-            lines.append("")
-            lines.append("[slopes]")
+            pairs = []
             for name, (slope, floored) in self.consistency_slopes().items():
-                lines.append(f"{name} = {slope:.17g}")
-                lines.append(f"{name}_floor_limited = {str(floored).lower()}")
-        return "\n".join(lines) + "\n"
+                pairs += [(name, slope), (f"{name}_floor_limited", floored)]
+            blocks.append(format_block("slopes", pairs))
+        return "\n".join(blocks)
 
     def samples_csv(self, grid_index: int) -> str:
         """CSV of normalized errors, one line per converged replication."""
@@ -447,7 +423,10 @@ def normality_diagnostics(samples, gamma: np.ndarray | None = None) -> dict:
 
 
 def _check_band(grid, band) -> None:
-    """Refuse a band that holds no frequency of the grid's 8n periodogram."""
+    """Refuse a band that breaks the band rule of ``require_band``, so the
+    sup leaves out the zero frequency, or that holds no frequency of the
+    grid's 8n periodogram."""
+    require_band(band, grid)
     if not np.any(_band_window(grid, band)[3]):
         raise ValidationError(
             f"band {tuple(band)} holds no frequency of the periodogram grid "

@@ -292,13 +292,22 @@ class TestEstimate:
         assert code == 0
         assert abs(float(_value(out, "phi")) - 1.3) < 0.05
 
-    @pytest.mark.parametrize("band", ["1.0", "lo,hi"])
+    @pytest.mark.parametrize("band", ["1.0", "lo,hi", "0.1,1,3"])
     def test_malformed_band_exits_2(self, path_csv, band):
         code, _, err = _run(
             ["estimate", "--input", path_csv, "--n-harmonics", "1", "--band", band]
         )
         assert code == 2
         assert "band" in err
+
+    @pytest.mark.parametrize("band", ["nan,3", "0.1,1e400"])
+    def test_non_finite_band_exits_2(self, path_csv, band):
+        # the flag goes through the config reader's number check
+        code, _, err = _run(
+            ["estimate", "--input", path_csv, "--n-harmonics", "1", "--band", band]
+        )
+        assert code == 2
+        assert err.startswith("error: band: not a finite number: ")
 
     def test_missing_input_exits_2(self, tmp_path):
         code, _, err = _run(
@@ -492,6 +501,19 @@ class TestMontecarlo:
         code, out, err = _run(["montecarlo", "--config", str(cfg)])
         assert code == 2
         assert err == "error: band must satisfy 0 < lo < hi, got (0.0, 3.0)\n"
+        assert out == ""
+
+    def test_repeated_experiment_block_exits_2_before_drawing(self, tmp_path, monkeypatch):
+        # a second [experiment] block is refused, not resolved to the first
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a replication")
+
+        monkeypatch.setattr(montecarlo, "_replication", no_draws)
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(EXPERIMENT_CFG + "\n[experiment]\nreplications = 8\n")
+        code, out, err = _run(["montecarlo", "--config", str(cfg)])
+        assert code == 2
+        assert err == "error: [experiment]: may appear only once, found 2\n"
         assert out == ""
 
 

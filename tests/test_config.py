@@ -344,3 +344,53 @@ def test_read_file(tmp_path):
     blocks = config.read_file(str(path))
     assert config.load_model(blocks).band == (0.1, 3.0)
 
+
+
+@pytest.mark.parametrize(
+    "block, load",
+    [
+        ("[transform]\nkind = identity\n", config.load_transform),
+        ("[band]\nlow = 0.1\nhigh = 3\n", config.load_model),
+        ("[experiment]\nreplications = 8\n", config.load_experiment),
+        ("[moments]\norders = 2, 2\n", config.load_orders),
+        ("[correlation]\nrow = 1, 0.5\nrow = 0.5, 1\n", config.load_correlation),
+        ("[noise]\npreset = smooth\n", config.load_noise),
+    ],
+    ids=["transform", "band", "experiment", "moments", "correlation", "preset"],
+)
+def test_once_only_block_repeated_is_refused(block, load):
+    # a second copy is refused, not resolved to the first or the last
+    model = "[model]\na = 1\nb = 0.5\nphi = 1.3\n"
+    load(config.parse_blocks(model + block))
+    with pytest.raises(ValidationError, match="may appear only once"):
+        load(config.parse_blocks(model + block + "\n" + block))
+
+
+def test_format_block_round_trip():
+    # 17 significant digits read back through load_model bit for bit
+    harmonics = ((0.1 + 0.2, -0.0, 1.3), (1e-300, 0.7, 2.0 + 1.0 / 3.0))
+    text = "\n".join(
+        config.format_block("model", zip(("a", "b", "phi"), h)) for h in harmonics
+    )
+    assert text.startswith("[model]\na = 0.30000000000000004\nb = -0\n")
+    assert "\na = 1e-300\n" in text
+    model = config.load_model(config.parse_blocks(text))
+    assert [[v.hex() for v in h] for h in model.harmonics] == [
+        [v.hex() for v in h] for h in harmonics
+    ]
+
+
+def test_format_block_values_by_type():
+    text = config.format_block(
+        "x",
+        [
+            ("word", "as is"),
+            ("flags", (True, np.bool_(False))),
+            ("count", np.int64(7)),
+            ("row", np.array([0.5, 1.0 / 3.0])),
+        ],
+    )
+    assert text == (
+        "[x]\nword = as is\nflags = true, false\ncount = 7\n"
+        "row = 0.5, 0.33333333333333331\n"
+    )

@@ -9,18 +9,20 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import weakref
 
 import numpy as np
 import pytest
 
-from harmreg import montecarlo
+from harmreg import asymptotics, montecarlo
 from harmreg.asymptotics import gamma_report
 from harmreg.errors import (
     DegenerateVarianceError,
     ExperimentError,
     InsufficientSamplesError,
     NonIntegrableError,
+    NyquistError,
     ValidationError,
 )
 from harmreg.hermite import make_transform
@@ -475,6 +477,32 @@ class TestReportLogic:
         with pytest.raises(ValidationError, match="mode must be one of"):
             rep.deviations(0, 0, mode)
 
+    @pytest.mark.parametrize("mode", ["derivd", "Derived"])
+    def test_mode_refused_once_for_all(self, base_config, monkeypatch, mode):
+        # every entry point refuses a bad mode with one message, before
+        # any quadrature
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("ran the quadrature")
+
+        monkeypatch.setattr(asymptotics, "_spectral_sum", no_quadrature)
+        samples = np.zeros((2, 3, 1))
+        rep = _report(base_config, (_grid_result(64.0, samples),), (np.eye(3),))
+        estimate = types.SimpleNamespace(model=MODEL)
+        noise, transform = base_config.noise, base_config.transform
+        calls = (
+            lambda: asymptotics.gamma_matrix(1.0, 0.5, 1.3, transform, noise, mode=mode),
+            lambda: asymptotics.gamma_report(MODEL, transform, noise, mode=mode),
+            lambda: asymptotics.plug_in_gamma(estimate, transform, noise, mode=mode),
+            lambda: asymptotics.GammaReport(mode, 20, (), (), (), (), ()),
+            lambda: rep.deviations(0, 0, mode),
+        )
+        expected = f"mode must be one of ('derived', 'as-printed'), got {mode!r}"
+        for call in calls:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert type(info.value) is ValidationError
+            assert str(info.value) == expected
+
     @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
     def test_coverage_nominal_on_exact_gaussians(self, base_config, level):
         rng = np.random.default_rng(42)
@@ -514,6 +542,106 @@ class TestReportText:
             assert key in text
         # single grid: no slope section
         assert "[slopes]" not in text
+
+    def test_pinned_format(self, base_config):
+        # three grids, a failure line, non-converged counts, an infinite
+        # deviation and a floor-limited slope, written as the format reads
+        samples = np.zeros((4, 3, 1))
+        samples[:, 0, 0] = [1.0, -1.0, 2.0, -2.0]
+        samples[:, 1, 0] = [0.5, -0.5, 1.0, -1.0]
+        results = tuple(
+            dataclasses.replace(
+                _grid_result(horizon, scale * samples),
+                n_requested=6,
+                n_nonconverged=nonconverged,
+                failures=failures,
+                embedding_clamp_bound=clamp,
+                embedding_size=size,
+            )
+            for horizon, scale, nonconverged, failures, clamp, size in (
+                (64.0, 1.0, 0, (), 0.0, 512),
+                (128.0, 0.5, 1, ("r=3: InsufficientPeaksError: no peak",), 2.5e-7, 1024),
+                (256.0, 0.25, 2, (), 0.0, 2048),
+            )
+        )
+        derived = np.diag([2.0, 3.0, 4.0])
+        rep = _report(base_config, results, (derived,), (derived + 0.5,))
+        assert rep.to_text() == (
+            "[report]\n"
+            "replications = 6\n"
+            "master_seed = 7\n"
+            "j_max = 20\n"
+            "\n"
+            "[gamma]\n"
+            "harmonic = 0\n"
+            "s = 1\n"
+            "tail_bound = 0\n"
+            "quad_error = 0\n"
+            "derived_row = 2, 0, 0\n"
+            "derived_row = 0, 3, 0\n"
+            "derived_row = 0, 0, 4\n"
+            "as-printed_row = 2.5, 0.5, 0.5\n"
+            "as-printed_row = 0.5, 3.5, 0.5\n"
+            "as-printed_row = 0.5, 0.5, 4.5\n"
+            "\n"
+            "[grid_result]\n"
+            "horizon = 64\n"
+            "dt = 0.25\n"
+            "embedding_clamp_bound = 0\n"
+            "embedding_size = 512\n"
+            "converged = 4\n"
+            "nonconverged = 0\n"
+            "failed = 0\n"
+            "mean_0 = 0, 0, 0\n"
+            "cov_0_row = 3.333333333333333, 1.6666666666666665, 0\n"
+            "cov_0_row = 1.6666666666666665, 0.83333333333333326, 0\n"
+            "cov_0_row = 0, 0, 0\n"
+            "deviation_0 = 0.66666666666666652, inf, 0, 0.72222222222222232, 0, 1\n"
+            "coverage90_0 = 1, 1, 1\n"
+            "coverage95_0 = 1, 1, 1\n"
+            "coverage99_0 = 1, 1, 1\n"
+            "\n"
+            "[grid_result]\n"
+            "horizon = 128\n"
+            "dt = 0.25\n"
+            "embedding_clamp_bound = 2.4999999999999999e-07\n"
+            "embedding_size = 1024\n"
+            "converged = 4\n"
+            "nonconverged = 1\n"
+            "failed = 1\n"
+            "failure = r=3: InsufficientPeaksError: no peak\n"
+            "mean_0 = 0, 0, 0\n"
+            "cov_0_row = 0.83333333333333326, 0.41666666666666663, 0\n"
+            "cov_0_row = 0.41666666666666663, 0.20833333333333331, 0\n"
+            "cov_0_row = 0, 0, 0\n"
+            "deviation_0 = 0.58333333333333337, inf, 0, 0.93055555555555547, 0, 1\n"
+            "coverage90_0 = 1, 1, 1\n"
+            "coverage95_0 = 1, 1, 1\n"
+            "coverage99_0 = 1, 1, 1\n"
+            "\n"
+            "[grid_result]\n"
+            "horizon = 256\n"
+            "dt = 0.25\n"
+            "embedding_clamp_bound = 0\n"
+            "embedding_size = 2048\n"
+            "converged = 4\n"
+            "nonconverged = 2\n"
+            "failed = 0\n"
+            "mean_0 = 0, 0, 0\n"
+            "cov_0_row = 0.20833333333333331, 0.10416666666666666, 0\n"
+            "cov_0_row = 0.10416666666666666, 0.052083333333333329, 0\n"
+            "cov_0_row = 0, 0, 0\n"
+            "deviation_0 = 0.89583333333333337, inf, 0, 0.98263888888888884, 0, 1\n"
+            "coverage90_0 = 1, 1, 1\n"
+            "coverage95_0 = 1, 1, 1\n"
+            "coverage99_0 = 1, 1, 1\n"
+            "\n"
+            "[slopes]\n"
+            "amplitude = -1.4999999999999996\n"
+            "amplitude_floor_limited = false\n"
+            "frequency = -inf\n"
+            "frequency_floor_limited = true\n"
+        )
 
     def test_failed_and_nonconverged_rows(self, base_config, monkeypatch):
         # replication 2 fails and 5 stalls among converged ones: neither
@@ -665,10 +793,27 @@ class TestEtaSquared:
     )
     def test_rejects_band_without_grid_frequency(self, band):
         # at T = 128 the grid spacing is 2 pi / 1024, so no point lies in
-        # (0.1, 0.1000001); the other two bands are empty or undefined
+        # (0.1, 0.1000001); the other two bands are empty or undefined, and
+        # the band rule refuses them first
         grid = SamplingGrid(128.0, 0.25)
         path = SamplePath(grid=grid, values=np.ones(grid.n))
-        with pytest.raises(ValidationError, match="holds no frequency"):
+        match = "holds no frequency" if band[0] < band[1] else "0 < lo < hi"
+        with pytest.raises(ValidationError, match=match):
+            eta_squared(path, band)
+
+    @pytest.mark.parametrize(
+        "band, error, match",
+        [
+            ((0.0, 3.0), ValidationError, "0 < lo < hi"),
+            ((-1.0, 3.0), ValidationError, "0 < lo < hi"),
+            ((0.1, 50.0), NyquistError, "reaches Nyquist"),
+        ],
+    )
+    def test_band_rule(self, band, error, match):
+        # the sup leaves out the zero frequency, as the search band does
+        grid = SamplingGrid(128.0, 0.25)
+        path = SamplePath(grid=grid, values=np.ones(grid.n))
+        with pytest.raises(error, match=match):
             eta_squared(path, band)
 
 
@@ -727,6 +872,8 @@ class TestLemma2Decay:
             (1, 3, (3.0, 0.1)),
             (1, 3, (math.nan, 3.0)),
             (1, 3, (0.1, 0.1000001)),
+            (1, 3, (0.0, 3.0)),
+            (1, 3, (0.1, 50.0)),
         ],
     )
     def test_rejects_bad_seed_count_or_band_before_drawing(
