@@ -55,8 +55,8 @@ def require_mode(mode) -> None:
 
 
 def _require_integrable(spec: NoiseSpec, k: int, what: str) -> None:
-    """Refuse a power B^k that is not integrable. Every rho is at most 2,
-    so the decay exponent is at most alpha_min and alone decides."""
+    """Refuse a power B^k that is not integrable: the decay exponent
+    alone decides."""
     if spec.decay_exponent * k <= 1.0:
         raise NonIntegrableError(
             f"{what} is not integrable: decay_exponent * {k} = "
@@ -99,7 +99,7 @@ def self_convolution(spec: NoiseSpec, rank: int, k: int, lam: float) -> float:
     computed as (1/2pi) * integral of B(t)^k cos(lam t) dt.
 
     Requires k >= rank and an integrable power: the envelope decay
-    exponent times k above 1 (alpha_min * k when every rho = 2). Even in
+    exponent times k above 1 (alpha * rho / 2 per component). Even in
     lam. The quadrature error estimate must stay within 1e-5.
     """
     vals, _ = _self_convolutions(spec, rank, (k,), lam)
@@ -165,11 +165,6 @@ def b_m(spec: NoiseSpec, m: int) -> float:
     return 2.0 * abs_cov_power_integral(spec, m, 0.0)
 
 
-def abs_cov_tail(spec: NoiseSpec, m: int, horizon: float) -> float:
-    """integral over [horizon, inf) of |B(t)|^m dt."""
-    return abs_cov_power_integral(spec, m, horizon)
-
-
 def _active_orders(transform: TransformSpec, j_max: int):
     require_count("j_max", j_max, transform.rank)
     orders = []
@@ -187,10 +182,15 @@ def _tail_mass(transform: TransformSpec, j_max: int) -> float:
     return mass
 
 
-def _spectral_sum(
-    spec: NoiseSpec, transform: TransformSpec, lam: float, j_max: int
+def spectral_factor(
+    spec: NoiseSpec,
+    transform: TransformSpec,
+    lam: float,
+    j_max: int = DEFAULT_J_MAX,
 ) -> tuple[float, float, float]:
-    """(s, truncation tail bound, weighted quadrature error estimate)."""
+    """s(lam) = sum_{j=rank}^{j_max} (C_j^2 / j!) f^(*j)(lam), the
+    truncation tail bound (1/2pi) B_rank sum_{j>j_max} C_j^2 / j!, and the
+    self-convolution quadrature error estimates weighted like s."""
     active = _active_orders(transform, j_max)
     vals, errs = _self_convolutions(
         spec, transform.rank, [j for j, _ in active], lam
@@ -202,18 +202,6 @@ def _spectral_sum(
         quad_err += w * e
     tail = _tail_mass(transform, j_max) * b_m(spec, transform.rank) / (2.0 * math.pi)
     return s, tail, quad_err
-
-
-def spectral_factor(
-    spec: NoiseSpec,
-    transform: TransformSpec,
-    lam: float,
-    j_max: int = DEFAULT_J_MAX,
-) -> tuple[float, float]:
-    """s(lam) = sum_{j=rank}^{j_max} (C_j^2 / j!) f^(*j)(lam) and the
-    truncation tail bound (1/2pi) B_rank sum_{j>j_max} C_j^2 / j!."""
-    s, tail, _ = _spectral_sum(spec, transform, lam, j_max)
-    return s, tail
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +235,10 @@ def gram_block(a: float, b: float) -> GramBlock:
     return GramBlock(j_matrix=j, scalers=scalers)
 
 
-def gamma_matrix(
-    a: float,
-    b: float,
-    phi: float,
-    transform: TransformSpec,
-    spec: NoiseSpec,
-    j_max: int = DEFAULT_J_MAX,
-    mode: str = "derived",
-    s_value: float | None = None,
-) -> np.ndarray:
+def gamma_matrix(a: float, b: float, s: float, mode: str = "derived") -> np.ndarray:
     """3x3 covariance block of (sqrt(T)(A^-A), sqrt(T)(B^-B),
-    T^(3/2)(phi^-phi)) for one harmonic.
+    T^(3/2)(phi^-phi)) for one harmonic with spectral factor s at its
+    frequency.
 
     mode='as-printed' returns 4pi s/C^2 * [[C^2, -3AB, -6B], [-3AB, C^2,
     6A], [-6B, 6A, 12]] verbatim; mode='derived' returns D (2pi s J^-1) D
@@ -268,9 +248,7 @@ def gamma_matrix(
     """
     require_mode(mode)
     c2 = amplitude_squared(a, b)
-    if s_value is None:
-        s_value, _ = spectral_factor(spec, transform, phi, j_max)
-    pref = 4.0 * math.pi * s_value / c2
+    pref = 4.0 * math.pi * s / c2
     if mode == "as-printed":
         return pref * np.array([
             [c2, -3.0 * a * b, -6.0 * b],
@@ -279,7 +257,7 @@ def gamma_matrix(
         ])
     block = gram_block(a, b)
     d = np.diag(1.0 / block.scalers)
-    core = 2.0 * math.pi * s_value * np.linalg.inv(block.j_matrix)
+    core = 2.0 * math.pi * s * np.linalg.inv(block.j_matrix)
     return d @ core @ d
 
 
@@ -323,8 +301,8 @@ def gamma_report(
     a_arr, b_arr, phi_arr = model.amplitudes()
     mats, svals, tails, eigs, errs = [], [], [], [], []
     for a, b, phi in zip(a_arr, b_arr, phi_arr):
-        s, tail, quad_err = _spectral_sum(spec, transform, phi, j_max)
-        m = gamma_matrix(a, b, phi, transform, spec, j_max, mode, s_value=s)
+        s, tail, quad_err = spectral_factor(spec, transform, phi, j_max)
+        m = gamma_matrix(a, b, s, mode)
         mats.append(m)
         svals.append(s)
         tails.append(tail)
@@ -369,7 +347,7 @@ def sigma_general(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Sigma, Sigma0) for a discrete regression spectral measure.
 
-    Sigma = 2pi sum_k (C_k^2/k!) sum_atoms f^(*k)(location) * mass;
+    Sigma = 2pi sum_atoms s(location) * mass, with s the spectral factor;
     Sigma0 = (total mass)^-1 Sigma (total mass)^-1. Atom locations must
     avoid the singular points of the noise density.
     """
@@ -392,13 +370,9 @@ def sigma_general(
         total += mass
     if np.linalg.cond(total) > 1e12:
         raise ValidationError("spectral measure total mass is singular")
-    active = _active_orders(transform, j_max)
-    orders = [j for j, _ in active]
     sigma = np.zeros((q, q), dtype=complex)
     for loc, mass in atoms:
-        vals, _ = _self_convolutions(spec, transform.rank, orders, loc)
-        for (_, w), v in zip(active, vals):
-            sigma += w * v * mass
+        sigma += spectral_factor(spec, transform, loc, j_max)[0] * mass
     sigma *= 2.0 * math.pi
     inv = np.linalg.inv(total)
     sigma0 = inv @ sigma @ inv

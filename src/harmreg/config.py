@@ -93,8 +93,17 @@ def as_seed(value: str, context: str) -> int:
     return out
 
 
+def _items(value: str, context: str) -> list[str]:
+    """The comma-separated items of a list value; an empty item is refused,
+    so a stray comma cannot shift the items after it."""
+    items = value.split(",")
+    if any(not p.strip() for p in items):
+        raise ValidationError(f"{context}: empty list item in {value!r}")
+    return items
+
+
 def _as_floats(value: str, context: str) -> tuple[float, ...]:
-    return tuple(_as_float(p, context) for p in value.split(",") if p.strip())
+    return tuple(_as_float(p, context) for p in _items(value, context))
 
 
 def _render(value) -> str:
@@ -296,9 +305,7 @@ def load_orders(blocks) -> tuple[int, ...] | None:
     d = _single(pairs, "[moments]")
     if "orders" not in d:
         raise ValidationError("[moments]: orders is required")
-    return tuple(
-        _as_int(p, "[moments] orders") for p in d["orders"].split(",") if p.strip()
-    )
+    return tuple(_as_int(p, "[moments] orders") for p in _items(d["orders"], "[moments] orders"))
 
 
 def read_file(path: str):

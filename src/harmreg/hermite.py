@@ -33,7 +33,8 @@ def hermite(k: int, x):
     """Probabilists' Hermite polynomial H_k(x) by the three-term recurrence
     H_{k+1} = x H_k - k H_{k-1}. Supports k <= 60; array x broadcasts.
     """
-    if k < 0 or k != int(k):
+    # the chained comparison is false for NaN and refuses infinity before int()
+    if not 0 <= k < math.inf or k != int(k):
         raise ValidationError(f"hermite order must be a nonnegative integer, got {k}")
     if k > 60:
         raise ValidationError(f"hermite order overflow: k = {k} exceeds 60")
@@ -104,12 +105,15 @@ def _piecewise_coefficients(g, edges, k_max: int) -> tuple[np.ndarray, float]:
     return fine, eg2
 
 
+def _require_centered(c0: float) -> None:
+    """Refuse a transform with |C_0| > 1e-8: G must have mean zero."""
+    if abs(c0) > 1e-8:
+        raise ValidationError(f"transform has nonzero mean: C_0 = {c0:.3e} (must be centered)")
+
+
 def _coefficients(g, k_max: int, breakpoints) -> tuple[np.ndarray, float]:
     coeffs, eg2 = _piecewise_coefficients(g, _piecewise_edges(breakpoints), k_max)
-    if abs(coeffs[0]) > 1e-8:
-        raise ValidationError(
-            f"transform has nonzero mean: C_0 = {coeffs[0]:.3e} (must be centered)"
-        )
+    _require_centered(coeffs[0])
     return coeffs, eg2
 
 
@@ -301,8 +305,7 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
             raise ValidationError("hermite-polynomial transform requires coeffs")
         c = np.zeros(max(k_max + 1, len(coeffs)))
         c[: len(coeffs)] = np.asarray(coeffs, dtype=float)
-        if abs(c[0]) > 1e-8:
-            raise ValidationError("transform must be centered: C_0 = 0")
+        _require_centered(c[0])
         # G = sum_k (C_k / k!) H_k is a finite Hermite sum, so Parseval
         # gives EG^2 exactly and the gap is 0
         return _finish_transform(kind, c, _coefficient_mass(c))

@@ -350,12 +350,10 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
         )
         # the as-printed blocks reuse the derived report's s, one quadrature
         # per harmonic
+        a_arr, b_arr, _ = config.model.amplitudes()
         printed = [
-            asymptotics.gamma_matrix(
-                a, b, phi, config.transform, config.noise, config.j_max,
-                "as-printed", s_value=s,
-            )
-            for a, b, phi, s in zip(*config.model.amplitudes(), report_d.s_values)
+            asymptotics.gamma_matrix(a, b, s, "as-printed")
+            for a, b, s in zip(a_arr, b_arr, report_d.s_values)
         ]
         scale2 = config.noise_scale**2
         theory = dict(

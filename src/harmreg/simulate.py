@@ -77,12 +77,13 @@ def require_noise_scale(scale) -> None:
 
 
 def require_a4(spec: NoiseSpec, transform: TransformSpec, allow: bool = False) -> None:
-    """Refuse noise and a transform with alpha_min * rank <= 1, where the
-    subordinated noise has long memory and the limit theory does not apply
-    (assumption A4); with ``allow``, warn instead."""
-    if spec.alpha_min * transform.rank <= 1.0:
+    """Refuse noise and a transform with decay_exponent * rank <= 1, where
+    |B|^rank is not integrable, the subordinated noise has long memory and
+    the limit theory does not apply (assumption A4); with ``allow``, warn
+    instead."""
+    if spec.decay_exponent * transform.rank <= 1.0:
         msg = (
-            f"alpha_min * rank = {spec.alpha_min} * {transform.rank} <= 1: the "
+            f"decay_exponent * rank = {spec.decay_exponent} * {transform.rank} <= 1: the "
             "limit theory does not apply (set allow_a4_violation to override)"
         )
         if not allow:
@@ -366,7 +367,7 @@ def observe(
     allow_a4_violation: bool = False,
     noise_scale: float = 1.0,
 ) -> SamplePath:
-    """Full pipeline x = g + noise_scale * G(xi); checks alpha_min * rank.
+    """Full pipeline x = g + noise_scale * G(xi); checks A4 (require_a4).
 
     noise_scale=0 produces a noiseless path without drawing the Gaussian
     process at all.

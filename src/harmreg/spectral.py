@@ -183,10 +183,6 @@ class NoiseSpec:
             raise ValidationError(f"carriers must be strictly increasing, got {carriers}")
 
     @property
-    def alpha_min(self) -> float:
-        return min(c.alpha for c in self.components)
-
-    @property
     def decay_exponent(self) -> float:
         """Smallest component decay exponent; governs integrability of B^k."""
         return min(c.decay_exponent for c in self.components)

@@ -16,7 +16,7 @@ import pytest
 
 from oracles import bessel_k_series, density_oracle_fast, isserlis_hermite_moment
 
-from harmreg.asymptotics import abs_cov_tail, b_m, plug_in_gamma
+from harmreg.asymptotics import abs_cov_power_integral, b_m, plug_in_gamma
 from harmreg.cli import main as cli_main
 from harmreg.diagrams import (
     count_regular,
@@ -285,7 +285,7 @@ def test_criterion_08_plug_in_estimator(clt_report, smooth):
     root_t = math.sqrt(horizon)
     t_three_half = horizon**1.5
     b1 = b_m(smooth, 1)
-    tail = abs_cov_tail(smooth, 1, horizon)
+    tail = abs_cov_power_integral(smooth, 1, horizon)
     f_truth = spectral_density(smooth, 1.3)
     deviations = np.empty((result.n_ok, 3, 3))
     for r in range(result.n_ok):

@@ -292,7 +292,7 @@ class TestEstimate:
         assert code == 0
         assert abs(float(_value(out, "phi")) - 1.3) < 0.05
 
-    @pytest.mark.parametrize("band", ["1.0", "lo,hi", "0.1,1,3"])
+    @pytest.mark.parametrize("band", ["1.0", "lo,hi", "0.1,1,3", "1,,2"])
     def test_malformed_band_exits_2(self, path_csv, band):
         code, _, err = _run(
             ["estimate", "--input", path_csv, "--n-harmonics", "1", "--band", band]
@@ -486,7 +486,7 @@ class TestMontecarlo:
         cfg.write_text(LOW_RANK_CFG)
         code, _, err = _run(["montecarlo", "--config", str(cfg)])
         assert code == 2
-        assert "alpha_min" in err
+        assert "decay_exponent" in err
 
     def test_band_at_zero_exits_2_before_drawing(self, tmp_path, monkeypatch):
         # detection refuses a band that starts at 0, so the model refuses it
@@ -534,6 +534,31 @@ class TestMoments:
         code, _, err = _run(["moments", "--config", str(cfg)])
         assert code == 2
         assert "correlation" in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", EXPERIMENT_CFG.replace(
+            "kind = identity", "kind = hermite-polynomial\ncoeffs = 0, 1, , 2")),
+        ("moments", MOMENTS_CFG.replace("orders = 2, 3, 3", "orders = 2, , 3")),
+        ("moments", MOMENTS_CFG.replace("row = 0.5, 1.0, 0.5", "row = 0.5, , 1.0, 0.5")),
+        ("moments", MOMENTS_CFG.replace("orders = 2, 3, 3", "orders = 2, 3, 3,")),
+        ("moments", MOMENTS_CFG.replace("orders = 2, 3, 3", "orders =")),
+    ],
+    ids=["coeffs", "orders", "row", "trailing", "no-item"],
+)
+def test_empty_list_item_exits_2(tmp_path, command, text):
+    # a stray comma is refused, not read as a shorter list
+    cfg = tmp_path / "empty_item.cfg"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert "empty list item" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

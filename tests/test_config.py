@@ -153,6 +153,7 @@ def test_load_transform_absent():
         ("[transform]\nkind = user-table\n", "table path required"),
         ("[transform]\nkind = cube\ncoeffs = 1\n", "extra keys"),
         ("[transform]\nkind = identity\nk_max = few\n", "not an integer"),
+        ("[transform]\nkind = hermite-polynomial\ncoeffs = 0, , 2\n", "empty list item"),
     ],
 )
 def test_load_transform_rejects(text, fragment):

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -50,8 +51,9 @@ def test_hermite_order_errors():
         hermite(-1, 0.0)
     with pytest.raises(ValidationError):
         hermite(61, 0.0)
-    with pytest.raises(ValidationError):
-        hermite(2.5, 0.0)
+    for k in (2.5, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            hermite(k, 0.0)
 
 
 def test_hermite_orthogonality():
@@ -130,8 +132,12 @@ def test_abs_needs_breakpoints():
 
 
 def test_uncentered_transform_rejected():
-    with pytest.raises(ValidationError):
+    # quadrature and explicit coefficients are refused with one message
+    message = "transform has nonzero mean: C_0 = 3.000e-01 (must be centered)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         hermite_coefficients(lambda x: np.asarray(x, dtype=float) + 0.3)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make_transform("hermite-polynomial", coeffs=[0.3, 1.0])
 
 
 # ---------------------------------------------------------------------------

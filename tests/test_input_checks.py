@@ -15,11 +15,20 @@ from harmreg.errors import ValidationError
 from harmreg.hermite import make_transform
 from harmreg.montecarlo import ExperimentConfig
 from harmreg.simulate import HarmonicModel, SamplingGrid
-from harmreg.spectral import preset_noise
+from harmreg.spectral import NoiseComponent, NoiseSpec, preset_noise
 
 GRID = SamplingGrid(64.0, 0.25)
 SMOOTH = preset_noise("smooth")
-SEASONAL = preset_noise("seasonal")  # alpha_min = 0.5: rank 1 violates A4
+SEASONAL = preset_noise("seasonal")  # decay exponent 0.5: rank 1 violates A4
+# every alpha is above 1, but rho = 0.5 makes the decay exponent 0.9, so
+# rank 1 violates A4 as well
+RHO_HALF = NoiseSpec(
+    (NoiseComponent(0.7, 3.6, 0.0, 0.5), NoiseComponent(0.3, 4.0, 1.0, 0.5))
+)
+RHO_HALF_BLOCKS = (
+    "[noise]\nd = 0.7\nalpha = 3.6\nrho = 0.5\n"
+    "[noise]\nd = 0.3\nalpha = 4.0\nkappa = 1.0\nrho = 0.5\n"
+)
 IDENTITY = make_transform("identity")
 MODEL = HarmonicModel(((1.0, 0.5, 1.3),))
 BAND_AT_ZERO = (0.0, 3.0)
@@ -43,9 +52,9 @@ def _observe(**override):
     return simulate.observe(**kwargs)
 
 
-def _cfg_text(noise="smooth", model="a = 1.0\nb = 0.5\nphi = 1.3\n", band=None,
-              noise_scale=None):
-    text = f"[noise]\npreset = {noise}\n[transform]\nkind = identity\n"
+def _cfg_text(noise="[noise]\npreset = smooth\n", model="a = 1.0\nb = 0.5\nphi = 1.3\n",
+              band=None, noise_scale=None):
+    text = noise + "[transform]\nkind = identity\n"
     if model is not None:
         text += "[model]\n" + model
     if band is not None:
@@ -100,8 +109,17 @@ CONDITIONS = {
         {
             "ExperimentConfig": lambda: _config(noise=SEASONAL),
             "observe": lambda: _observe(spec=SEASONAL),
-            "cli-simulate": ("simulate", _cfg_text(noise="seasonal")),
-            "cli-montecarlo": ("montecarlo", _cfg_text(noise="seasonal")),
+            "cli-simulate": ("simulate", _cfg_text(noise="[noise]\npreset = seasonal\n")),
+            "cli-montecarlo": ("montecarlo", _cfg_text(noise="[noise]\npreset = seasonal\n")),
+        },
+    ),
+    "a4-decay-exponent": (
+        lambda: simulate.require_a4(RHO_HALF, IDENTITY),
+        {
+            "ExperimentConfig": lambda: _config(noise=RHO_HALF),
+            "observe": lambda: _observe(spec=RHO_HALF),
+            "cli-simulate": ("simulate", _cfg_text(noise=RHO_HALF_BLOCKS)),
+            "cli-montecarlo": ("montecarlo", _cfg_text(noise=RHO_HALF_BLOCKS)),
         },
     ),
     "zero-amplitude": (
@@ -109,7 +127,7 @@ CONDITIONS = {
         {
             "HarmonicModel": lambda: HarmonicModel(((0.0, 0.0, 1.3),)),
             "gram_block": lambda: asymptotics.gram_block(0.0, 0.0),
-            "gamma_matrix": lambda: asymptotics.gamma_matrix(0.0, 0.0, 1.3, IDENTITY, SMOOTH),
+            "gamma_matrix": lambda: asymptotics.gamma_matrix(0.0, 0.0, 1.0),
             "trig_spectral_measure": lambda: asymptotics.trig_spectral_measure(0.0, 0.0, 1.3),
             "cli-simulate": ("simulate", _cfg_text(model="a = 0\nb = 0\nphi = 1.3\n")),
             "cli-montecarlo": ("montecarlo", _cfg_text(model="a = 0\nb = 0\nphi = 1.3\n")),

@@ -52,12 +52,12 @@ IDENTITY = make_transform("identity")
 F_SMOOTH_13 = 0.11717764563958491  # spectral factor of the smooth preset at 1.3
 
 # estimate_harmonics on T = 4096 smooth / identity paths with one and two
-# harmonics, b_m and abs_cov_tail of the rank-2 plug-in noise at m = 3 and 4,
+# harmonics, b_m and abs_cov_power_integral of the rank-2 plug-in noise at m = 3 and 4,
 # and a small report, all printed bit for bit
 _THREAD_PROBE = """
 import numpy as np
 from harmreg import NoiseComponent, NoiseSpec, preset_noise
-from harmreg.asymptotics import abs_cov_tail, b_m
+from harmreg.asymptotics import abs_cov_power_integral, b_m
 from harmreg.estimator import estimate_harmonics
 from harmreg.hermite import make_transform
 from harmreg.montecarlo import ExperimentConfig, run_replications
@@ -73,7 +73,7 @@ for model in (HarmonicModel(two.harmonics[:1]), two):
         print(*(float(v).hex() for v in np.ravel(res.model.amplitudes())))
 plug = NoiseSpec((NoiseComponent(0.6, 1.5, 0.0), NoiseComponent(0.4, 0.8, 2.0)))
 for m in (3, 4):
-    print(float(b_m(plug, m)).hex(), float(abs_cov_tail(plug, m, 1024.0)).hex())
+    print(float(b_m(plug, m)).hex(), float(abs_cov_power_integral(plug, m, 1024.0)).hex())
 config = ExperimentConfig(
     noise=smooth, transform=identity, model=two, grids=(grid,),
     replications=4, master_seed=3,
@@ -205,8 +205,8 @@ class TestExperimentConfig:
             )
 
     def test_low_rank_product_rejected(self, seasonal):
-        # alpha_min * rank = 0.5 for the seasonal preset under identity
-        with pytest.raises(ValidationError, match="alpha_min"):
+        # decay_exponent * rank = 0.5 for the seasonal preset under identity
+        with pytest.raises(ValidationError, match="decay_exponent"):
             ExperimentConfig(
                 noise=seasonal,
                 transform=IDENTITY,
@@ -484,13 +484,13 @@ class TestReportLogic:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("ran the quadrature")
 
-        monkeypatch.setattr(asymptotics, "_spectral_sum", no_quadrature)
+        monkeypatch.setattr(asymptotics, "spectral_factor", no_quadrature)
         samples = np.zeros((2, 3, 1))
         rep = _report(base_config, (_grid_result(64.0, samples),), (np.eye(3),))
         estimate = types.SimpleNamespace(model=MODEL)
         noise, transform = base_config.noise, base_config.transform
         calls = (
-            lambda: asymptotics.gamma_matrix(1.0, 0.5, 1.3, transform, noise, mode=mode),
+            lambda: asymptotics.gamma_matrix(1.0, 0.5, 1.0, mode=mode),
             lambda: asymptotics.gamma_report(MODEL, transform, noise, mode=mode),
             lambda: asymptotics.plug_in_gamma(estimate, transform, noise, mode=mode),
             lambda: asymptotics.GammaReport(mode, 20, (), (), (), (), ()),

@@ -444,7 +444,7 @@ def test_observe_rejects_non_finite_noise_scale(smooth, scale):
 
 
 def test_observe_rank_compatibility_guard():
-    # alpha_min * rank <= 1 voids the limit theory unless explicitly allowed
+    # decay_exponent * rank <= 1 voids the limit theory unless explicitly allowed
     weak = NoiseSpec((NoiseComponent(1.0, 0.8, 0.0),))
     ident = make_transform("identity")
     with pytest.raises(ValidationError):

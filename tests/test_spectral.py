@@ -134,8 +134,10 @@ def test_decay_exponent():
     assert comp.decay_exponent == 1.5
     assert NoiseComponent(1.0, 3.0, 0.0, 1.0).decay_exponent == 1.5
     spec = NoiseSpec((NoiseComponent(0.6, 1.5, 0.0), NoiseComponent(0.4, 0.5, 2.0)))
-    assert spec.alpha_min == 0.5
     assert spec.decay_exponent == 0.5
+    # rho < 2 lowers the decay exponent below every alpha
+    spec = NoiseSpec((NoiseComponent(0.7, 3.6, 0.0, 0.5), NoiseComponent(0.3, 4.0, 1.0, 0.5)))
+    assert spec.decay_exponent == 0.9
 
 
 # ---------------------------------------------------------------------------
