@@ -37,7 +37,6 @@ from .errors import (
     NoiseFloorWarning,
     NonIntegrableError,
     NyquistError,
-    OutOfBandError,
     OverlapError,
     QuadratureError,
     SingularSystemError,
@@ -52,7 +51,6 @@ from .estimator import (
     estimate_harmonics,
     normalized_errors,
     objective,
-    periodogram,
     periodogram_grid,
     refine,
 )
@@ -67,7 +65,6 @@ from .montecarlo import (
     ExperimentConfig,
     GridResult,
     MonteCarloReport,
-    consistency_sweep,
     eta_squared,
     lemma2_decay,
     normality_diagnostics,

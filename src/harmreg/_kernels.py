@@ -4,9 +4,7 @@ At a point (A, B, phi) of the harmonic regression everything the estimator
 needs -- signal values, residual, objective, Jacobian, Hessian -- derives
 from one trigonometric design: the row-major (N, n) matrices cos(phi_k t_i)
 and sin(phi_k t_i). ``trig_design`` builds that pair once per point;
-``signal``, ``jacobian`` and ``hessian`` reuse it. ``fourier_pair`` is the
-single-frequency inner product behind the periodogram at arbitrary
-frequencies.
+``signal``, ``jacobian`` and ``hessian`` reuse it.
 
 Every sum over the n sample points is an ``np.einsum`` along a contiguous
 row, never a BLAS product: threaded BLAS splits long sums into pieces by
@@ -16,12 +14,6 @@ its thread count, so its rounding would depend on the machine.
 import numpy as np
 
 HAS_NUMBA = False  # there is no jit path; the name stays for benchmark machine facts
-
-
-def fourier_pair(x, t, lam):
-    c = np.cos(lam * t)
-    s = np.sin(lam * t)
-    return float(np.einsum("i,i->", x, c)), float(np.einsum("i,i->", x, s))
 
 
 def trig_design(t, phi):

@@ -216,10 +216,6 @@ class GramBlock:
     j_matrix: np.ndarray
     scalers: np.ndarray
 
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.j_matrix))
-
 
 def gram_block(a: float, b: float) -> GramBlock:
     c2 = amplitude_squared(a, b)
@@ -238,27 +234,27 @@ def gram_block(a: float, b: float) -> GramBlock:
 def gamma_matrix(a: float, b: float, s: float, mode: str = "derived") -> np.ndarray:
     """3x3 covariance block of (sqrt(T)(A^-A), sqrt(T)(B^-B),
     T^(3/2)(phi^-phi)) for one harmonic with spectral factor s at its
-    frequency.
+    frequency:
 
-    mode='as-printed' returns 4pi s/C^2 * [[C^2, -3AB, -6B], [-3AB, C^2,
-    6A], [-6B, 6A, 12]] verbatim; mode='derived' returns D (2pi s J^-1) D
-    with D = diag(sqrt(2), sqrt(2), sqrt(6)/C), which replaces the two
-    leading diagonal entries by A^2+4B^2 and 4A^2+B^2 and is positive
-    definite. Off-diagonals and the (3,3) entry agree between modes.
+        4pi s/C^2 * [[d11, -3AB, -6B], [-3AB, d22, 6A], [-6B, 6A, 12]].
+
+    mode='as-printed' takes d11 = d22 = C^2, verbatim; mode='derived'
+    takes d11 = A^2+4B^2 and d22 = 4A^2+B^2, which is D (2pi s J^-1) D
+    with J the gram_block matrix and D = diag(sqrt(2), sqrt(2), sqrt(6)/C),
+    and is positive definite. Both triangles hold the same products, so the
+    block is exactly symmetric.
     """
     require_mode(mode)
     c2 = amplitude_squared(a, b)
-    pref = 4.0 * math.pi * s / c2
     if mode == "as-printed":
-        return pref * np.array([
-            [c2, -3.0 * a * b, -6.0 * b],
-            [-3.0 * a * b, c2, 6.0 * a],
-            [-6.0 * b, 6.0 * a, 12.0],
-        ])
-    block = gram_block(a, b)
-    d = np.diag(1.0 / block.scalers)
-    core = 2.0 * math.pi * s * np.linalg.inv(block.j_matrix)
-    return d @ core @ d
+        d11 = d22 = c2
+    else:
+        d11, d22 = a * a + 4.0 * b * b, 4.0 * a * a + b * b
+    return 4.0 * math.pi * s / c2 * np.array([
+        [d11, -3.0 * a * b, -6.0 * b],
+        [-3.0 * a * b, d22, 6.0 * a],
+        [-6.0 * b, 6.0 * a, 12.0],
+    ])
 
 
 @dataclass

@@ -25,10 +25,9 @@ from .montecarlo import ExperimentConfig, run_replications
 from .simulate import (
     DEFAULT_BAND,
     SamplePath,
-    gaussian_path,
+    _scaled_noise,
     observe,
     require_noise_scale,
-    subordinate,
 )
 
 
@@ -68,8 +67,8 @@ def _cmd_simulate(args) -> int:
     for gi, grid in enumerate(grids):
         seed = np.random.SeedSequence(entropy=master, spawn_key=(gi, 0))
         if model is None:
-            values = subordinate(gaussian_path(noise, grid, seed), transform)
-            path = SamplePath(grid=grid, values=scale * values)
+            values = _scaled_noise(noise, transform, grid, seed, scale)
+            path = SamplePath(grid=grid, values=values)
         else:
             path = observe(model, noise, transform, grid, seed,
                            allow_a4_violation=allow, noise_scale=scale)

@@ -35,10 +35,6 @@ class OverlapError(ValidationError):
     """Spectral-measure atom coincides with a noise singular point."""
 
 
-class OutOfBandError(ValidationError):
-    """Frequency argument outside the admissible open interval."""
-
-
 def require_count(name: str, value, least: int) -> None:
     """Refuse a count or seed that is a bool, not an integer, or below
     least, before it reaches numpy."""

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fourier_pair, hessian, jacobian, signal, trig_design
+from ._kernels import hessian, jacobian, signal, trig_design
 from .errors import (
     InsufficientPeaksError,
     NoiseFloorWarning,
-    OutOfBandError,
     SingularSystemError,
     ValidationError,
     require_count,
@@ -86,23 +85,6 @@ def objective(path: SamplePath, model: HarmonicModel) -> float:
 def _objective_raw(path: SamplePath, design, a, b) -> float:
     r = path.values - signal(*design, a, b)
     return float(np.einsum("i,i->", r, r)) * path.grid.dt / path.grid.horizon
-
-
-def periodogram(path: SamplePath, lam) -> float | np.ndarray:
-    """|(dt / T) * sum x(t_i) exp(-i lam t_i)|^2 at arbitrary frequencies
-    inside the open interval (0, pi/dt)."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam_arr <= 0.0) or np.any(lam_arr >= math.pi / path.grid.dt):
-        raise OutOfBandError(
-            f"frequency outside (0, {math.pi / path.grid.dt:.6g})"
-        )
-    t = path.grid.times()
-    scale = (path.grid.dt / path.grid.horizon) ** 2
-    out = np.empty(lam_arr.shape)
-    for i, l in enumerate(lam_arr):
-        c, s = fourier_pair(path.values, t, l)
-        out[i] = scale * (c * c + s * s)
-    return out if np.ndim(lam) else float(out[0])
 
 
 def _fft_grid(grid, pad: int = _GRID_PAD) -> tuple[int, float]:

@@ -105,9 +105,15 @@ def _piecewise_coefficients(g, edges, k_max: int) -> tuple[np.ndarray, float]:
     return fine, eg2
 
 
-def _require_centered(c0: float) -> None:
-    """Refuse a transform with |C_0| > 1e-8: G must have mean zero."""
-    if abs(c0) > 1e-8:
+# the largest |C_0| accepted; a table's interpolant picks up an O(h^2)
+# mean, which _table_coefficients absorbs into a shift below the table cap
+_CENTER_CAP = 1e-8
+_TABLE_CENTER_CAP = 1e-3
+
+
+def _require_centered(c0: float, cap: float = _CENTER_CAP) -> None:
+    """Refuse a transform with |C_0| > cap: G must have mean zero."""
+    if abs(c0) > cap:
         raise ValidationError(f"transform has nonzero mean: C_0 = {c0:.3e} (must be centered)")
 
 
@@ -139,9 +145,6 @@ def hermite_coefficients(g, k_max: int = DEFAULT_K_MAX, breakpoints=()) -> np.nd
     return _coefficients(g, k_max, breakpoints)[0]
 
 
-_TABLE_CENTER_CAP = 1e-3
-
-
 def _table_coefficients(xs, gs, k_max: int) -> tuple[np.ndarray, float, float]:
     """Coefficients and EG^2 of the centered table interpolant, and the
     constant shift that centers it. A centered transform tabulated at
@@ -154,10 +157,7 @@ def _table_coefficients(xs, gs, k_max: int) -> tuple[np.ndarray, float, float]:
     g = lambda x: np.interp(x, xs, gs)
     coeffs, eg2 = _piecewise_coefficients(g, _piecewise_edges(xs), k_max)
     shift = float(coeffs[0])
-    if abs(shift) > _TABLE_CENTER_CAP:
-        raise ValidationError(
-            f"transform has nonzero mean: C_0 = {shift:.3e} (must be centered)"
-        )
+    _require_centered(shift, _TABLE_CENTER_CAP)
     # subtracting a constant moves only C_0: int H_k phi = 0 for k >= 1;
     # E[(G - s)^2] = EG^2 - 2 s E[G] + s^2 with E[G] = s
     coeffs[0] = 0.0
@@ -305,6 +305,11 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
             raise ValidationError("hermite-polynomial transform requires coeffs")
         c = np.zeros(max(k_max + 1, len(coeffs)))
         c[: len(coeffs)] = np.asarray(coeffs, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            raise ValidationError(
+                f"hermite-polynomial coeffs must be finite: C_{bad[0]} = {c[bad[0]]}"
+            )
         _require_centered(c[0])
         # G = sum_k (C_k / k!) H_k is a finite Hermite sum, so Parseval
         # gives EG^2 exactly and the gap is 0

@@ -374,15 +374,6 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
     return MonteCarloReport(config=config, results=tuple(results), **theory)
 
 
-def consistency_sweep(config: ExperimentConfig, workers: int = 1) -> dict:
-    """run_replications over a >= 3 horizon schedule, reduced to log-log
-    slope estimates of the median raw errors per parameter class."""
-    if len(config.grids) < 3:
-        raise ValidationError("consistency sweep needs at least 3 horizons")
-    report = run_replications(config, workers)
-    return report.consistency_slopes()
-
-
 def normality_diagnostics(samples, gamma: np.ndarray | None = None) -> dict:
     """Standardized skewness and excess kurtosis per component, plus
     coverage of nominal 90/95/99% intervals under the supplied covariance.

@@ -347,6 +347,14 @@ def subordinate(xi: np.ndarray, transform: TransformSpec) -> np.ndarray:
     return np.asarray(transform.g(xi), dtype=float)
 
 
+def _scaled_noise(spec: NoiseSpec, transform: TransformSpec, grid: SamplingGrid,
+                  seed, scale: float) -> np.ndarray:
+    """scale * G(xi) on the grid; zeros, with no draw of xi, at scale 0."""
+    if scale == 0.0:
+        return np.zeros(grid.n)
+    return scale * subordinate(gaussian_path(spec, grid, seed), transform)
+
+
 def regression_signal(model: HarmonicModel, grid: SamplingGrid) -> np.ndarray:
     """g(t_i, theta) on the grid; the band must clear the Nyquist bound."""
     require_band(model.band, grid)
@@ -375,11 +383,7 @@ def observe(
     require_noise_scale(noise_scale)
     require_a4(spec, transform, allow_a4_violation)
     signal = regression_signal(model, grid)
-    if noise_scale == 0.0:
-        noise = np.zeros(grid.n)
-    else:
-        xi = gaussian_path(spec, grid, seed)
-        noise = noise_scale * subordinate(xi, transform)
+    noise = _scaled_noise(spec, transform, grid, seed, noise_scale)
     values = signal + noise
     if keep_components:
         return SamplePath(grid=grid, values=values, signal=signal, noise=noise)

@@ -28,7 +28,6 @@ from harmreg.estimator import EstimationResult
 from harmreg.hermite import make_transform, subordinated_covariance
 from harmreg.montecarlo import (
     ExperimentConfig,
-    consistency_sweep,
     lemma2_decay,
     run_replications,
 )
@@ -208,7 +207,7 @@ def test_criterion_05_consistency_rates(smooth):
         replications=200,
         master_seed=20260815,
     )
-    slopes = consistency_sweep(config)
+    slopes = run_replications(config).consistency_slopes()
     amp, amp_floored = slopes["amplitude"]
     phi, phi_floored = slopes["frequency"]
     assert not amp_floored and not phi_floored

@@ -401,7 +401,7 @@ class TestGramBlock:
 
     @pytest.mark.parametrize("a, b", [(1.0, 0.5), (0.3, -2.0), (-1.1, 0.0), (2.0, 2.0)])
     def test_determinant_quarter(self, a, b):
-        assert abs(asy.gram_block(a, b).determinant - 0.25) < 1e-12
+        assert abs(np.linalg.det(asy.gram_block(a, b).j_matrix) - 0.25) < 1e-12
 
     def test_off_diagonals_bounded(self):
         for theta in np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False):
@@ -468,6 +468,15 @@ class TestGammaMatrix:
         assert math.isclose(derived[0, 0], 4.0 * math.pi * (1.0 + 4.0 * 0.25) / 1.25)
         assert printed[0, 0] != derived[0, 0]
         assert printed[1, 1] != derived[1, 1]
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            a, b = rng.normal(size=2)
+            s = rng.uniform(0.01, 10.0)
+            for mode in asy.MODES:
+                mat = asy.gamma_matrix(a, b, s, mode=mode)
+                assert np.array_equal(mat, mat.T)
 
     def test_derived_positive_definite_on_circle(self):
         for theta in np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False):

@@ -189,6 +189,22 @@ class TestSimulate:
         assert "noise_scale must be nonnegative" in err
         assert not (tmp_path / "path_T64.csv").exists()
 
+    @pytest.mark.parametrize("model", ["", "[model]\na = 1.0\nb = 0.5\nphi = 1.3\n"],
+                             ids=["noise-only", "model"])
+    def test_zero_noise_scale_writes_zero_noise(self, tmp_path, model):
+        # with or without a model, scale 0 writes the noise as exact zeros,
+        # never a -0 from scaling a negative draw
+        cfg = tmp_path / "noiseless.cfg"
+        cfg.write_text(
+            "[noise]\npreset = smooth\n[transform]\nkind = identity\n" + model
+            + "[grid]\nhorizon = 4\ndt = 0.25\n[experiment]\nnoise_scale = 0\n"
+        )
+        code, _, _ = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "path_T4.csv").read_text().splitlines()[1:]
+        # the last column is x without a model and noise with one
+        assert [row.split(",")[-1] for row in rows] == ["0"] * 16
+
     @pytest.mark.parametrize(
         "old, new",
         [

@@ -13,7 +13,6 @@ from harmreg.errors import (
     InsufficientPeaksError,
     NoiseFloorWarning,
     NyquistError,
-    OutOfBandError,
     SingularSystemError,
     ValidationError,
 )
@@ -91,45 +90,29 @@ class TestObjective:
         assert abs(q - closed) < 2e-2 * closed
 
 
-class TestPeriodogram:
-    def test_peak_height_at_true_frequency(self):
-        for horizon in (256.0, 1024.0):
-            grid = SamplingGrid(horizon, 0.25)
-            path = _noiseless(HarmonicModel(((1.0, 0.0, 1.3),)), grid)
-            assert abs(est.periodogram(path, 1.3) - 0.25) < 0.5 / horizon
-
-    def test_zero_path(self):
-        path = SamplePath(grid=GRID, values=np.zeros(GRID.n))
-        assert est.periodogram(path, 1.3) == 0.0
-
-    def test_parseval_over_fourier_grid(self):
-        rng = np.random.default_rng(3)
-        vals = rng.standard_normal(GRID.n)
-        path = SamplePath(grid=GRID, values=vals)
-        n = GRID.n
-        lam = 2.0 * math.pi * np.arange(n) / (n * GRID.dt)
-        inner = lam[(lam > 0.0) & (lam < math.pi / GRID.dt - 1e-12)]
-        vals_inner = est.periodogram(path, inner)
-        # the zero and Nyquist bins sit outside the admissible domain
-        dc = (vals.sum() / n) ** 2
-        nyq = (float(vals @ np.cos(math.pi / GRID.dt * GRID.times())) / n) ** 2
-        mean_i = (dc + nyq + 2.0 * np.sum(vals_inner)) / n
-        assert abs(mean_i - np.mean(vals**2) / n) < 1e-10
-
-    @pytest.mark.parametrize("lam", [0.0, -0.5, 4.0 * math.pi, 12.57])
-    def test_out_of_band(self, lam):
-        with pytest.raises(OutOfBandError):
-            est.periodogram(_noiseless(), lam)
-
-    def test_vector_argument(self):
-        path = _noiseless()
-        lams = np.array([0.9, 1.3, 1.7])
-        vec = est.periodogram(path, lams)
-        assert vec.shape == (3,)
-        assert vec[1] == est.periodogram(path, 1.3)
-
-
 class TestPeriodogramGrid:
+    @pytest.mark.parametrize("horizon", [16.25, 256.0])
+    def test_values_are_the_direct_sums(self, horizon):
+        # |(dt/T) sum_i x_i exp(-i lam t_i)|^2 at each grid frequency; both
+        # routes round in proportion to the largest value, not to each one
+        grid = SamplingGrid(horizon, 0.25)
+        path = SamplePath(grid=grid, values=np.random.default_rng(3).standard_normal(grid.n))
+        freqs, vals = est.periodogram_grid(path)
+        direct = np.abs(np.exp(-1j * np.outer(freqs, grid.times())) @ path.values)
+        direct = (grid.dt / grid.horizon * direct) ** 2
+        assert np.max(np.abs(vals - direct)) <= 1e-12 * np.max(direct)
+
+    @pytest.mark.parametrize("horizon", [256.0, 1024.0])
+    def test_noiseless_peak_height(self, horizon):
+        # a harmonic on a grid frequency peaks there at C^2 / 4
+        grid = SamplingGrid(horizon, 0.25)
+        spacing = est._fft_grid(grid)[1]
+        phi = round(1.3 / spacing) * spacing
+        path = _noiseless(HarmonicModel(((1.0, 0.0, phi),)), grid)
+        freqs, vals = est.periodogram_grid(path)
+        assert freqs[np.argmax(vals)] == phi
+        assert abs(vals.max() - 0.25) < 0.5 / horizon
+
     def test_resolution_bound(self):
         freqs, _ = est.periodogram_grid(_noiseless())
         assert freqs[1] - freqs[0] <= math.pi / (4.0 * GRID.horizon) + 1e-15
@@ -225,20 +208,6 @@ class TestDetectFrequencies:
         model = HarmonicModel(((1.0, 0.0, 1.3), (0.1, 0.0, 1.3 + gap)))
         phis = est.detect_frequencies(_noiseless(model), 2)
         assert phis[1] - phis[0] >= gap
-
-    def test_no_single_frequency_sums(self, monkeypatch):
-        # picks come from the periodogram grid alone: no fourier_pair call
-        calls = []
-        pair = est.fourier_pair
-
-        def counting(*args):
-            calls.append(args[2])
-            return pair(*args)
-
-        monkeypatch.setattr(est, "fourier_pair", counting)
-        model = HarmonicModel(((1.0, 0.0, 0.9), (0.0, 0.8, 2.2)))
-        est.detect_frequencies(_noiseless(model), 2)
-        assert calls == []
 
     def test_two_harmonics_sorted(self):
         model = HarmonicModel(((1.0, 0.0, 0.9), (0.0, 0.8, 2.2)))

@@ -218,6 +218,10 @@ def test_polynomial_transform_requires_coeffs():
         make_transform("hermite-polynomial")
     with pytest.raises(ValidationError):
         make_transform("hermite-polynomial", coeffs=[0.5, 1.0])
+    for coeffs, bad in (([math.nan, 1.0], "C_0 = nan"), ([0.0, 1.0, math.inf], "C_2 = inf"),
+                        ([0.0, math.nan], "C_1 = nan")):
+        with pytest.raises(ValidationError, match=f"coeffs must be finite: {bad}"):
+            make_transform("hermite-polynomial", coeffs=coeffs)
 
 
 def test_unknown_kind():
@@ -352,7 +356,7 @@ def test_table_validation():
 
 def test_table_rejects_uncentered():
     xs = np.linspace(-8.0, 8.0, 1001)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="transform has nonzero mean: C_0 = 5.000e-01"):
         make_transform("user-table", table=(xs, xs + 0.5))
 
 

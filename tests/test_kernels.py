@@ -1,5 +1,5 @@
-"""Numpy kernels of the estimator: the Fourier pair, the trigonometric
-design and the Jacobian and Hessian built from it."""
+"""Numpy kernels of the estimator: the trigonometric design and the
+Jacobian and Hessian built from it."""
 
 import numpy as np
 import pytest
@@ -23,11 +23,6 @@ def _residual(x, phi):
 
 
 class TestNumpyReference:
-    def test_fourier_pair_matches_direct_sums(self):
-        sc, ss = kernels.fourier_pair(X, T_GRID, 1.3)
-        assert sc == pytest.approx(np.sum(X * np.cos(1.3 * T_GRID)), rel=1e-12)
-        assert ss == pytest.approx(np.sum(X * np.sin(1.3 * T_GRID)), rel=1e-12)
-
     def test_residual_vanishes_on_exact_signal(self):
         signal = np.zeros(N)
         for k in range(A.shape[0]):

@@ -31,7 +31,6 @@ from harmreg.montecarlo import (
     GridResult,
     MonteCarloReport,
     _replication,
-    consistency_sweep,
     eta_squared,
     lemma2_decay,
     normality_diagnostics,
@@ -733,12 +732,12 @@ class TestReportText:
 
 
 class TestConsistencySweep:
-    def test_requires_three_horizons(self, base_config):
+    def test_requires_three_horizons(self, base_report):
         with pytest.raises(ValidationError, match="at least 3"):
-            consistency_sweep(base_config)
+            base_report.consistency_slopes()
 
     def test_noiseless_sweep_is_floor_limited(self, noiseless_config):
-        slopes = consistency_sweep(noiseless_config)
+        slopes = run_replications(noiseless_config).consistency_slopes()
         assert slopes["amplitude"] == (-math.inf, True)
         assert slopes["frequency"] == (-math.inf, True)
 

@@ -1,10 +1,15 @@
-"""The repository tools, run as scripts on small inputs counted by hand."""
+"""The repository tools, run as scripts on small inputs counted by hand,
+and the names the benchmark reads from harmreg."""
 
+import ast
+import importlib
 import pathlib
 import subprocess
 import sys
+import types
 
-CODE_LINES = pathlib.Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CODE_LINES = ROOT / "tools" / "code_lines.py"
 
 # code lines: the import, the def line and the four lines of the call; the
 # docstrings, the comment line and the blank lines do not count
@@ -43,3 +48,49 @@ def test_code_lines_refuses_an_empty_directory(tmp_path):
     run = _code_lines(tmp_path)
     assert run.returncode == 2
     assert "no Python modules" in run.stderr
+
+
+def _lookup(path: str):
+    """The module a dotted path names, else the attribute of the module
+    before its last dot; ImportError or AttributeError when neither is."""
+    try:
+        return importlib.import_module(path)
+    except ModuleNotFoundError:
+        parent, _, name = path.rpartition(".")
+        return getattr(_lookup(parent), name)
+
+
+def _harmreg_reads(tree):
+    """(owner, name) for every name the tree imports from a harmreg module,
+    and for every attribute it reads through a name such an import binds."""
+    bound, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "harmreg":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                reads.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in bound:
+                reads.append((bound[node.value.id], node.attr))
+    return reads
+
+
+def test_benchmark_reads_only_names_harmreg_has():
+    # a name deleted from src/ that the benchmark still reads would
+    # otherwise show up only when the benchmark runs; the benchmark imports
+    # harmreg only by `from ... import`, and attributes of the functions and
+    # classes it imports are not checked
+    reads = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reads += _harmreg_reads(ast.parse(path.read_text(), str(path)))
+    missing = []
+    for owner, name in reads:
+        try:
+            if isinstance(_lookup(owner), types.ModuleType):
+                _lookup(f"{owner}.{name}")
+        except (ImportError, AttributeError):
+            missing.append(f"{owner}.{name}")
+    assert missing == []
+    names = {name for _, name in reads}
+    assert {"sigma_general", "MAX_ITER", "load_experiment", "HAS_NUMBA"} <= names
