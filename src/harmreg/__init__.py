@@ -76,9 +76,9 @@ from .simulate import (
     SamplePath,
     SamplingGrid,
     gaussian_path,
-    gaussian_paths,
     observe,
     regression_signal,
+    replication_seed,
     subordinate,
 )
 from .spectral import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pathlib
 import sys
 import time
 
@@ -26,7 +27,9 @@ from .simulate import (
     DEFAULT_BAND,
     SamplePath,
     _scaled_noise,
+    grid_labels,
     observe,
+    replication_seed,
     require_noise_scale,
 )
 
@@ -64,23 +67,22 @@ def _cmd_simulate(args) -> int:
     scale = exp.get("noise_scale", 1.0)
     # the noise-only branch does not go through observe, which checks it too
     require_noise_scale(scale)
-    for gi, grid in enumerate(grids):
-        seed = np.random.SeedSequence(entropy=master, spawn_key=(gi, 0))
+    for gi, (grid, label) in enumerate(zip(grids, grid_labels(grids))):
+        seed = replication_seed(master, gi, 0)
         if model is None:
             values = _scaled_noise(noise, transform, grid, seed, scale)
             path = SamplePath(grid=grid, values=values)
         else:
             path = observe(model, noise, transform, grid, seed,
                            allow_a4_violation=allow, noise_scale=scale)
-        name = f"path_T{grid.horizon:g}.csv"
-        target = _out_path(args, name)
-        path.to_csv(target)
+        target = _out_path(args, f"path_{label}.csv")
+        cfg.write_path(path, target)
         print(f"wrote {target} ({grid.n} samples, dt = {grid.dt:g})")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    path = SamplePath.from_csv(args.input)
+    path = cfg.read_path(args.input)
     band = _parse_band(args.band) if args.band else DEFAULT_BAND
     truth = None
     if args.truth:
@@ -104,8 +106,8 @@ def _cmd_estimate(args) -> int:
     print("\n".join(blocks), end="")
     if err is not None and args.out:
         target = _out_path(args, "normalized_errors.csv")
-        np.savetxt(target, err.T, delimiter=",", fmt="%.17g",
-                   header="errA,errB,errPhi", comments="")
+        text = cfg.format_csv(["errA", "errB", "errPhi"], err.T.tolist())
+        pathlib.Path(target).write_text(text, encoding="utf-8")
         print(f"\nwrote {target}")
     return 0
 
@@ -137,11 +139,11 @@ def _cmd_asymptotics(args) -> int:
     print("\n".join(blocks), end="")
     if args.out:
         target = _out_path(args, "gamma.csv")
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write("harmonic,phi,i,j,value\n")
-            for k, (phi, mat) in enumerate(zip(report.frequencies, report.matrices)):
-                for (i, j), v in np.ndenumerate(mat):
-                    fh.write(f"{k},{phi:.17g},{i},{j},{v:.17g}\n")
+        rows = [(k, phi, i, j, v)
+                for k, (phi, mat) in enumerate(zip(report.frequencies, report.matrices))
+                for (i, j), v in np.ndenumerate(mat)]
+        text = cfg.format_csv(["harmonic", "phi", "i", "j", "value"], rows)
+        pathlib.Path(target).write_text(text, encoding="utf-8")
         print(f"\nwrote {target}")
     return 0
 

@@ -7,18 +7,23 @@ is one covariance component, each ``[model]`` block one harmonic, each
 appear once, and a ``preset`` ``[noise]`` block once. Keys may repeat
 inside a block where noted (``row`` in ``[correlation]``). Reports are
 written in the same syntax by ``format_block``.
+
+Every CSV file, a sample path, a transform table or a table of numbers
+the command line writes, is written by ``format_csv`` and read by
+``read_csv``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import pathlib
 
 import numpy as np
 
 from .errors import ValidationError, require_count
 from .hermite import TransformSpec, make_transform
-from .simulate import DEFAULT_BAND, DEFAULT_DT, HarmonicModel, SamplingGrid, _load_csv
+from .simulate import DEFAULT_BAND, DEFAULT_DT, HarmonicModel, SamplePath, SamplingGrid
 from .spectral import NoiseComponent, NoiseSpec, preset_noise
 
 _BLOCK_KEYS = {
@@ -127,6 +132,66 @@ def format_block(name: str, pairs) -> str:
     return "".join([f"[{name}]\n"] + [f"{key} = {_render(v)}\n" for key, v in pairs])
 
 
+def format_csv(header, rows) -> str:
+    """The header line, then one line per row, each line ending in a
+    newline; cells are rendered by ``_render``, so reals read back bit for
+    bit."""
+    return "".join(",".join(map(_render, cells)) + "\n" for cells in [header, *rows])
+
+
+def read_csv(path) -> tuple[list[str] | None, np.ndarray]:
+    """The header cells, or None, and the rows of a numeric CSV file as a
+    2-D array. The first line is a header when one of its cells does not
+    parse as a number. ValidationError on a later cell that does not parse
+    as a number or is not finite; OSError when the file cannot be read."""
+    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].strip().split(",") if lines else None
+    try:
+        [float(p) for p in header or () if p.strip()]
+        header = None
+    except ValueError:
+        pass
+    try:
+        data = np.loadtxt(lines, delimiter=",", skiprows=0 if header is None else 1, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: holds a value that is not finite")
+    return header, data
+
+
+def write_path(sample: SamplePath, file) -> None:
+    """Write a sample path as CSV: columns t,x, and signal,noise when the
+    path keeps both components."""
+    both = sample.signal is not None and sample.noise is not None
+    cols = [sample.grid.times(), sample.values] + ([sample.signal, sample.noise] if both else [])
+    text = format_csv(["t", "x", "signal", "noise"][:len(cols)], np.column_stack(cols).tolist())
+    pathlib.Path(file).write_text(text, encoding="utf-8")
+
+
+def read_path(file) -> SamplePath:
+    """The sample path of a CSV file that ``write_path`` writes: a header
+    starting t,x, uniform times from t = 0, and signal and noise columns
+    when the header names them."""
+    header, data = read_csv(file)
+    if header is None or header[:2] != ["t", "x"]:
+        # a first line of numbers is no header; it is shown as read back
+        first = ",".join(header or map(_render, data[:1].ravel().tolist()))
+        raise ValidationError(f"path CSV must start with header 't,x', got {first!r}")
+    t = data[:, 0]
+    if len(t) < 2:
+        raise ValidationError("path CSV needs at least two rows")
+    dt = t[1] - t[0]
+    if not np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
+        raise ValidationError("path CSV must be uniformly sampled")
+    if abs(t[0]) > 1e-12:
+        raise ValidationError("path CSV must start at t = 0")
+    grid = SamplingGrid(horizon=dt * len(t), dt=dt)
+    signal, noise = (data[:, header.index(name)] if name in header else None
+                     for name in ("signal", "noise"))
+    return SamplePath(grid=grid, values=data[:, 1], signal=signal, noise=noise)
+
+
 def _only(blocks, name: str):
     """The (key, value) pairs of the one [name] block, or None when it is
     absent; a repeated block is refused."""
@@ -206,14 +271,7 @@ def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Two-column (x, g) CSV, header row optional: a first row with a cell
     that does not parse as a number is the header."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-        try:
-            [float(p) for p in first.split(",") if p.strip()]
-            skip = 0
-        except ValueError:
-            skip = 1
-        data = _load_csv(path, skip)
+        _, data = read_csv(path)
     except OSError as exc:
         raise ValidationError(f"cannot read table file {path!r}: {exc}")
     if data.shape[1] != 2:

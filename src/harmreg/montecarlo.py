@@ -3,9 +3,9 @@
 Runs simulate -> estimate over a grid schedule, aggregates normalized
 errors, compares their empirical covariance against the limit blocks, and
 emits deterministic reports. Replication r on grid g draws its generator
-from SeedSequence(master_seed, spawn_key=(g, r)), so the stream never
-depends on how replications are scheduled across workers; aggregation is
-a sequential fold in replication order.
+from replication_seed(master_seed, g, r), so the stream never depends on
+how replications are scheduled across workers; aggregation is a
+sequential fold in replication order.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import contextlib
 import functools
 import math
 import os
+import pathlib
 import threading
 import warnings
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics
-from .config import format_block
+from .config import format_block, format_csv
 from .errors import (
     DegenerateVarianceError,
     ExperimentError,
@@ -44,10 +45,12 @@ from .simulate import (
     SamplingGrid,
     _clamped_embedding,
     _fill_paths,
+    grid_labels,
     observe,
     require_a4,
     require_band,
     require_noise_scale,
+    replication_seed,
     subordinate,
 )
 from .spectral import NoiseSpec
@@ -80,6 +83,7 @@ class ExperimentConfig:
         require_count("j_max", self.j_max, 0)
         if not self.grids:
             raise ValidationError("grid schedule is empty")
+        grid_labels(self.grids)
         require_band(self.model.band, *self.grids)
         require_noise_scale(self.noise_scale)
         if not self.allow_a4_violation:
@@ -90,9 +94,7 @@ def _replication(config: ExperimentConfig, grid_index: int, r: int):
     """One simulate -> estimate cycle. Returns (r, errors, converged) or
     (r, message, None) on failure."""
     grid = config.grids[grid_index]
-    seed = np.random.SeedSequence(
-        entropy=config.master_seed, spawn_key=(grid_index, r)
-    )
+    seed = replication_seed(config.master_seed, grid_index, r)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -256,32 +258,21 @@ class MonteCarloReport:
 
     def samples_csv(self, grid_index: int) -> str:
         """CSV of normalized errors, one line per converged replication."""
-        res = self.results[grid_index]
-        nh = res.samples.shape[2]
-        cols = []
-        for k in range(nh):
-            cols += [f"errA_{k}", f"errB_{k}", f"errPhi_{k}"]
-        rows = [",".join(cols)]
-        for r in range(res.n_ok):
-            flat = res.samples[r].T.reshape(-1)
-            rows.append(",".join(f"{v:.17g}" for v in flat))
-        return "\n".join(rows) + "\n"
+        samples = self.results[grid_index].samples
+        nh = samples.shape[2]
+        header = [f"{name}_{k}" for k in range(nh) for name in ("errA", "errB", "errPhi")]
+        return format_csv(header, samples.transpose(0, 2, 1).reshape(-1, 3 * nh).tolist())
 
     def write(self, out_dir: str, runtime_note: str | None = None) -> None:
         """Emit report.txt and per-grid CSVs; runtime metadata, which is
         not part of the determinism contract, goes to a separate sidecar."""
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-        for gi, res in enumerate(self.results):
-            name = f"samples_T{res.grid.horizon:g}.csv"
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(self.samples_csv(gi))
+        out = pathlib.Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.txt").write_text(self.to_text(), encoding="utf-8")
+        for gi, label in enumerate(grid_labels(self.config.grids)):
+            (out / f"samples_{label}.csv").write_text(self.samples_csv(gi), encoding="utf-8")
         if runtime_note is not None:
-            with open(
-                os.path.join(out_dir, "runtime.txt"), "w", encoding="utf-8"
-            ) as fh:
-                fh.write(runtime_note)
+            (out / "runtime.txt").write_text(runtime_note, encoding="utf-8")
 
 
 def _grid_result(config: ExperimentConfig, gi: int, pool) -> GridResult:
@@ -363,12 +354,12 @@ def run_replications(config: ExperimentConfig, workers: int = 1) -> MonteCarloRe
             tail_bounds=tuple(scale2 * t for t in report_d.tail_bounds),
             quad_errors=tuple(scale2 * e for e in report_d.quad_errors),
         )
-    # one pool serves every grid of the schedule
-    executor = (
-        concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        if workers > 1
-        else contextlib.nullcontext()
-    )
+    # one pool serves every grid of the schedule; it starts every worker at
+    # once, and a grid has no more tasks than replications
+    executor = contextlib.nullcontext()
+    if workers > 1:
+        executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, config.replications))
     with executor as pool:
         results = [_grid_result(config, gi, pool) for gi in range(len(config.grids))]
     return MonteCarloReport(config=config, results=tuple(results), **theory)
@@ -483,9 +474,9 @@ def lemma2_decay(
     """Mean eta^2 per horizon over pure-noise replications, with the
     strict-decrease verdict across the schedule.
 
-    Replication r on horizon g draws from SeedSequence(master_seed,
-    spawn_key=(g, r)). Per horizon the replications are simulated,
-    subordinated and periodogrammed in chunks of rows. The chunks run on
+    Replication r on horizon g draws from replication_seed(master_seed, g,
+    r). Per horizon the replications are simulated, subordinated and
+    periodogrammed in chunks of rows. The chunks run on
     the calling thread and on one helper thread per further CPU this
     process may use, one chunk per thread at a time, so the
     _SWEEP_CHUNK_BYTES budget (8 MiB) is shared by every chunk in flight:
@@ -532,7 +523,7 @@ def lemma2_decay(
 
         def row_maxima(c, slot):
             start = starts[c]
-            seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(gi, r))
+            seeds = [replication_seed(master_seed, gi, r)
                      for r in range(start, min(start + rows, replications))]
             m = len(seeds)
             scratch, paths = slot

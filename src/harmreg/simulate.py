@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import signal, trig_design
 from .errors import EmbeddingError, NyquistError, ValidationError
 from .hermite import TransformSpec
 from .spectral import NoiseSpec, covariance
@@ -70,6 +71,24 @@ def require_band(band, *grids) -> None:
             )
 
 
+def grid_labels(grids) -> tuple[str, ...]:
+    """The ``T{horizon:g}`` label of each grid of a sequence, which names
+    its output files; ValidationError when two grids share one."""
+    labels = tuple(f"T{grid.horizon:g}" for grid in grids)
+    for i, label in enumerate(labels):
+        first = labels.index(label)
+        if first < i:
+            raise ValidationError(f"grids {grids[first]} and {grids[i]} share the output label {label}")
+    return labels
+
+
+def replication_seed(master_seed: int, g: int, r: int) -> np.random.SeedSequence:
+    """The stream of replication r on grid g, SeedSequence(master_seed,
+    spawn_key=(g, r)): it depends on no other replication, so no schedule
+    of the replications changes a draw."""
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=(g, r))
+
+
 def require_noise_scale(scale) -> None:
     """Refuse a noise scale that is negative, NaN or infinite."""
     if not 0.0 <= scale < math.inf:
@@ -82,10 +101,9 @@ def require_a4(spec: NoiseSpec, transform: TransformSpec, allow: bool = False) -
     the limit theory does not apply (assumption A4); with ``allow``, warn
     instead."""
     if spec.decay_exponent * transform.rank <= 1.0:
-        msg = (
-            f"decay_exponent * rank = {spec.decay_exponent} * {transform.rank} <= 1: the "
-            "limit theory does not apply (set allow_a4_violation to override)"
-        )
+        override = "allow_a4_violation is set" if allow else "set allow_a4_violation to override"
+        msg = (f"decay_exponent * rank = {spec.decay_exponent} * {transform.rank} <= 1: the "
+               f"limit theory does not apply ({override})")
         if not allow:
             raise ValidationError(msg)
         warnings.warn(msg)
@@ -153,51 +171,6 @@ class SamplePath:
         for arr in (self.values, self.signal, self.noise):
             if arr is not None and len(arr) != self.grid.n:
                 raise ValidationError("component length does not match grid")
-
-    def to_csv(self, path) -> None:
-        cols = [self.grid.times(), self.values]
-        header = "t,x"
-        if self.signal is not None and self.noise is not None:
-            cols += [self.signal, self.noise]
-            header = "t,x,signal,noise"
-        np.savetxt(path, np.column_stack(cols), delimiter=",",
-                   header=header, comments="", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path) -> "SamplePath":
-        with open(path) as fh:
-            header = fh.readline().strip()
-        names = header.split(",")
-        if names[:2] != ["t", "x"]:
-            raise ValidationError(f"path CSV must start with header 't,x', got {header!r}")
-        data = _load_csv(path, skiprows=1)
-        t = data[:, 0]
-        if len(t) < 2:
-            raise ValidationError("path CSV needs at least two rows")
-        dt = t[1] - t[0]
-        if not np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
-            raise ValidationError("path CSV must be uniformly sampled")
-        if abs(t[0]) > 1e-12:
-            raise ValidationError("path CSV must start at t = 0")
-        grid = SamplingGrid(horizon=dt * len(t), dt=dt)
-        signal = noise = None
-        if "signal" in names:
-            signal = data[:, names.index("signal")]
-        if "noise" in names:
-            noise = data[:, names.index("noise")]
-        return cls(grid=grid, values=data[:, 1], signal=signal, noise=noise)
-
-
-def _load_csv(path, skiprows: int) -> np.ndarray:
-    """The cells of a numeric CSV file as a 2-D array; ValidationError on a
-    cell that does not parse as a number or is not finite."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}")
-    if not np.all(np.isfinite(data)):
-        raise ValidationError(f"{path}: holds a value that is not finite")
-    return data
 
 
 def _embedding_eigenvalues(
@@ -293,43 +266,34 @@ def gaussian_path(spec: NoiseSpec, grid: SamplingGrid, seed) -> np.ndarray:
     within MAX_COV_ERROR (1e-3) the path is still generated (with a logged
     warning reporting the bound), otherwise EmbeddingError is raised.
     Deterministic per seed either way. The scaled root sqrt(eigs / size)
-    of the chosen embedding is cached per (spec, grid).
-
-    This is the one-row case of ``gaussian_paths``, which describes the
-    construction.
-    """
-    return gaussian_paths(spec, grid, (seed,))[0]
-
-
-def gaussian_paths(spec: NoiseSpec, grid: SamplingGrid, seeds) -> np.ndarray:
-    """One stationary Gaussian path per seed, as rows of a (len(seeds), n)
-    array; row r is bit for bit ``gaussian_path(spec, grid, seeds[r])``.
-
-    Each path is M * irfft(W, M)[:n] for the embedding size M, the scaled
-    root r and a Hermitian half spectrum W built from one vector z of M
-    standard normals: W_0 = r_0 z_0, W_{M/2} = r_{M/2} z_1 and
-    W_k = r_k (z_{2k} + i z_{2k+1}) / sqrt(2) for 0 < k < M/2 (Wood & Chan
-    1994; Dietrich & Newsam 1997). Its covariance at lag j - l is
-    sum_k r_k^2 cos(2 pi k (j - l) / M), which is exactly the (clamped)
-    embedded covariance. Row r draws its normals from
-    default_rng(seeds[r]) straight into the interleaved real and imaginary
-    parts of its own row of a (rows, M/2 + 1) half spectrum, whose spare
-    entries (the imaginary parts of the two real terms) are zeroed; W is
-    scaled by sqrt(2) so that r alone scales it, and the sqrt(2) comes off
-    the n kept outputs. All rows share one inverse real FFT along the last
-    axis, whose rows are the bits of the one-row transform. Embedding
-    failures and warnings are those of ``gaussian_path``.
+    of the chosen embedding is cached per (spec, grid). ``_fill_paths``
+    describes the draw.
     """
     root, _ = _clamped_embedding(spec, grid.dt, grid.n)
-    rows, size = len(seeds), root.size
-    return _fill_paths(root, seeds, np.empty((rows, size // 2 + 1), dtype=complex),
-                       np.empty((rows, size)), np.empty((rows, grid.n)))
+    size = root.size
+    return _fill_paths(root, (seed,), np.empty((1, size // 2 + 1), dtype=complex),
+                       np.empty((1, size)), np.empty((1, grid.n)))[0]
 
 
 def _fill_paths(root, seeds, half, inverse, out):
-    """``gaussian_paths`` on the scaled root, written into given arrays:
-    the (rows, M/2 + 1) complex half spectrum, the (rows, M) output of its
-    inverse FFT and the (rows, n) paths, which are returned."""
+    """One stationary Gaussian path per seed on the scaled root r of an
+    embedding of size M, written into given arrays: the (rows, M/2 + 1)
+    complex half spectrum, the (rows, M) output of its inverse FFT and the
+    (rows, n) paths, which are returned; row r is bit for bit
+    ``gaussian_path`` at ``seeds[r]``.
+
+    Each path is M * irfft(W, M)[:n] for a Hermitian half spectrum W built
+    from one vector z of M standard normals: W_0 = r_0 z_0,
+    W_{M/2} = r_{M/2} z_1 and W_k = r_k (z_{2k} + i z_{2k+1}) / sqrt(2) for
+    0 < k < M/2 (Wood & Chan 1994; Dietrich & Newsam 1997). Its covariance
+    at lag j - l is sum_k r_k^2 cos(2 pi k (j - l) / M), which is exactly
+    the (clamped) embedded covariance. Row r draws its normals from
+    default_rng(seeds[r]) straight into the interleaved real and imaginary
+    parts of its own row of the half spectrum, whose spare entries (the
+    imaginary parts of the two real terms) are zeroed; W is scaled by
+    sqrt(2) so that r alone scales it, and the sqrt(2) comes off the n kept
+    outputs. All rows share one inverse real FFT along the last axis, whose
+    rows are the bits of the one-row transform."""
     size = root.size
     z = half.view(float)  # per row: Re W_0, Im W_0, Re W_1, Im W_1, ...
     for row, seed in zip(z, seeds):
@@ -356,13 +320,11 @@ def _scaled_noise(spec: NoiseSpec, transform: TransformSpec, grid: SamplingGrid,
 
 
 def regression_signal(model: HarmonicModel, grid: SamplingGrid) -> np.ndarray:
-    """g(t_i, theta) on the grid; the band must clear the Nyquist bound."""
+    """g(t_i, theta) on the grid, by the kernel the estimator fits with;
+    the band must clear the Nyquist bound."""
     require_band(model.band, grid)
-    t = grid.times()
-    out = np.zeros(grid.n)
-    for a, b, phi in model.harmonics:
-        out += a * np.cos(phi * t) + b * np.sin(phi * t)
-    return out
+    a, b, phi = model.amplitudes()
+    return signal(*trig_design(grid.times(), phi), a, b)
 
 
 def observe(

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from harmreg import montecarlo
+from harmreg import cli, montecarlo
 from harmreg.cli import main
 
 F_SMOOTH_13 = 0.11717764563958491
@@ -174,6 +174,43 @@ class TestSimulate:
         assert lines[0] == "t,x"
         values = np.loadtxt(str(tmp_path / "path_T64.csv"), delimiter=",", skiprows=1)
         assert np.std(values[:, 1]) > 0.1
+
+    @pytest.mark.parametrize("model", ["", "[model]\na = 1.0\nb = 0.5\nphi = 1.3\n"],
+                             ids=["noise-only", "model"])
+    @pytest.mark.parametrize(
+        "grids, label",
+        [("horizon = 64\ndt = 0.125\n", "T64"),
+         ("horizon = 1e6\n[grid]\nhorizon = 1000001\n", "T1e+06")],
+        ids=["same-horizon", "same-g-format"],
+    )
+    def test_grids_sharing_a_label_exit_2_before_drawing(self, tmp_path, monkeypatch,
+                                                          model, grids, label):
+        # path_T{horizon:g}.csv would be written twice, the later grid's last
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a path")
+
+        monkeypatch.setattr(cli, "observe", no_draws)
+        monkeypatch.setattr(cli, "_scaled_noise", no_draws)
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(
+            "[noise]\npreset = smooth\n[transform]\nkind = identity\n" + model
+            + "[grid]\nhorizon = 64\ndt = 0.25\n[grid]\n" + grids
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = _run(["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2
+        assert err.startswith("error: grids SamplingGrid(")
+        assert err.endswith(f" share the output label {label}\n")
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_allowed_a4_violation_draws_with_a_warning(self, tmp_path):
+        cfg = tmp_path / "lowrank.cfg"
+        cfg.write_text(LOW_RANK_CFG + "allow_a4_violation = true\n")
+        with pytest.warns(UserWarning, match=r"\(allow_a4_violation is set\)$"):
+            code, _, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "path_T64.csv").exists()
 
     @pytest.mark.parametrize("model", ["", "[model]\na = 1.0\nb = 0.5\nphi = 1.3\n"])
     def test_negative_noise_scale_exits_2(self, tmp_path, model):
@@ -503,6 +540,15 @@ class TestMontecarlo:
         code, _, err = _run(["montecarlo", "--config", str(cfg)])
         assert code == 2
         assert "decay_exponent" in err
+
+    def test_allowed_a4_violation_still_exits_2(self, tmp_path):
+        # the flag lets paths be drawn, but Gamma needs |B|^m integrable
+        cfg = tmp_path / "lowrank.cfg"
+        cfg.write_text(LOW_RANK_CFG + "allow_a4_violation = true\n")
+        code, out, err = _run(["montecarlo", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == ("error: self-convolution of order 1 is not integrable: "
+                       "decay_exponent * 1 = 0.500\n")
 
     def test_band_at_zero_exits_2_before_drawing(self, tmp_path, monkeypatch):
         # detection refuses a band that starts at 0, so the model refuses it

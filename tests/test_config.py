@@ -171,6 +171,26 @@ def test_load_transform_user_table(tmp_path):
     assert spec.rank == 1
 
 
+def test_format_csv_cells():
+    # reals with 17 significant digits, integers as written
+    text = config.format_csv(["k", "v"], [(0, 0.1), (np.int64(2), np.float64(-0.0)), (3, 1e300)])
+    assert text == "k,v\n0,0.10000000000000001\n2,-0\n3,1.0000000000000001e+300\n"
+
+
+def test_read_csv_reads_format_csv_bit_for_bit(tmp_path):
+    rows = np.random.default_rng(3).standard_normal((5, 3)) * 10.0 ** np.arange(-3, 2)[:, None]
+    path = tmp_path / "rows.csv"
+    path.write_text(config.format_csv(["a", "b", "c"], rows.tolist()))
+    header, data = config.read_csv(path)
+    assert header == ["a", "b", "c"]
+    assert np.array_equal(data, rows)
+    # without a header line the first row is data
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    header, data = config.read_csv(path)
+    assert header is None
+    assert np.array_equal(data, rows)
+
+
 def test_read_table_with_header(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("x,g\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n")

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -215,6 +216,20 @@ class TestExperimentConfig:
                 master_seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "horizons, label",
+        [(((64.0, 0.25), (64.0, 0.125)), "T64"), (((1e6, 0.25), (1000001.0, 0.25)), "T1e+06")],
+        ids=["same-horizon", "same-g-format"],
+    )
+    def test_grids_sharing_an_output_label_rejected(self, smooth, horizons, label):
+        # samples_T{horizon:g}.csv would hold only the later grid's samples
+        grids = tuple(SamplingGrid(h, dt) for h, dt in horizons)
+        message = f"grids {grids[0]} and {grids[1]} share the output label {label}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(noise=smooth, transform=IDENTITY, model=MODEL,
+                             grids=(SamplingGrid(32.0, 0.25),) + grids,
+                             replications=4, master_seed=0)
+
     def test_low_rank_override(self, seasonal):
         cfg = ExperimentConfig(
             noise=seasonal,
@@ -313,6 +328,29 @@ class TestRunReplications:
         report = run_replications(config, workers=2)
         assert opened == [2]
         assert report.to_text() == run_replications(config).to_text()
+
+    def test_pool_no_larger_than_the_replication_count(self, base_config, base_report,
+                                                       monkeypatch):
+        # the process pool starts every worker at the first submit; a serial
+        # stand-in records the size asked for and starts none
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        for workers in (2, 6, 64):
+            assert run_replications(base_config, workers).to_text() == base_report.to_text()
+        assert opened == [2, 6, base_config.replications]
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # threaded BLAS splits a long sum into pieces by its thread count;

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from harmreg import simulate
+from harmreg import config, simulate
 from harmreg import (
     HarmonicModel,
     NoiseComponent,
@@ -14,7 +14,6 @@ from harmreg import (
     SamplingGrid,
     covariance,
     gaussian_path,
-    gaussian_paths,
     make_transform,
     observe,
     preset_noise,
@@ -105,6 +104,13 @@ def test_signal_values():
     assert np.allclose(sig, np.cos(1.3 * t) + 0.5 * np.sin(1.3 * t), atol=1e-14)
 
 
+def test_signal_values_two_harmonics():
+    model = HarmonicModel(harmonics=((1.0, 0.5, 1.3), (0.6, -0.4, 2.1)))
+    t = GRID.times()
+    want = np.cos(1.3 * t) + 0.5 * np.sin(1.3 * t) + 0.6 * np.cos(2.1 * t) - 0.4 * np.sin(2.1 * t)
+    assert np.allclose(regression_signal(model, GRID), want, rtol=0.0, atol=1e-14)
+
+
 def test_signal_nyquist_guard():
     model = HarmonicModel(harmonics=((1.0, 0.0, 1.3),), band=(0.1, 13.0))
     with pytest.raises(NyquistError):
@@ -123,10 +129,10 @@ def test_path_component_length_guard():
 def test_csv_roundtrip_with_components(tmp_path):
     path = observe(MODEL, preset_noise("smooth"), make_transform("identity"), GRID, seed=3)
     out = tmp_path / "path.csv"
-    path.to_csv(out)
+    config.write_path(path, out)
     header = out.read_text().splitlines()[0]
     assert header == "t,x,signal,noise"
-    back = SamplePath.from_csv(out)
+    back = config.read_path(out)
     assert back.grid == GRID
     assert np.array_equal(back.values, path.values)
     assert np.array_equal(back.signal, path.signal)
@@ -140,9 +146,9 @@ def test_csv_roundtrip_values_only(tmp_path):
     )
     assert path.signal is None and path.noise is None
     out = tmp_path / "path.csv"
-    path.to_csv(out)
+    config.write_path(path, out)
     assert out.read_text().splitlines()[0] == "t,x"
-    back = SamplePath.from_csv(out)
+    back = config.read_path(out)
     assert np.array_equal(back.values, path.values)
     assert back.signal is None and back.noise is None
 
@@ -151,16 +157,24 @@ def test_from_csv_validation(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,value\n0.0,1.0\n0.25,2.0\n")
     with pytest.raises(ValidationError):
-        SamplePath.from_csv(bad)
+        config.read_path(bad)
     bad.write_text("t,x\n0.0,1.0\n")
     with pytest.raises(ValidationError):
-        SamplePath.from_csv(bad)
+        config.read_path(bad)
     bad.write_text("t,x\n0.0,1.0\n0.25,2.0\n0.8,3.0\n")
     with pytest.raises(ValidationError):
-        SamplePath.from_csv(bad)
+        config.read_path(bad)
     bad.write_text("t,x\n1.0,1.0\n1.25,2.0\n")
     with pytest.raises(ValidationError):
-        SamplePath.from_csv(bad)
+        config.read_path(bad)
+
+
+def test_path_csv_without_header_is_refused(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,1.5\n0.25,2\n")
+    with pytest.raises(ValidationError,
+                       match="^path CSV must start with header 't,x', got '0,1.5'$"):
+        config.read_path(bad)
 
 
 @pytest.mark.parametrize("cell", ["two", "nan", "inf"])
@@ -168,7 +182,7 @@ def test_from_csv_rejects_bad_cells(tmp_path, cell):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"t,x\n0.0,1.0\n0.25,{cell}\n0.5,3.0\n")
     with pytest.raises(ValidationError):
-        SamplePath.from_csv(bad)
+        config.read_path(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +356,6 @@ def test_gaussian_path_one_real_fft(smooth, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     gaussian_path(smooth, GRID, seed=2)
     assert calls == {"fft": 0, "rfft": 0, "irfft": 1}
-
-
-@pytest.mark.parametrize("spec_name", ["smooth", "seasonal", "mixed"])
-@pytest.mark.parametrize("horizon", [64.0, 64.25, 1024.0])
-def test_gaussian_paths_rows_are_single_paths(spec_name, horizon, request):
-    # each row of the batched draw is the one-seed path, bit for bit, for
-    # exact and clamped embeddings and odd and even n
-    spec = request.getfixturevalue(spec_name)
-    grid = SamplingGrid(horizon=horizon, dt=0.25)
-    seeds = [np.random.SeedSequence(entropy=9, spawn_key=(0, r)) for r in range(5)]
-    paths = gaussian_paths(spec, grid, seeds)
-    assert paths.shape == (len(seeds), grid.n)
-    for row, seed in zip(paths, seeds):
-        assert np.array_equal(row, gaussian_path(spec, grid, seed))
 
 
 def test_embedding_clamp_bound_cached(smooth, slow_carrier):

@@ -1,5 +1,6 @@
 """The repository tools, run as scripts on small inputs counted by hand,
-and the names the benchmark reads from harmreg."""
+the names the benchmark reads from harmreg, and the one CSV writer and
+reader."""
 
 import ast
 import importlib
@@ -94,3 +95,17 @@ def test_benchmark_reads_only_names_harmreg_has():
     assert missing == []
     names = {name for _, name in reads}
     assert {"sigma_general", "MAX_ITER", "load_experiment", "HAS_NUMBA"} <= names
+
+
+def test_only_config_writes_and_reads_csv():
+    # config.format_csv renders every CSV cell and config.read_csv parses
+    # every CSV file; a second writer or reader elsewhere would bring back
+    # its own cell format or header rule
+    offenders = [
+        f"{path.name}: {word}"
+        for path in sorted((ROOT / "src" / "harmreg").glob("*.py"))
+        if path.name != "config.py"
+        for word in ("17g", "savetxt", "loadtxt")
+        if word in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
