@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pathlib
 import sys
 import time
 
@@ -106,8 +105,7 @@ def _cmd_estimate(args) -> int:
     print("\n".join(blocks), end="")
     if err is not None and args.out:
         target = _out_path(args, "normalized_errors.csv")
-        text = cfg.format_csv(["errA", "errB", "errPhi"], err.T.tolist())
-        pathlib.Path(target).write_text(text, encoding="utf-8")
+        cfg.write_csv(target, ["errA", "errB", "errPhi"], err.T.tolist())
         print(f"\nwrote {target}")
     return 0
 
@@ -142,8 +140,7 @@ def _cmd_asymptotics(args) -> int:
         rows = [(k, phi, i, j, v)
                 for k, (phi, mat) in enumerate(zip(report.frequencies, report.matrices))
                 for (i, j), v in np.ndenumerate(mat)]
-        text = cfg.format_csv(["harmonic", "phi", "i", "j", "value"], rows)
-        pathlib.Path(target).write_text(text, encoding="utf-8")
+        cfg.write_csv(target, ["harmonic", "phi", "i", "j", "value"], rows)
         print(f"\nwrote {target}")
     return 0
 

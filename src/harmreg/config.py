@@ -8,8 +8,8 @@ appear once, and a ``preset`` ``[noise]`` block once. Keys may repeat
 inside a block where noted (``row`` in ``[correlation]``). Reports are
 written in the same syntax by ``format_block``.
 
-Every CSV file, a sample path, a transform table or a table of numbers
-the command line writes, is written by ``format_csv`` and read by
+CSV files (sample paths, transform tables and the tables of numbers the
+command line writes) are written by ``format_csv`` and read by
 ``read_csv``.
 """
 
@@ -139,10 +139,15 @@ def format_csv(header, rows) -> str:
     return "".join(",".join(map(_render, cells)) + "\n" for cells in [header, *rows])
 
 
+def write_csv(file, header, rows) -> None:
+    """Write ``format_csv(header, rows)`` to a file, as UTF-8."""
+    pathlib.Path(file).write_text(format_csv(header, rows), encoding="utf-8")
+
+
 def read_csv(path) -> tuple[list[str] | None, np.ndarray]:
     """The header cells, or None, and the rows of a numeric CSV file as a
     2-D array. The first line is a header when one of its cells does not
-    parse as a number. ValidationError on a later cell that does not parse
+    parse as a number. ValidationError on a data cell that does not parse
     as a number or is not finite; OSError when the file cannot be read."""
     lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].strip().split(",") if lines else None
@@ -165,8 +170,7 @@ def write_path(sample: SamplePath, file) -> None:
     path keeps both components."""
     both = sample.signal is not None and sample.noise is not None
     cols = [sample.grid.times(), sample.values] + ([sample.signal, sample.noise] if both else [])
-    text = format_csv(["t", "x", "signal", "noise"][:len(cols)], np.column_stack(cols).tolist())
-    pathlib.Path(file).write_text(text, encoding="utf-8")
+    write_csv(file, ["t", "x", "signal", "noise"][:len(cols)], np.column_stack(cols).tolist())
 
 
 def read_path(file) -> SamplePath:
@@ -186,6 +190,8 @@ def read_path(file) -> SamplePath:
         raise ValidationError("path CSV must be uniformly sampled")
     if abs(t[0]) > 1e-12:
         raise ValidationError("path CSV must start at t = 0")
+    if len(header) > data.shape[1]:
+        raise ValidationError(f"path CSV header names {len(header)} columns, its rows hold {data.shape[1]}")
     grid = SamplingGrid(horizon=dt * len(t), dt=dt)
     signal, noise = (data[:, header.index(name)] if name in header else None
                      for name in ("signal", "noise"))

@@ -885,6 +885,19 @@ class TestLemma2Decay:
         assert [m.hex() for m in out["mean_eta_squared"]] == [m.hex() for m in expected]
         assert out["horizons"] == horizons
 
+    @pytest.mark.parametrize("spec_name", ["seasonal", "mixed"])
+    def test_matches_per_path_oracle_on_oscillating_carriers(self, spec_name, request,
+                                                             monkeypatch):
+        # on one thread the 5 rows of each horizon are drawn in one chunk:
+        # on the larger, tapered embeddings of an oscillating carrier, and
+        # for odd and even n, they are the single paths' bits
+        spec = request.getfixturevalue(spec_name)
+        monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: 1)
+        horizons = (64.0, 64.25, 1024.0)
+        out = lemma2_decay(spec, IDENTITY, horizons, 5, master_seed=9)
+        expected = lemma2_oracle(spec, IDENTITY, horizons, 5, 9)
+        assert [m.hex() for m in out["mean_eta_squared"]] == [m.hex() for m in expected]
+
     @pytest.mark.parametrize(
         "horizons, replications",
         [((128.0,), 0), ((128.0,), -1), ((), 3), ((128.0, 100.1), 3)],

@@ -167,6 +167,9 @@ def test_from_csv_validation(tmp_path):
     bad.write_text("t,x\n1.0,1.0\n1.25,2.0\n")
     with pytest.raises(ValidationError):
         config.read_path(bad)
+    bad.write_text("t,x,signal\n0.0,1.0\n0.25,2.0\n")
+    with pytest.raises(ValidationError, match="header names 3 columns, its rows hold 2"):
+        config.read_path(bad)
 
 
 def test_path_csv_without_header_is_refused(tmp_path):
