@@ -147,8 +147,9 @@ def write_csv(file, header, rows) -> None:
 def read_csv(path) -> tuple[list[str] | None, np.ndarray]:
     """The header cells, or None, and the rows of a numeric CSV file as a
     2-D array. The first line is a header when one of its cells does not
-    parse as a number. ValidationError on a data cell that does not parse
-    as a number or is not finite; OSError when the file cannot be read."""
+    parse as a number; a file without data rows gives a 0 x 0 array.
+    ValidationError on a data cell that does not parse as a number or is
+    not finite; OSError when the file cannot be read."""
     lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].strip().split(",") if lines else None
     try:
@@ -156,8 +157,11 @@ def read_csv(path) -> tuple[list[str] | None, np.ndarray]:
         header = None
     except ValueError:
         pass
+    skip = 0 if header is None else 1
+    if not any(line.strip() for line in lines[skip:]):
+        return header, np.empty((0, 0))
     try:
-        data = np.loadtxt(lines, delimiter=",", skiprows=0 if header is None else 1, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}")
     if not np.all(np.isfinite(data)):
@@ -182,9 +186,9 @@ def read_path(file) -> SamplePath:
         # a first line of numbers is no header; it is shown as read back
         first = ",".join(header or map(_render, data[:1].ravel().tolist()))
         raise ValidationError(f"path CSV must start with header 't,x', got {first!r}")
-    t = data[:, 0]
-    if len(t) < 2:
+    if len(data) < 2:
         raise ValidationError("path CSV needs at least two rows")
+    t = data[:, 0]
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
         raise ValidationError("path CSV must be uniformly sampled")

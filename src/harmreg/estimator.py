@@ -106,34 +106,78 @@ def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     Frequencies and values are formed only on an index window one cell
     wider than the band on each side, so rounding in i * spacing cannot
     drop a grid point the band holds; the band test inside the window
-    then picks exactly the points a test over the whole spectrum would."""
+    then picks exactly the points a test over the whole spectrum would.
+    The values come from the polyphase split of ``_band_periodogram``:
+    with d = 1 they are the whole real FFT's bits, with d > 1 they agree
+    with it to rounding of order eps * log2(nfft) of the window maximum."""
     return _band_periodogram(path.values, path.grid, band)
 
 
 def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD,
                       out: np.ndarray | None = None):
     """``periodogram_grid`` of every path along the last axis of
-    ``values``, which may carry leading batch axes: one real FFT over all
-    rows, then (frequencies, values[..., band bins]). Each row is bit for
-    bit the periodogram of that row alone. The band window of the spectrum
-    is scaled in place and the spectrum is dropped on return, so only the
-    band outlives the call.
+    ``values``, which may carry leading batch axes: (frequencies,
+    values[..., band bins]). Each row is bit for bit the periodogram of
+    that row alone.
 
-    pad sets the transform length (see _fft_grid). The spectrum goes into
-    out when given, an array of the spectrum's shape."""
-    nfft, lo, freqs, keep = _band_window(grid, band, pad)
-    spec = np.fft.rfft(values, nfft, out=out)
-    window = spec[..., lo:lo + freqs.size]
+    The zero-padded spectrum X_j = sum_t x_t w^(jt), w = e^(-2 pi i /
+    nfft), is formed on the band window only, by a polyphase split: with
+    the phases x[r::d], r < d, one batched real FFT of length nfft / d
+    gives Y_r, and X_j = sum_r w^(jr) Y_r[j] for every bin j <= nfft /
+    (2d), which the d of ``_band_window`` keeps the window within. The
+    sum runs by Horner's rule in place in the last phase's row, which is
+    then scaled, so only the band outlives the call. d = 1 is the whole
+    transform of the path.
+
+    pad sets the transform length (see _fft_grid). The phase transforms go
+    into out when given: any complex array of at least nfft / 2 + d
+    entries per row, filled from its start."""
+    nfft, d, lo, freqs, keep = _band_window(grid, band, pad)
+    lead = values.shape[:-1]
+    # phase r of a row is values[..., r::d]; the phases are copied into
+    # rows of their own, since the real FFT of strided rows costs more
+    # than the copy (at d = 1 the path is that row, and nothing is copied)
+    phases = np.ascontiguousarray(values.reshape(lead + (-1, d)).swapaxes(-1, -2))
+    if out is not None:
+        shape = lead + (d, nfft // (2 * d) + 1)
+        out = out.reshape(-1)[:math.prod(shape)].reshape(shape)
+    spec = np.fft.rfft(phases, nfft // d, out=out)
+    hi = lo + freqs.size
+    window = spec[..., d - 1, lo:hi]
+    if d > 1:
+        twiddle = _twiddles(lo, freqs.size, nfft)
+        for r in range(d - 2, -1, -1):
+            window *= twiddle
+            window += spec[..., r, lo:hi]
     window *= grid.dt / grid.horizon
     vals = np.abs(window)
     np.square(vals, out=vals)
     return freqs[keep], vals[..., keep]
 
 
+def _twiddles(lo: int, size: int, nfft: int) -> np.ndarray:
+    """e^(-2 pi i j / nfft) for j = lo, ..., lo + size - 1, as the rank-2
+    product e^(-2 pi i (lo + a s) / nfft) e^(-2 pi i b / nfft) of two
+    factors of about sqrt(size) entries each, so exp is taken on those
+    and not per bin."""
+    step = max(math.isqrt(size), 1)
+    scale = -2j * math.pi / nfft
+    coarse = np.exp(np.arange(lo, lo + size, step) * scale)
+    fine = np.exp(np.arange(step) * scale)
+    return np.multiply.outer(coarse, fine).reshape(-1)[:size]
+
+
 def _band_window(grid, band, pad: int = _GRID_PAD):
     """The band's index window on the pad grid, without a transform:
-    (nfft, lo, freqs, keep) for the transform length, the window's first
-    bin, its frequencies and the mask of those inside the band."""
+    (nfft, d, lo, freqs, keep) for the transform length, the polyphase
+    count, the window's first bin, its frequencies and the mask of those
+    inside the band.
+
+    d is the largest power of two that divides n, is at most log2(nfft)
+    and keeps the window's last bin at or below nfft / (2d), the last bin
+    of a phase transform; a band up to Nyquist, or an odd n, gives d = 1.
+    Horner's rule rounds once per phase, so the cap keeps the split's
+    rounding of the order of the transform's own, eps * log2(nfft)."""
     nfft, spacing = _fft_grid(grid, pad)
     size = nfft // 2 + 1
     lo_cell, hi_cell = band[0] / spacing, band[1] / spacing
@@ -141,9 +185,12 @@ def _band_window(grid, band, pad: int = _GRID_PAD):
     # spectrum, where the band test below decides as it would on all of it
     lo = math.floor(min(lo_cell, size)) - 1 if lo_cell > 1.0 else 0
     hi = min(math.ceil(max(hi_cell, 0.0)) + 2, size) if hi_cell < size else size
+    d = grid.n & -grid.n
+    while d > 1 and (d > nfft.bit_length() - 1 or hi - 1 > nfft // (2 * d)):
+        d //= 2
     freqs = np.arange(lo, hi) * spacing
     keep = (freqs >= band[0]) & (freqs <= band[1])
-    return nfft, lo, freqs, keep
+    return nfft, d, lo, freqs, keep
 
 
 def detect_frequencies(
@@ -165,10 +212,11 @@ def detect_frequencies(
     require_count("n_harmonics", n_harmonics, 1)
     require_band(band, path.grid)
     gap = min_gap(path.grid.horizon)
-    nfft, cell = _fft_grid(path.grid, _DETECT_PAD)
-    # the spectrum goes into this thread's workspace, so the estimator's
-    # loop maps no pages for it
-    spectrum = _workspace("spectrum", nfft // 2 + 1, np.complex128)
+    cell = _fft_grid(path.grid, _DETECT_PAD)[1]
+    nfft, d = _band_window(path.grid, band, _DETECT_PAD)[:2]
+    # the phase transforms go into this thread's workspace, so the
+    # estimator's loop maps no pages for them
+    spectrum = _workspace("spectrum", nfft // 2 + d, np.complex128)
     freqs, vals = _band_periodogram(path.values, path.grid, band, _DETECT_PAD,
                                     out=spectrum)
     if len(freqs) < 2:

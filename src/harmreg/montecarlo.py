@@ -34,7 +34,6 @@ from .errors import (
 from .estimator import (
     _band_periodogram,
     _band_window,
-    _fft_grid,
     estimate_harmonics,
     periodogram_grid,
 )
@@ -407,7 +406,7 @@ def _check_band(grid, band) -> None:
     sup leaves out the zero frequency, or that holds no frequency of the
     grid's 8n periodogram."""
     require_band(band, grid)
-    if not np.any(_band_window(grid, band)[3]):
+    if not np.any(_band_window(grid, band)[4]):
         raise ValidationError(
             f"band {tuple(band)} holds no frequency of the periodogram grid "
             f"of T={grid.horizon:g}, dt={grid.dt:g}"
@@ -480,12 +479,18 @@ def lemma2_decay(
     the calling thread and on one helper thread per further CPU this
     process may use, one chunk per thread at a time, so the
     _SWEEP_CHUNK_BYTES budget (8 MiB) is shared by every chunk in flight:
-    a chunk holds budget // (threads * row_bytes) rows, and at least one.
-    A row counts as the larger of the zero-padded spectrum and the
+    a chunk holds at most budget // (threads * row_bytes) rows, and at
+    least one. The chunk count is the least multiple of the thread count
+    that keeps to that, or the replication count when it is smaller, so
+    every thread gets work, and the rows are spread evenly: each chunk
+    holds ceil(replications / chunks) rows or one fewer. A row counts as
+    the larger of the phase transforms of ``_band_periodogram`` (nfft +
+    2d float64 words, for the transform length nfft and d phases) and the
     embedding's half spectrum plus inverse FFT output, so the chunk size
-    depends on the grid, the embedding size and the thread count alone.
-    Each row is the path ``gaussian_path`` draws from its own stream, and
-    the row maxima are summed in replication order, so for any thread
+    depends on the grid, the band, the embedding size, the thread count
+    and the replication count alone. Each row is the path
+    ``gaussian_path`` draws from its own stream, and the row maxima are
+    summed in replication order, so for any thread
     count the means are bit for bit those of a loop over single paths
     through ``eta_squared``. A bad count, seed or band raises
     ValidationError before the first draw. The helpers live in a pool
@@ -501,15 +506,18 @@ def lemma2_decay(
     threads = _sweep_threads()
 
     def horizon_mean(gi, grid, pool):
-        nfft, _ = _fft_grid(grid)
+        nfft, d = _band_window(grid, band)[:2]
         root = _clamped_embedding(noise, grid.dt, grid.n)[0]
         size = root.size
-        # per row, in float64 words: the complex zero-padded spectrum, or
-        # the complex half spectrum and the output of its inverse FFT
-        row_words = max(nfft + 2, 2 * size + 2)
-        rows = min(max(1, _SWEEP_CHUNK_BYTES // (threads * 8 * row_words)),
-                   replications)
-        starts = range(0, replications, rows)
+        # per row, in float64 words: the d complex phase transforms of
+        # nfft / (2d) + 1 bins, or the complex half spectrum and the output
+        # of its inverse FFT
+        row_words = max(nfft + 2 * d, 2 * size + 2)
+        most = max(1, _SWEEP_CHUNK_BYTES // (threads * 8 * row_words))
+        chunks = min(-(-replications // (most * threads)) * threads, replications)
+        rows = -(-replications // chunks)
+        # chunk c draws replications bounds[c] up to bounds[c + 1]
+        bounds = [c * replications // chunks for c in range(chunks + 1)]
         # the calling thread allocates every thread's chunk arrays in one
         # block, so a helper's allocator keeps little more than the FFTs'
         # own scratch once the helper is gone; per thread a scratch part
@@ -517,14 +525,13 @@ def lemma2_decay(
         scratch_words, path_words = rows * row_words, rows * grid.n
         path_words += path_words % 2
         width = scratch_words + path_words
-        block = np.empty(min(threads, len(starts)) * width)
+        block = np.empty(min(threads, chunks) * width)
         slots = [(block[k:k + scratch_words], block[k + scratch_words:k + width])
                  for k in range(0, block.size, width)]
 
         def row_maxima(c, slot):
-            start = starts[c]
             seeds = [replication_seed(master_seed, gi, r)
-                     for r in range(start, min(start + rows, replications))]
+                     for r in range(bounds[c], bounds[c + 1])]
             m = len(seeds)
             scratch, paths = slot
             xi = _fill_paths(
@@ -533,12 +540,12 @@ def lemma2_decay(
                 scratch[m * (size + 2):m * (2 * size + 2)].reshape(m, size),
                 paths[:m * grid.n].reshape(m, grid.n),
             )
-            spectrum = scratch[:m * (nfft + 2)].view(complex).reshape(m, -1)
+            spectrum = scratch[:m * (nfft + 2 * d)].view(complex)
             eps = subordinate(xi, transform)
             return _band_periodogram(eps, grid, band, out=spectrum)[1].max(axis=-1)
 
         acc = 0.0
-        for maxima in _run_chunks(row_maxima, len(starts), slots, pool):
+        for maxima in _run_chunks(row_maxima, chunks, slots, pool):
             for row_max in maxima:  # sequential fold in replication order
                 acc += float(row_max)
         return acc / replications

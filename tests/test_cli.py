@@ -3,6 +3,7 @@ output formats, and the determinism contract of the experiment runner."""
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,26 @@ class TestEstimate:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "path CSV must start with header 't,x', got ''"),
+            ("t,x\n", "path CSV needs at least two rows"),
+        ],
+        ids=["empty", "header-only"],
+    )
+    def test_csv_without_rows_exits_2_without_warning(self, tmp_path, text, message):
+        # a file without data rows is refused before it reaches the numeric
+        # reader, which would warn that it holds no data
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(["estimate", "--input", str(path), "--n-harmonics", "1"])
+        assert code == 2
+        assert err == f"error: {message}\n"
         assert out == ""
 
 

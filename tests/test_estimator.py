@@ -17,6 +17,7 @@ from harmreg.errors import (
     ValidationError,
 )
 from harmreg.simulate import (
+    DEFAULT_BAND,
     HarmonicModel,
     SamplePath,
     SamplingGrid,
@@ -91,16 +92,33 @@ class TestObjective:
 
 
 class TestPeriodogramGrid:
-    @pytest.mark.parametrize("horizon", [16.25, 256.0])
-    def test_values_are_the_direct_sums(self, horizon):
-        # |(dt/T) sum_i x_i exp(-i lam t_i)|^2 at each grid frequency; both
-        # routes round in proportion to the largest value, not to each one
+    @pytest.mark.parametrize(
+        "horizon, band, phases",
+        [
+            pytest.param(16.25, DEFAULT_BAND, 1, id="16.25"),  # odd n = 65
+            pytest.param(256.0, DEFAULT_BAND, 4, id="256.0"),
+            pytest.param(250.5, DEFAULT_BAND, 2, id="n-twice-odd"),  # n = 1002
+            pytest.param(256.0, (0.1, 0.3), 8, id="narrow-band"),  # d = log2(nfft) cap
+            pytest.param(16.0, (0.0, 4.0 * math.pi), 1, id="to-nyquist"),
+        ],
+    )
+    def test_values_are_the_direct_sums(self, horizon, band, phases):
+        # |(dt/T) sum_i x_i exp(-i lam t_i)|^2 at each grid frequency, for
+        # each kind of polyphase count d; both routes round in proportion
+        # to the largest value, not to each one; with one phase the values
+        # are the whole real FFT's bits
         grid = SamplingGrid(horizon, 0.25)
         path = SamplePath(grid=grid, values=np.random.default_rng(3).standard_normal(grid.n))
-        freqs, vals = est.periodogram_grid(path)
+        nfft, d = est._band_window(grid, band)[:2]
+        assert d == phases
+        freqs, vals = est.periodogram_grid(path, band)
         direct = np.abs(np.exp(-1j * np.outer(freqs, grid.times())) @ path.values)
         direct = (grid.dt / grid.horizon * direct) ** 2
         assert np.max(np.abs(vals - direct)) <= 1e-12 * np.max(direct)
+        if d == 1:
+            lo = round(freqs[0] / est._fft_grid(grid)[1])
+            whole = np.fft.rfft(path.values, nfft) * (grid.dt / grid.horizon)
+            assert np.array_equal(vals, np.abs(whole[lo:lo + freqs.size]) ** 2)
 
     @pytest.mark.parametrize("horizon", [256.0, 1024.0])
     def test_noiseless_peak_height(self, horizon):
@@ -124,8 +142,11 @@ class TestPeriodogramGrid:
 
     @pytest.mark.parametrize("horizon", [16.0, 256.0, 1000.0])
     def test_band_window_equals_full_spectrum(self, horizon):
-        # the band-only computation returns exactly the points and values of
-        # the whole-spectrum one, also for edges that fall on grid points
+        # the band-only computation returns exactly the points of the
+        # whole-spectrum one, also for edges that fall on grid points, and
+        # its values where it takes one phase (d = 1); a split band is no
+        # slice of the whole transform, and the two differ by rounding of
+        # order eps * log2(nfft) of the window's largest value
         grid = SamplingGrid(horizon, 0.25)
         rng = np.random.default_rng(3)
         path = SamplePath(grid=grid, values=rng.standard_normal(grid.n))
@@ -142,19 +163,48 @@ class TestPeriodogramGrid:
             (all_freqs[-3], all_freqs[-1]),
             (2.0, 1.0),
         ]
+        phases = set()
         for band in bands:
             keep = (all_freqs >= band[0]) & (all_freqs <= band[1])
+            _, d, lo, window, _ = est._band_window(grid, band)
+            phases.add(d)
             freqs, vals = est.periodogram_grid(path, band)
             assert np.array_equal(freqs, all_freqs[keep])
-            assert np.array_equal(vals, all_vals[keep])
+            if d == 1:
+                assert np.array_equal(vals, all_vals[keep])
+            else:
+                largest = np.max(all_vals[lo:lo + window.size], initial=0.0)
+                bound = 4.0 * np.finfo(float).eps * math.log2(nfft) * largest
+                assert np.max(np.abs(vals - all_vals[keep]), initial=0.0) <= bound
+        assert 1 in phases and max(phases) > 1
+
+    @pytest.mark.parametrize("extra, phases", [(0, 8), (1, 4)])
+    def test_window_ending_on_the_last_phase_bin(self, extra, phases):
+        # a window whose last bin is nfft / 16 keeps d = 8 and is right to
+        # the direct sums; one bin more halves d
+        grid = SamplingGrid(256.0, 0.25)
+        nfft, spacing = est._fft_grid(grid)
+        # the window reaches two cells past ceil(hi / spacing)
+        band = (0.1, (nfft // 16 + extra - 1.5) * spacing)
+        _, d, lo, window, _ = est._band_window(grid, band)
+        assert lo + window.size - 1 == nfft // 16 + extra
+        assert d == phases
+        path = SamplePath(grid=grid, values=np.random.default_rng(3).standard_normal(grid.n))
+        freqs, vals = est.periodogram_grid(path, band)
+        direct = np.abs(np.exp(-1j * np.outer(freqs, grid.times())) @ path.values)
+        direct = (grid.dt / grid.horizon * direct) ** 2
+        assert np.max(np.abs(vals - direct)) <= 1e-12 * np.max(direct)
 
     @pytest.mark.parametrize("horizon", [16.25, 256.0, 1000.0])
     def test_batched_rows_equal_single_rows(self, horizon):
         # the batched helper's rows are periodogram_grid of each row alone,
-        # bit for bit, with one frequency grid for all of them
+        # bit for bit, with one frequency grid for all of them, at every
+        # phase count d the bands give
         grid = SamplingGrid(horizon, 0.25)
         values = np.random.default_rng(5).standard_normal((2, 3, grid.n))
-        for band in [(0.1, 3.0), (0.0, grid.nyquist), (2.0, 1.0)]:
+        phases = set()
+        for band in [(0.1, 3.0), (0.0, grid.nyquist), (2.0, 1.0), (0.1, 0.3)]:
+            phases.add(est._band_window(grid, band)[1])
             freqs, vals = est._band_periodogram(values, grid, band)
             assert vals.shape == (2, 3, len(freqs))
             for idx in np.ndindex(2, 3):
@@ -163,6 +213,7 @@ class TestPeriodogramGrid:
                 )
                 assert np.array_equal(freqs, row_freqs)
                 assert np.array_equal(vals[idx], row_vals)
+        assert phases == ({1} if horizon == 16.25 else {1, 4, 8})
 
 
 class TestDetectFrequencies:

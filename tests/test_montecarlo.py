@@ -875,9 +875,8 @@ class TestLemma2Decay:
     )
     def test_matches_per_path_oracle(self, smooth, kind, replications):
         # odd n, a non-power-of-two n, one chunk of every replication, and
-        # a T = 8192 horizon split into several chunks (of 3 rows, with a
-        # partial last one, on one CPU): the means are the per-path loop's
-        # bits
+        # a T = 8192 horizon split into several chunks (of 2 and 3 rows on
+        # one CPU): the means are the per-path loop's bits
         horizons = (64.25, 100.0, 512.0, 8192.0)
         transform = make_transform(kind)
         out = lemma2_decay(smooth, transform, horizons, replications, master_seed=20260817)
@@ -941,8 +940,9 @@ class TestLemma2Decay:
         "kind", ["identity", "cube", "centered-absolute-value"]
     )
     def test_thread_count_keeps_the_oracle_bits(self, smooth, monkeypatch, kind):
-        # one thread runs 3-row chunks at T = 8192, two and three threads
-        # run 1-row chunks, all with a partial last chunk on some horizon
+        # one thread runs 2- and 3-row chunks at T = 8192, two and three
+        # threads run 1-row chunks there and chunks of unequal rows on
+        # T = 512
         horizons = (64.25, 100.0, 512.0, 8192.0)
         transform = make_transform(kind)
         expected = lemma2_oracle(smooth, transform, horizons, 20, 20260817)
@@ -1061,12 +1061,14 @@ class TestLemma2Decay:
             sys.setswitchinterval(interval)
 
     def test_chunks_bound_the_spectrum(self, smooth, monkeypatch):
-        # at T = 8192 one row's zero-padded spectrum is 2 MiB: a chunk holds
-        # budget // (threads * row) rows, 3 at one thread and 1 at two, and
-        # its size does not depend on the replication count; each chunk
-        # takes one forward and one inverse real FFT; the embedding's own
-        # FFT is built and cached before the spies go in, whichever tests
-        # ran first
+        # at T = 8192 one row's four phase transforms of 32769 bins are 2 MiB
+        # and 64 bytes: a chunk holds at most budget // (threads * row)
+        # rows, 3 at one thread and 1 at two; the chunk count is the least
+        # multiple of the thread count that keeps to that, with the rows
+        # spread evenly, which here leaves one chunk of 2 rows at one
+        # thread; each chunk takes one forward and one inverse real FFT;
+        # the embedding's own FFT is built and cached before the spies go
+        # in, whichever tests ran first
         montecarlo._clamped_embedding(smooth, 0.25, 32768)
         calls = {"fft": [], "rfft": [], "irfft": []}
         for name, record in calls.items():
@@ -1086,7 +1088,7 @@ class TestLemma2Decay:
                 lemma2_decay(smooth, IDENTITY, (8192.0,), replications, master_seed=3)
                 # threads finish chunks in any order: compare sorted row counts
                 counts = sorted(shape[0] for shape, _ in calls["rfft"])
-                assert all(len(shape) == 2 for shape, _ in calls["rfft"])
+                assert all(shape[1:] == (4, 32769) for shape, _ in calls["rfft"])
                 assert all(
                     nbytes <= montecarlo._SWEEP_CHUNK_BYTES // threads
                     for _, nbytes in calls["rfft"]
@@ -1099,15 +1101,19 @@ class TestLemma2Decay:
 
     def test_chunks_bound_the_embedding(self, slow_carrier, smooth, monkeypatch):
         # the slow carrier embeds at M = 32768 for n = 1024, so one row's
-        # half spectrum and inverse FFT output (512 KiB) outweigh its
-        # zero-padded spectrum (64 KiB) and size the chunks; smooth noise
-        # keeps the chunks its spectrum sets; a chunk holds
-        # budget // (threads * row) rows
+        # half spectrum and inverse FFT output (512 KiB) outweigh its phase
+        # transforms (64 KiB) and size the chunks; smooth noise keeps the
+        # chunks its phase transforms set; a chunk holds at most
+        # budget // (threads * row) rows, the chunk count is the least
+        # multiple of the thread count that keeps to that, and the rows are
+        # spread evenly over the chunks: 20 carrier rows of 15 (7) at most
+        # on one (two) threads, and 64 smooth rows of 63 (31) at most at
+        # T = 512 and 15 (7) at most at T = 2048
         irfft_rows = []
         original = np.fft.irfft
         for threads, carrier_rows, smooth_rows in (
-            (1, [15, 5], [63, 1] + [15] * 4 + [4]),
-            (2, [7, 7, 6], [31, 31, 2] + [7] * 9 + [1]),
+            (1, [10, 10], [32, 32] + [13] * 4 + [12]),
+            (2, [5] * 4, [16] * 4 + [7] * 4 + [6] * 6),
         ):
             monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
 

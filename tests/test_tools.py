@@ -1,10 +1,11 @@
 """The repository tools, run as scripts on small inputs counted by hand,
-the names the benchmark reads from harmreg, and the one CSV writer and
-reader."""
+the names the benchmark reads from harmreg, the one CSV writer and
+reader, and the one real FFT of a path."""
 
 import ast
 import importlib
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -107,5 +108,18 @@ def test_only_config_writes_and_reads_csv():
         if path.name != "config.py"
         for word in ("17g", "savetxt", "loadtxt")
         if word in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_only_the_estimator_takes_a_real_fft():
+    # estimator._band_periodogram is the one route to the periodogram; a
+    # real FFT elsewhere would bring back a whole-spectrum transform beside
+    # the polyphase split
+    offenders = [
+        path.name
+        for path in sorted((ROOT / "src" / "harmreg").glob("*.py"))
+        if path.name != "estimator.py"
+        and re.search(r"\brfft\b", path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

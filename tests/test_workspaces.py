@@ -106,8 +106,9 @@ def test_detection_spectrum_is_not_returned():
     # detect_frequencies passes its workspace as out; the band it returns
     # must not alias it
     path = _paths()[0]
-    nfft, _ = est._fft_grid(path.grid, est._DETECT_PAD)
-    scratch = spectral._workspace("spectrum", nfft // 2 + 1, np.complex128)
+    nfft, d = est._band_window(path.grid, (0.1, 3.0), est._DETECT_PAD)[:2]
+    assert d > 1
+    scratch = spectral._workspace("spectrum", nfft // 2 + d, np.complex128)
     freqs, vals = est._band_periodogram(
         path.values, path.grid, (0.1, 3.0), est._DETECT_PAD, out=scratch
     )
@@ -115,8 +116,22 @@ def test_detection_spectrum_is_not_returned():
     assert not np.shares_memory(freqs, scratch)
     scratch[-1] = np.nan
     est.detect_frequencies(path, 2)
-    # detection wrote its spectrum there; bins past the band stay unscaled
-    assert scratch[-1] == np.fft.rfft(path.values, nfft)[-1]
+    # detection wrote its phase transforms there; the last phase's bins
+    # past the band stay its unscaled transform
+    assert scratch[-1] == np.fft.rfft(path.values[d - 1::d], nfft // d)[-1]
+
+
+def test_band_periodogram_takes_any_large_enough_buffer():
+    # out may be of any shape and larger than the phase transforms need;
+    # they fill it from its start and the band keeps the bits it has
+    # without out
+    path = _paths()[2]
+    band = (0.1, 3.0)
+    want = est._band_periodogram(path.values, path.grid, band)
+    nfft, d = est._band_window(path.grid, band)[:2]
+    for buffer in (np.empty(nfft // 2 + d, complex), np.empty((3, nfft), complex)):
+        got = est._band_periodogram(path.values, path.grid, band, out=buffer)
+        assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
 
 
 def test_threads_match_serial_plug_ins():
