@@ -33,6 +33,7 @@ from .spectral import (
     _gated,
     _gauss_legendre,
     _power_transforms,
+    _require_frequency,
     covariance,
     covariance_envelope,
     singular_points,
@@ -68,14 +69,15 @@ def _self_convolutions(spec: NoiseSpec, rank: int, orders, lam: float):
     """f^(*k)(lam) and its error estimate for every k in orders, from one
     call of the cosine-transform engine shared by all orders. Each order's
     estimate (body: comparison with the rule at twice the panel width;
-    tail: the closure bounds) must stay within _SELF_CONV_TOL (1e-5)."""
+    tail: the closure bounds) must stay within _SELF_CONV_TOL (1e-5). A
+    frequency that is not finite raises ValidationError."""
+    lam = abs(_require_frequency(lam))
     for k in orders:
         if k < 1 or k < rank:
             raise ValidationError(f"order k = {k} must be >= rank = {rank}")
         _require_integrable(spec, k, f"self-convolution of order {k}")
     if not orders:
         return [], []
-    lam = abs(float(lam))
     vals, errs = [], []
     for k, (val, err) in zip(orders, _power_transforms(spec, lam, orders)):
         if err > _SELF_CONV_TOL:

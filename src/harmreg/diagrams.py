@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError, require_count
 
 ENUMERATION_BOUND = 24
 
@@ -43,9 +43,10 @@ class Diagram:
 
 
 def _check_orders(orders) -> tuple[int, ...]:
-    orders = tuple(int(l) for l in orders)
-    if any(l < 1 for l in orders):
-        raise ValidationError(f"level cardinalities must be positive, got {orders}")
+    orders = tuple(orders)
+    for l in orders:
+        require_count("level cardinality", l, 1)
+    orders = tuple(map(int, orders))
     if sum(orders) > ENUMERATION_BOUND:
         raise SizeLimitError(
             f"sum of orders {sum(orders)} exceeds enumeration bound {ENUMERATION_BOUND}"
@@ -108,9 +109,11 @@ def count_regular(groups) -> int:
     levels (for a single group there is one ordering and the formula
     matches the per-tuple census directly).
     """
+    groups = list(groups)
+    for r, m in groups:
+        require_count("group cardinality", r, 1)
+        require_count("pair multiplicity", m, 1)
     groups = [(int(r), int(m)) for r, m in groups]
-    if any(r < 1 or m < 1 for r, m in groups):
-        raise ValidationError(f"inconsistent multiplicities: {groups}")
     if len({r for r, _ in groups}) != len(groups):
         raise ValidationError("group cardinalities must be distinct")
     nu = sum(m for _, m in groups)

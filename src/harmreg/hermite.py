@@ -321,6 +321,8 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
         gs = np.asarray(table[1], dtype=float)
         if xs.ndim != 1 or len(xs) < 2 or xs.shape != gs.shape:
             raise ValidationError("table must be two equal-length sequences")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(gs))):
+            raise ValidationError("table entries must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise ValidationError("table abscissae must be strictly increasing")
         c, shift, eg2 = _table_coefficients(xs, gs, k_max)

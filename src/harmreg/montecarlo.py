@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import pathlib
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -430,37 +429,6 @@ def _sweep_threads() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(task, count: int, slots, pool) -> list:
-    """[task(0, slot), ..., task(count - 1, slot)] computed on the calling
-    thread and on one ``pool`` thread per further slot. Each thread owns
-    one slot, runs one task at a time and takes the lowest index not yet
-    taken. After a task raises no thread starts another; the calling
-    thread's exception propagates, else the first of the helpers' in
-    submission order."""
-    results = [None] * count
-    pending = iter(range(count))
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def drain(slot):
-        while not failed.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = task(i, slot)
-            except BaseException:
-                failed.set()
-                raise
-
-    futures = [pool.submit(drain, slot) for slot in slots[1:]]
-    drain(slots[0])
-    for future in futures:
-        future.result()
-    return results
-
-
 def lemma2_decay(
     noise: NoiseSpec,
     transform: TransformSpec,
@@ -474,27 +442,30 @@ def lemma2_decay(
     strict-decrease verdict across the schedule.
 
     Replication r on horizon g draws from replication_seed(master_seed, g,
-    r). Per horizon the replications are simulated, subordinated and
-    periodogrammed in chunks of rows. The chunks run on
-    the calling thread and on one helper thread per further CPU this
-    process may use, one chunk per thread at a time, so the
+    r). Per horizon the replications are split into one contiguous share
+    per thread, w = min(threads, replications) shares for one thread per
+    CPU this process may use: share k holds replications k * R // w up to
+    (k + 1) * R // w. The calling thread runs share 0 and one helper
+    thread each further share. A thread simulates, subordinates and
+    periodograms its share in chunks of rows, one chunk at a time, so the
     _SWEEP_CHUNK_BYTES budget (8 MiB) is shared by every chunk in flight:
     a chunk holds at most budget // (threads * row_bytes) rows, and at
-    least one. The chunk count is the least multiple of the thread count
-    that keeps to that, or the replication count when it is smaller, so
-    every thread gets work, and the rows are spread evenly: each chunk
-    holds ceil(replications / chunks) rows or one fewer. A row counts as
-    the larger of the phase transforms of ``_band_periodogram`` (nfft +
-    2d float64 words, for the transform length nfft and d phases) and the
-    embedding's half spectrum plus inverse FFT output, so the chunk size
-    depends on the grid, the band, the embedding size, the thread count
-    and the replication count alone. Each row is the path
-    ``gaussian_path`` draws from its own stream, and the row maxima are
-    summed in replication order, so for any thread
-    count the means are bit for bit those of a loop over single paths
-    through ``eta_squared``. A bad count, seed or band raises
-    ValidationError before the first draw. The helpers live in a pool
-    that is shut down, and its threads joined, before the call returns.
+    least one, and a share's rows are spread evenly over the fewest
+    chunks that keep to that: each chunk holds ceil(m / chunks) rows or
+    one fewer, for a share of m rows. A row counts as the larger of the
+    phase transforms of ``_band_periodogram`` (nfft + 2d float64 words,
+    for the transform length nfft and d phases) and the embedding's half
+    spectrum plus inverse FFT output, so the chunk size depends on the
+    grid, the band, the embedding size, the thread count and the
+    replication count alone. Each row is the path ``gaussian_path`` draws
+    from its own stream, and the row maxima are summed in replication
+    order, so for any thread count the means are bit for bit those of a
+    loop over single paths through ``eta_squared``. A bad count, seed or
+    band raises ValidationError before the first draw. A thread whose
+    chunk raises stops its own share; the calling thread's exception
+    propagates, else the first helper's in thread order. The helpers live
+    in a pool that is shut down, and its threads joined, before the call
+    returns.
     """
     require_count("replications", replications, 1)
     require_count("master_seed", master_seed, 0)
@@ -504,6 +475,7 @@ def lemma2_decay(
     for grid in grids:
         _check_band(grid, band)
     threads = _sweep_threads()
+    shares = min(threads, replications)
 
     def horizon_mean(gi, grid, pool):
         nfft, d = _band_window(grid, band)[:2]
@@ -514,10 +486,9 @@ def lemma2_decay(
         # of its inverse FFT
         row_words = max(nfft + 2 * d, 2 * size + 2)
         most = max(1, _SWEEP_CHUNK_BYTES // (threads * 8 * row_words))
-        chunks = min(-(-replications // (most * threads)) * threads, replications)
-        rows = -(-replications // chunks)
-        # chunk c draws replications bounds[c] up to bounds[c + 1]
-        bounds = [c * replications // chunks for c in range(chunks + 1)]
+        # the largest chunk: the two share sizes may split differently
+        rows = max(-(-m // -(-m // most))
+                   for m in (replications // shares, -(-replications // shares)))
         # the calling thread allocates every thread's chunk arrays in one
         # block, so a helper's allocator keeps little more than the FFTs'
         # own scratch once the helper is gone; per thread a scratch part
@@ -525,27 +496,33 @@ def lemma2_decay(
         scratch_words, path_words = rows * row_words, rows * grid.n
         path_words += path_words % 2
         width = scratch_words + path_words
-        block = np.empty(min(threads, chunks) * width)
-        slots = [(block[k:k + scratch_words], block[k + scratch_words:k + width])
-                 for k in range(0, block.size, width)]
+        block = np.empty(shares * width)
 
-        def row_maxima(c, slot):
-            seeds = [replication_seed(master_seed, gi, r)
-                     for r in range(bounds[c], bounds[c + 1])]
-            m = len(seeds)
-            scratch, paths = slot
-            xi = _fill_paths(
-                root, seeds,
-                scratch[:m * (size + 2)].view(complex).reshape(m, -1),
-                scratch[m * (size + 2):m * (2 * size + 2)].reshape(m, size),
-                paths[:m * grid.n].reshape(m, grid.n),
-            )
-            spectrum = scratch[:m * (nfft + 2 * d)].view(complex)
-            eps = subordinate(xi, transform)
-            return _band_periodogram(eps, grid, band, out=spectrum)[1].max(axis=-1)
+        def share_maxima(k):
+            scratch, paths = np.split(block[k * width:(k + 1) * width], [scratch_words])
+            first = k * replications // shares
+            count = (k + 1) * replications // shares - first
+            chunks = -(-count // most)
+            maxima = []
+            for c in range(chunks):
+                seeds = [replication_seed(master_seed, gi, first + r)
+                         for r in range(c * count // chunks, (c + 1) * count // chunks)]
+                m = len(seeds)
+                xi = _fill_paths(
+                    root, seeds,
+                    scratch[:m * (size + 2)].view(complex).reshape(m, -1),
+                    scratch[m * (size + 2):m * (2 * size + 2)].reshape(m, size),
+                    paths[:m * grid.n].reshape(m, grid.n),
+                )
+                spectrum = scratch[:m * (nfft + 2 * d)].view(complex)
+                eps = subordinate(xi, transform)
+                maxima.extend(
+                    _band_periodogram(eps, grid, band, out=spectrum)[1].max(axis=-1))
+            return maxima
 
+        helpers = [pool.submit(share_maxima, k) for k in range(1, shares)]
         acc = 0.0
-        for maxima in _run_chunks(row_maxima, chunks, slots, pool):
+        for maxima in [share_maxima(0)] + [helper.result() for helper in helpers]:
             for row_max in maxima:  # sequential fold in replication order
                 acc += float(row_max)
         return acc / replications

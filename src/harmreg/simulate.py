@@ -39,6 +39,10 @@ class SamplingGrid:
     def __post_init__(self):
         if not (0.0 < self.horizon < math.inf and 0.0 < self.dt < math.inf):
             raise ValidationError("grid horizon and step must be positive and finite")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValidationError(
+                f"grid horizon / dt must be finite, got {self.horizon:g} / {self.dt:g}"
+            )
         n = round(self.horizon / self.dt)
         if n < 2 or abs(n * self.dt - self.horizon) > 1e-12 * max(1.0, self.horizon):
             raise ValidationError(

@@ -655,6 +655,14 @@ def _component_density_rho2(alpha: float, kappa: float, lam: float) -> float:
     return out
 
 
+def _require_frequency(lam) -> float:
+    """lam as a float; ValidationError unless it is finite."""
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValidationError(f"frequency must be finite, got {lam}")
+    return lam
+
+
 def spectral_density(spec: NoiseSpec, lam: float) -> float:
     """Spectral density f(lambda) of the mixture; even, integrates to 1.
 
@@ -664,12 +672,13 @@ def spectral_density(spec: NoiseSpec, lam: float) -> float:
 
     Raises
     ------
+    ValidationError : lambda is not finite.
     SingularityError : lambda coincides with a singular carrier
         (decay exponent <= 1) of some component.
     QuadratureError : the error estimate of a rho != 2 component exceeds
         1e-6, as it does very near a singular carrier.
     """
-    lam = float(lam)
+    lam = _require_frequency(lam)
     out = 0.0
     for comp in spec.components:
         if comp.weight == 0.0:

@@ -262,6 +262,15 @@ class TestSimulate:
         assert "not a finite number" in err
         assert not (tmp_path / "path_T64.csv").exists()
 
+    def test_overflowing_grid_exits_2(self, tmp_path):
+        # horizon / dt overflows to inf, so the grid has no point count
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("horizon = 64\ndt = 0.25",
+                                              "horizon = 1e300\ndt = 1e-10"))
+        code, out, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == "error: grid horizon / dt must be finite, got 1e+300 / 1e-10\n"
+
     @pytest.mark.parametrize(
         "drop, match",
         [("[grid]", "grid"), ("[noise]", "noise"), ("[transform]", "transform")],

@@ -65,6 +65,10 @@ def test_enumerate_small_counts():
 def test_enumerate_validates_orders():
     with pytest.raises(ValidationError):
         enumerate_diagrams((0, 2))
+    # non-integer and bool orders are refused, not truncated
+    for orders in ((2.9, 2.2), (2, 2.0), (True, 1)):
+        with pytest.raises(ValidationError, match="^level cardinality must be an integer"):
+            enumerate_diagrams(orders)
     with pytest.raises(SizeLimitError):
         enumerate_diagrams((13, 13))
 
@@ -143,6 +147,10 @@ def test_count_regular_validation():
         count_regular([(0, 1)])
     with pytest.raises(ValidationError):
         count_regular([(2, 1), (2, 1)])
+    # non-integer and bool counts are refused, not truncated
+    for groups in ([(2.5, 1)], [(2, 1.0)], [(True, 1)], [(2, True)]):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            count_regular(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +198,8 @@ def test_moment_validation():
         hermite_product_moment((1, 1), bad)
     with pytest.raises(SizeLimitError):
         hermite_product_moment((13, 13), np.eye(2))
+    with pytest.raises(ValidationError, match="^level cardinality must be an integer"):
+        hermite_product_moment((1.7, 1.2), np.eye(2))
 
 
 def test_moment_odd_total_is_zero():

@@ -352,6 +352,13 @@ def test_table_validation():
         make_transform("user-table", table=(xs[::-1], xs))
     with pytest.raises(ValidationError):
         make_transform("user-table", table=([0.0], [0.0]))
+    # a NaN or infinite entry, as an abscissa or as a value
+    for bad in (np.nan, np.inf, -np.inf):
+        for column in (0, 1):
+            table = [xs.copy(), xs.copy()]
+            table[column][50] = bad
+            with pytest.raises(ValidationError, match="^table entries must be finite$"):
+                make_transform("user-table", table=table)
 
 
 def test_table_rejects_uncentered():

@@ -4,12 +4,14 @@ command line exits 2 with that message."""
 
 import contextlib
 import io
+import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from harmreg import asymptotics, estimator, simulate
+from harmreg import asymptotics, estimator, simulate, spectral
 from harmreg.cli import main
 from harmreg.errors import ValidationError
 from harmreg.hermite import make_transform
@@ -66,9 +68,26 @@ def _cfg_text(noise="[noise]\npreset = smooth\n", model="a = 1.0\nb = 0.5\nphi =
     return text
 
 
+def _frequency_condition(lam):
+    """The refusal of frequency lam by every routine that takes one."""
+    return (
+        lambda: spectral._require_frequency(lam),
+        {
+            "spectral_density": lambda: spectral.spectral_density(SMOOTH, lam),
+            "self_convolution": lambda: asymptotics.self_convolution(SMOOTH, 1, 2, lam),
+            "spectral_factor": lambda: asymptotics.spectral_factor(SMOOTH, IDENTITY, lam),
+            "sigma_general": lambda: asymptotics.sigma_general(
+                IDENTITY, SMOOTH, [(lam, np.eye(1))]),
+        },
+    )
+
+
 # per condition: the owner's refusal, then every entry point that checks it;
 # an entry point given as (command, config text) runs on the command line
 CONDITIONS = {
+    "nan-frequency": _frequency_condition(math.nan),
+    "infinite-frequency": _frequency_condition(math.inf),
+    "negative-infinite-frequency": _frequency_condition(-math.inf),
     "band-at-zero": (
         lambda: simulate.require_band(BAND_AT_ZERO),
         {

@@ -941,17 +941,19 @@ class TestLemma2Decay:
     )
     def test_thread_count_keeps_the_oracle_bits(self, smooth, monkeypatch, kind):
         # one thread runs 2- and 3-row chunks at T = 8192, two and three
-        # threads run 1-row chunks there and chunks of unequal rows on
-        # T = 512
+        # threads run 1-row chunks there and shares of unequal rows on
+        # T = 512; 2 replications at three threads leave one thread idle
         horizons = (64.25, 100.0, 512.0, 8192.0)
         transform = make_transform(kind)
-        expected = lemma2_oracle(smooth, transform, horizons, 20, 20260817)
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
-            out = lemma2_decay(smooth, transform, horizons, 20, master_seed=20260817)
-            assert [m.hex() for m in out["mean_eta_squared"]] == [
-                m.hex() for m in expected
-            ], threads
+        for replications, thread_counts in ((20, (1, 2, 3)), (2, (3,))):
+            expected = lemma2_oracle(smooth, transform, horizons, replications, 20260817)
+            for threads in thread_counts:
+                monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
+                out = lemma2_decay(smooth, transform, horizons, replications,
+                                   master_seed=20260817)
+                assert [m.hex() for m in out["mean_eta_squared"]] == [
+                    m.hex() for m in expected
+                ], (replications, threads)
 
     def test_sweep_threads_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -1039,34 +1041,13 @@ class TestLemma2Decay:
         assert info.value in raised
         assert threading.active_count() == before
 
-    def test_chunk_queue_under_contention(self):
-        # more threads than CPUs and a short switch interval: every chunk
-        # is taken exactly once and lands at its own index
-        taken = []
-
-        def task(i, slot):
-            taken.append(i)
-            return i
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=7) as pool:
-                for _ in range(20):
-                    taken.clear()
-                    out = montecarlo._run_chunks(task, 500, list(range(8)), pool)
-                    assert out == list(range(500))
-                    assert sorted(taken) == list(range(500))
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_chunks_bound_the_spectrum(self, smooth, monkeypatch):
         # at T = 8192 one row's four phase transforms of 32769 bins are 2 MiB
         # and 64 bytes: a chunk holds at most budget // (threads * row)
-        # rows, 3 at one thread and 1 at two; the chunk count is the least
-        # multiple of the thread count that keeps to that, with the rows
-        # spread evenly, which here leaves one chunk of 2 rows at one
-        # thread; each chunk takes one forward and one inverse real FFT;
+        # rows, 3 at one thread and 1 at two; each thread's share runs in
+        # the fewest chunks that keep to that, with the rows spread evenly,
+        # which here leaves one chunk of 2 rows at one thread; each chunk
+        # takes one forward and one inverse real FFT;
         # the embedding's own FFT is built and cached before the spies go
         # in, whichever tests ran first
         montecarlo._clamped_embedding(smooth, 0.25, 32768)
@@ -1104,11 +1085,11 @@ class TestLemma2Decay:
         # half spectrum and inverse FFT output (512 KiB) outweigh its phase
         # transforms (64 KiB) and size the chunks; smooth noise keeps the
         # chunks its phase transforms set; a chunk holds at most
-        # budget // (threads * row) rows, the chunk count is the least
-        # multiple of the thread count that keeps to that, and the rows are
-        # spread evenly over the chunks: 20 carrier rows of 15 (7) at most
-        # on one (two) threads, and 64 smooth rows of 63 (31) at most at
-        # T = 512 and 15 (7) at most at T = 2048
+        # budget // (threads * row) rows, each thread's share runs in the
+        # fewest chunks that keep to that, and its rows are spread evenly
+        # over them: 20 carrier rows of 15 (7) at most on one (two)
+        # threads, and 64 smooth rows of 63 (31) at most at T = 512 and
+        # 15 (7) at most at T = 2048
         irfft_rows = []
         original = np.fft.irfft
         for threads, carrier_rows, smooth_rows in (

@@ -55,7 +55,8 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize(
-    "horizon, dt", [(math.nan, 0.25), (math.inf, 0.25), (64.0, math.nan), (64.0, math.inf)]
+    "horizon, dt",
+    [(math.nan, 0.25), (math.inf, 0.25), (64.0, math.nan), (64.0, math.inf), (1e300, 1e-10)],
 )
 def test_grid_rejects_non_finite(horizon, dt):
     with pytest.raises(ValidationError, match="finite"):

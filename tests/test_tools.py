@@ -123,3 +123,21 @@ def test_only_the_estimator_takes_a_real_fft():
         and re.search(r"\brfft\b", path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_only_spectral_imports_threading():
+    # spectral.py keeps a thread-local workspace; the sweep threads of
+    # lemma2_decay take fixed shares from a concurrent.futures pool, so no
+    # other module needs a lock, an event or a thread of its own
+    offenders = []
+    for path in sorted((ROOT / "src" / "harmreg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "threading" in (name.split(".")[0] for name in names):
+                offenders.append(path.name)
+    assert offenders == ["spectral.py"]
