@@ -159,7 +159,7 @@ def read_csv(path) -> tuple[list[str] | None, np.ndarray]:
         pass
     skip = 0 if header is None else 1
     if not any(line.strip() for line in lines[skip:]):
-        return header, np.empty((0, 0))
+        return header, np.zeros((0, 0))
     try:
         data = np.loadtxt(lines, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:

@@ -7,8 +7,8 @@ the covariance machinery, bounded to small orders.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -131,8 +131,13 @@ def regular_census(orders) -> int:
 
 
 def distinct_arrangements(orders) -> int:
-    """Number of distinct orderings of the level multiset."""
-    return len(set(permutations(orders)))
+    """Number of distinct orderings of the level multiset: the multinomial
+    p! / prod(m_j!) over the multiplicities m_j of its p levels."""
+    orders = _check_orders(orders)
+    out = math.factorial(len(orders))
+    for m in Counter(orders).values():
+        out //= math.factorial(m)
+    return out
 
 
 def hermite_product_moment(orders, corr) -> float:

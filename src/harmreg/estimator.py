@@ -113,8 +113,7 @@ def periodogram_grid(path: SamplePath, band=DEFAULT_BAND):
     return _band_periodogram(path.values, path.grid, band)
 
 
-def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD,
-                      out: np.ndarray | None = None):
+def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD):
     """``periodogram_grid`` of every path along the last axis of
     ``values``, which may carry leading batch axes: (frequencies,
     values[..., band bins]). Each row is bit for bit the periodogram of
@@ -130,18 +129,17 @@ def _band_periodogram(values: np.ndarray, grid, band, pad: int = _GRID_PAD,
     transform of the path.
 
     pad sets the transform length (see _fft_grid). The phase transforms go
-    into out when given: any complex array of at least nfft / 2 + d
-    entries per row, filled from its start."""
+    into this thread's "fft" workspace, which ``_fill_paths`` fills with
+    its half spectra before, so the loop maps no pages for them."""
     nfft, d, lo, freqs, keep = _band_window(grid, band, pad)
     lead = values.shape[:-1]
     # phase r of a row is values[..., r::d]; the phases are copied into
     # rows of their own, since the real FFT of strided rows costs more
     # than the copy (at d = 1 the path is that row, and nothing is copied)
     phases = np.ascontiguousarray(values.reshape(lead + (-1, d)).swapaxes(-1, -2))
-    if out is not None:
-        shape = lead + (d, nfft // (2 * d) + 1)
-        out = out.reshape(-1)[:math.prod(shape)].reshape(shape)
-    spec = np.fft.rfft(phases, nfft // d, out=out)
+    shape = lead + (d, nfft // (2 * d) + 1)
+    scratch = _workspace("fft", 2 * math.prod(shape))
+    spec = np.fft.rfft(phases, nfft // d, out=scratch.view(complex).reshape(shape))
     hi = lo + freqs.size
     window = spec[..., d - 1, lo:hi]
     if d > 1:
@@ -213,12 +211,7 @@ def detect_frequencies(
     require_band(band, path.grid)
     gap = min_gap(path.grid.horizon)
     cell = _fft_grid(path.grid, _DETECT_PAD)[1]
-    nfft, d = _band_window(path.grid, band, _DETECT_PAD)[:2]
-    # the phase transforms go into this thread's workspace, so the
-    # estimator's loop maps no pages for them
-    spectrum = _workspace("spectrum", nfft // 2 + d, np.complex128)
-    freqs, vals = _band_periodogram(path.values, path.grid, band, _DETECT_PAD,
-                                    out=spectrum)
+    freqs, vals = _band_periodogram(path.values, path.grid, band, _DETECT_PAD)
     if len(freqs) < 2:
         raise ValidationError(
             f"band ({band[0]}, {band[1]}) holds {len(freqs)} frequencies of the "

@@ -34,7 +34,7 @@ def hermite(k: int, x):
     H_{k+1} = x H_k - k H_{k-1}. Supports k <= 60; array x broadcasts.
     """
     # the chained comparison is false for NaN and refuses infinity before int()
-    if not 0 <= k < math.inf or k != int(k):
+    if isinstance(k, (bool, np.bool_)) or not 0 <= k < math.inf or k != int(k):
         raise ValidationError(f"hermite order must be a nonnegative integer, got {k}")
     if k > 60:
         raise ValidationError(f"hermite order overflow: k = {k} exceeds 60")

@@ -51,7 +51,7 @@ from .simulate import (
     replication_seed,
     subordinate,
 )
-from .spectral import NoiseSpec
+from .spectral import NoiseSpec, _workspace
 
 FAILURE_CAP = 0.2
 # two-sided standard normal quantile of each tabulated coverage level
@@ -457,15 +457,18 @@ def lemma2_decay(
     for the transform length nfft and d phases) and the embedding's half
     spectrum plus inverse FFT output, so the chunk size depends on the
     grid, the band, the embedding size, the thread count and the
-    replication count alone. Each row is the path ``gaussian_path`` draws
-    from its own stream, and the row maxima are summed in replication
-    order, so for any thread count the means are bit for bit those of a
-    loop over single paths through ``eta_squared``. A bad count, seed or
-    band raises ValidationError before the first draw. A thread whose
-    chunk raises stops its own share; the calling thread's exception
-    propagates, else the first helper's in thread order. The helpers live
-    in a pool that is shut down, and its threads joined, before the call
-    returns.
+    replication count alone. A chunk's paths, half spectra, inverse FFT
+    outputs and phase transforms live in its thread's workspace
+    (``spectral._workspace``), which grows to the thread's largest chunk;
+    a helper's goes with it when the pool is joined. Each row is the path
+    ``gaussian_path`` draws from its own stream, and the row maxima are
+    summed in replication order, so for any thread count the means are bit
+    for bit those of a loop over single paths through ``eta_squared``. A
+    bad count, seed or band raises ValidationError before the first draw.
+    A thread whose chunk raises stops its own share; the calling thread's
+    exception propagates, else the first helper's in thread order. The
+    helpers live in a pool that is shut down, and its threads joined,
+    before the call returns.
     """
     require_count("replications", replications, 1)
     require_count("master_seed", master_seed, 0)
@@ -486,20 +489,8 @@ def lemma2_decay(
         # of its inverse FFT
         row_words = max(nfft + 2 * d, 2 * size + 2)
         most = max(1, _SWEEP_CHUNK_BYTES // (threads * 8 * row_words))
-        # the largest chunk: the two share sizes may split differently
-        rows = max(-(-m // -(-m // most))
-                   for m in (replications // shares, -(-replications // shares)))
-        # the calling thread allocates every thread's chunk arrays in one
-        # block, so a helper's allocator keeps little more than the FFTs'
-        # own scratch once the helper is gone; per thread a scratch part
-        # for the spectra and a part for the paths, each 16-byte aligned
-        scratch_words, path_words = rows * row_words, rows * grid.n
-        path_words += path_words % 2
-        width = scratch_words + path_words
-        block = np.empty(shares * width)
 
         def share_maxima(k):
-            scratch, paths = np.split(block[k * width:(k + 1) * width], [scratch_words])
             first = k * replications // shares
             count = (k + 1) * replications // shares - first
             chunks = -(-count // most)
@@ -507,17 +498,9 @@ def lemma2_decay(
             for c in range(chunks):
                 seeds = [replication_seed(master_seed, gi, first + r)
                          for r in range(c * count // chunks, (c + 1) * count // chunks)]
-                m = len(seeds)
-                xi = _fill_paths(
-                    root, seeds,
-                    scratch[:m * (size + 2)].view(complex).reshape(m, -1),
-                    scratch[m * (size + 2):m * (2 * size + 2)].reshape(m, size),
-                    paths[:m * grid.n].reshape(m, grid.n),
-                )
-                spectrum = scratch[:m * (nfft + 2 * d)].view(complex)
-                eps = subordinate(xi, transform)
-                maxima.extend(
-                    _band_periodogram(eps, grid, band, out=spectrum)[1].max(axis=-1))
+                paths = _workspace("paths", len(seeds) * grid.n).reshape(-1, grid.n)
+                eps = subordinate(_fill_paths(root, seeds, paths), transform)
+                maxima.extend(_band_periodogram(eps, grid, band)[1].max(axis=-1))
             return maxima
 
         helpers = [pool.submit(share_maxima, k) for k in range(1, shares)]

@@ -14,7 +14,7 @@ import numpy as np
 from ._kernels import signal, trig_design
 from .errors import EmbeddingError, NyquistError, ValidationError
 from .hermite import TransformSpec
-from .spectral import NoiseSpec, covariance
+from .spectral import NoiseSpec, _workspace, covariance
 
 logger = logging.getLogger("harmreg")
 
@@ -274,17 +274,16 @@ def gaussian_path(spec: NoiseSpec, grid: SamplingGrid, seed) -> np.ndarray:
     describes the draw.
     """
     root, _ = _clamped_embedding(spec, grid.dt, grid.n)
-    size = root.size
-    return _fill_paths(root, (seed,), np.empty((1, size // 2 + 1), dtype=complex),
-                       np.empty((1, size)), np.empty((1, grid.n)))[0]
+    return _fill_paths(root, (seed,), np.empty((1, grid.n)))[0]
 
 
-def _fill_paths(root, seeds, half, inverse, out):
+def _fill_paths(root, seeds, out):
     """One stationary Gaussian path per seed on the scaled root r of an
-    embedding of size M, written into given arrays: the (rows, M/2 + 1)
-    complex half spectrum, the (rows, M) output of its inverse FFT and the
-    (rows, n) paths, which are returned; row r is bit for bit
-    ``gaussian_path`` at ``seeds[r]``.
+    embedding of size M, written into the (rows, n) array out, which is
+    returned; row r is bit for bit ``gaussian_path`` at ``seeds[r]``. The
+    (rows, M/2 + 1) complex half spectrum and the (rows, M) output of its
+    inverse FFT live in this thread's "fft" workspace, which
+    ``_band_periodogram`` takes next for its phase transforms.
 
     Each path is M * irfft(W, M)[:n] for a Hermitian half spectrum W built
     from one vector z of M standard normals: W_0 = r_0 z_0,
@@ -298,8 +297,11 @@ def _fill_paths(root, seeds, half, inverse, out):
     sqrt(2) so that r alone scales it, and the sqrt(2) comes off the n kept
     outputs. All rows share one inverse real FFT along the last axis, whose
     rows are the bits of the one-row transform."""
-    size = root.size
-    z = half.view(float)  # per row: Re W_0, Im W_0, Re W_1, Im W_1, ...
+    size, rows = root.size, len(seeds)
+    scratch = _workspace("fft", rows * (2 * size + 2))
+    z = scratch[:rows * (size + 2)].reshape(rows, -1)
+    half = z.view(complex)  # z per row: Re W_0, Im W_0, Re W_1, Im W_1, ...
+    inverse = scratch[rows * (size + 2):].reshape(rows, size)
     for row, seed in zip(z, seeds):
         np.random.default_rng(seed).standard_normal(out=row[:size])
     z[:, size] = _SQRT2 * z[:, 1]

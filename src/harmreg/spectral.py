@@ -56,20 +56,21 @@ class _Workspaces(threading.local):
 _WORKSPACES = _Workspaces()
 
 
-def _workspace(key, size: int, dtype=np.float64) -> np.ndarray:
-    """The first `size` entries of this thread's scratch array `key`.
+def _workspace(key, size: int) -> np.ndarray:
+    """The first `size` entries of this thread's float64 scratch array
+    `key`; a complex array is its view.
 
     Hot loops write their large temporaries here instead of allocating
     them per call, which would map and unmap pages on every call once
     they pass the allocator's mmap threshold. An array only grows, so
     after the largest request every call reuses it. Each thread has its
     own arrays: numpy ufuncs release the GIL, and a shared array would
-    let two threads overwrite each other's sums. A caller must be done
-    with the array before it asks for the same key again.
+    let two threads overwrite each other's sums. Callers may share a key
+    when each is done with the array before the next asks for it.
     """
     buf = _WORKSPACES.arrays.get(key)
     if buf is None or buf.size < size:
-        buf = _WORKSPACES.arrays[key] = np.empty(size, dtype)
+        buf = _WORKSPACES.arrays[key] = np.empty(size)
     return buf[:size]
 
 

@@ -123,6 +123,30 @@ def test_count_regular_two_pairs_same_cardinality():
 
 
 @pytest.mark.parametrize(
+    "orders", [(1,), (2, 2), (1, 2), (3, 1, 3), (2, 1, 2, 1), (1, 2, 3, 4), (2, 2, 1, 2, 3, 2)]
+)
+def test_distinct_arrangements_count_the_permutations(orders):
+    # the distinct permutations of the tuple are the oracle of the formula
+    assert distinct_arrangements(orders) == len(set(itertools.permutations(orders)))
+
+
+def test_distinct_arrangements_run_to_the_enumeration_bound():
+    # permuting 24 levels runs through 24! tuples, which would never
+    # finish; the formula takes one factorial per multiplicity
+    assert distinct_arrangements((1,) * 24) == 1
+    assert distinct_arrangements((1, 2) * 8) == math.comb(16, 8)
+    assert distinct_arrangements(range(1, 7)) == math.factorial(6)
+
+
+def test_distinct_arrangements_validates_orders():
+    for orders in ((2.5, 1), (True, 0, -3), (0, 2), (2, 2.0)):
+        with pytest.raises(ValidationError, match="^level cardinality must be"):
+            distinct_arrangements(orders)
+    with pytest.raises(SizeLimitError):
+        distinct_arrangements((13, 13))
+
+
+@pytest.mark.parametrize(
     "orders,groups",
     [
         ((2, 2), [(2, 1)]),

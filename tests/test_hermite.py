@@ -51,7 +51,8 @@ def test_hermite_order_errors():
         hermite(-1, 0.0)
     with pytest.raises(ValidationError):
         hermite(61, 0.0)
-    for k in (2.5, math.nan, math.inf):
+    # a bool is not an order, though True == 1
+    for k in (2.5, math.nan, math.inf, True, False, np.True_):
         with pytest.raises(ValidationError, match="nonnegative integer"):
             hermite(k, 0.0)
 

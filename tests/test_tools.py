@@ -1,6 +1,7 @@
 """The repository tools, run as scripts on small inputs counted by hand,
 the names the benchmark reads from harmreg, the one CSV writer and
-reader, and the one real FFT of a path."""
+reader, the one real FFT of a path, and the one owner of scratch
+arrays."""
 
 import ast
 import importlib
@@ -141,3 +142,15 @@ def test_only_spectral_imports_threading():
             if "threading" in (name.split(".")[0] for name in names):
                 offenders.append(path.name)
     assert offenders == ["spectral.py"]
+
+
+def test_only_the_workspace_and_the_path_draw_allocate_empty_arrays():
+    # spectral._workspace owns the loop's scratch and simulate.gaussian_path
+    # the path it returns; an np.empty elsewhere would bring back a buffer
+    # laid out beside the workspace
+    offenders = [
+        path.name
+        for path in sorted((ROOT / "src" / "harmreg").glob("*.py"))
+        if re.search(r"\bnp\.empty\b", path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == ["simulate.py", "spectral.py"]

@@ -1,6 +1,6 @@
-"""Per-thread workspaces of the plug-in quadrature and of detection: the
-reused buffers change no bit, leak into no returned array, and keep two
-threads apart."""
+"""Per-thread workspaces of the plug-in quadrature, of the path draw and
+of the periodogram: the reused buffers change no bit, leak into no
+returned array, and keep two threads apart."""
 
 import sys
 import threading
@@ -13,7 +13,13 @@ from harmreg import spectral
 from harmreg.asymptotics import plug_in_gamma
 from harmreg.estimator import EstimationResult
 from harmreg.hermite import make_transform
-from harmreg.simulate import HarmonicModel, SamplePath, SamplingGrid, regression_signal
+from harmreg.simulate import (
+    HarmonicModel,
+    SamplePath,
+    SamplingGrid,
+    gaussian_path,
+    regression_signal,
+)
 from harmreg.spectral import NoiseComponent, NoiseSpec, preset_noise
 
 # the two-component noise of the plugin-validate benchmark workload
@@ -102,36 +108,81 @@ def test_interleaved_calls_keep_earlier_results(call):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_detection_spectrum_is_not_returned():
-    # detect_frequencies passes its workspace as out; the band it returns
-    # must not alias it
-    path = _paths()[0]
-    nfft, d = est._band_window(path.grid, (0.1, 3.0), est._DETECT_PAD)[:2]
-    assert d > 1
-    scratch = spectral._workspace("spectrum", nfft // 2 + d, np.complex128)
-    freqs, vals = est._band_periodogram(
-        path.values, path.grid, (0.1, 3.0), est._DETECT_PAD, out=scratch
-    )
-    assert not np.shares_memory(vals, scratch)
-    assert not np.shares_memory(freqs, scratch)
-    scratch[-1] = np.nan
-    est.detect_frequencies(path, 2)
-    # detection wrote its phase transforms there; the last phase's bins
-    # past the band stay its unscaled transform
-    assert scratch[-1] == np.fft.rfft(path.values[d - 1::d], nfft // d)[-1]
+def _loop_calls():
+    """gaussian_path, periodogram_grid and detect_frequencies on each of
+    the paths in turn: the loop's three users of the "fft" workspace."""
+    noise = preset_noise("smooth")
+    calls = []
+    for seed, path in enumerate(_paths()):
+        calls += [
+            lambda p=path, s=seed: gaussian_path(noise, p.grid, s),
+            lambda p=path: est.periodogram_grid(p),
+            lambda p=path: est.detect_frequencies(p, 2),
+        ]
+    return calls
 
 
-def test_band_periodogram_takes_any_large_enough_buffer():
-    # out may be of any shape and larger than the phase transforms need;
-    # they fill it from its start and the band keeps the bits it has
-    # without out
-    path = _paths()[2]
-    band = (0.1, 3.0)
-    want = est._band_periodogram(path.values, path.grid, band)
-    nfft, d = est._band_window(path.grid, band)[:2]
-    for buffer in (np.empty(nfft // 2 + d, complex), np.empty((3, nfft), complex)):
-        got = est._band_periodogram(path.values, path.grid, band, out=buffer)
-        assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+def _arrays(result) -> list:
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+def test_loop_results_do_not_share_the_workspace():
+    # every array the loop returns is its own; the workspace holds only
+    # scratch that the next call overwrites
+    for call in _loop_calls():
+        arrays = _arrays(call())
+        buffers = list(spectral._WORKSPACES.arrays.values())
+        assert buffers
+        for array in arrays:
+            assert not any(np.shares_memory(array, buf) for buf in buffers)
+
+
+def test_loop_calls_in_turn_keep_earlier_results():
+    # the three calls share one workspace key over grids of three sizes;
+    # later calls grow and rewrite it without touching what earlier ones
+    # returned
+    calls = _loop_calls()
+    alone = [[_bits(a).copy() for a in _arrays(call())] for call in calls]
+    held = [_arrays(call()) for call in calls]
+    for call in reversed(calls):
+        call()
+    for got, want in zip(held, alone):
+        assert len(got) == len(want)
+        assert all(np.array_equal(_bits(g), w) for g, w in zip(got, want))
+
+
+def _run_switching(threads):
+    """Start and join the threads with the switch interval cut short, so
+    they swap often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_threads_match_serial_paths():
+    # each thread draws into its own half spectrum and inverse FFT output;
+    # a shared one shows as changed bits
+    noise = preset_noise("seasonal")
+    grids = [SamplingGrid(h, 0.25) for h in (64.25, 1024.0, 250.0, 2048.0)]
+    serial = [_bits(gaussian_path(noise, g, 7 + i)).copy() for i, g in enumerate(grids)]
+    start = threading.Barrier(len(grids))
+    mismatches = []
+
+    def worker(i):
+        start.wait()
+        for _ in range(16):
+            if not np.array_equal(_bits(gaussian_path(noise, grids[i], 7 + i)), serial[i]):
+                mismatches.append(i)
+
+    _run_switching([threading.Thread(target=worker, args=(i,)) for i in range(len(grids))])
+    assert mismatches == []
 
 
 def test_threads_match_serial_plug_ins():
@@ -169,15 +220,5 @@ def test_threads_match_serial_plug_ins():
             if not all(np.array_equal(g, w) for g, w in zip(got, serial[phi])):
                 mismatches.append((phi, "bits differ"))
 
-    threads = [threading.Thread(target=worker, args=(phi,)) for phi in estimates]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _run_switching([threading.Thread(target=worker, args=(phi,)) for phi in estimates])
     assert mismatches == []
