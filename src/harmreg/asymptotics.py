@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     require_count,
 )
-from .hermite import TransformSpec, hermite_weight
+from .hermite import TransformSpec, hermite_weight, require_order
 from .simulate import HarmonicModel, amplitude_squared
 from .spectral import (
     NoiseSpec,
@@ -70,11 +70,13 @@ def _self_convolutions(spec: NoiseSpec, rank: int, orders, lam: float):
     call of the cosine-transform engine shared by all orders. Each order's
     estimate (body: comparison with the rule at twice the panel width;
     tail: the closure bounds) must stay within _SELF_CONV_TOL (1e-5). A
-    frequency that is not finite raises ValidationError."""
+    frequency that is not finite, or an order above MAX_ORDER (170), raises
+    ValidationError."""
     lam = abs(_require_frequency(lam))
     for k in orders:
         if k < 1 or k < rank:
             raise ValidationError(f"order k = {k} must be >= rank = {rank}")
+        require_order(k)
         _require_integrable(spec, k, f"self-convolution of order {k}")
     if not orders:
         return [], []
@@ -100,7 +102,7 @@ def self_convolution(spec: NoiseSpec, rank: int, k: int, lam: float) -> float:
     """k-fold self-convolution of the spectral density at frequency lam,
     computed as (1/2pi) * integral of B(t)^k cos(lam t) dt.
 
-    Requires k >= rank and an integrable power: the envelope decay
+    Requires rank <= k <= 170 and an integrable power: the envelope decay
     exponent times k above 1 (alpha * rho / 2 per component). Even in
     lam. The quadrature error estimate must stay within 1e-5.
     """

@@ -40,9 +40,9 @@ def _parse_band(text: str) -> tuple[float, float]:
     return band
 
 
-def _require(value, what: str, source: str):
+def _require(value, block: str, source: str):
     if value is None:
-        raise ValidationError(f"{source} does not define {what}")
+        raise ValidationError(f"{source} does not define a [{block}] block")
     return value
 
 
@@ -54,12 +54,11 @@ def _out_path(args, name: str) -> str:
 
 def _cmd_simulate(args) -> int:
     blocks = cfg.read_file(args.config)
-    noise = _require(cfg.load_noise(blocks), "a [noise] block", args.config)
-    transform = _require(cfg.load_transform(blocks), "a [transform] block", args.config)
+    noise = _require(cfg.load_noise(blocks), "noise", args.config)
+    transform = _require(cfg.load_transform(blocks), "transform", args.config)
     model = cfg.load_model(blocks)
-    grids = cfg.load_grids(blocks)
-    if not grids:
-        raise ValidationError(f"{args.config} does not define a [grid] block")
+    # a config without grids is refused like one without any other block
+    grids = _require(cfg.load_grids(blocks) or None, "grid", args.config)
     exp = cfg.load_experiment(blocks)
     master = args.seed if args.seed is not None else exp.get("master_seed", 0)
     allow = exp.get("allow_a4_violation", False)
@@ -85,9 +84,7 @@ def _cmd_estimate(args) -> int:
     band = _parse_band(args.band) if args.band else DEFAULT_BAND
     truth = None
     if args.truth:
-        truth = _require(
-            cfg.load_model(cfg.read_file(args.truth)), "a [model] block", args.truth
-        )
+        truth = _require(cfg.load_model(cfg.read_file(args.truth)), "model", args.truth)
     result = estimate_harmonics(path, args.n_harmonics, band=band, truth=truth)
     blocks = [cfg.format_block("estimate", [
         ("horizon", result.horizon),
@@ -111,17 +108,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    model = _require(
-        cfg.load_model(cfg.read_file(args.model)), "a [model] block", args.model
-    )
-    noise = _require(
-        cfg.load_noise(cfg.read_file(args.noise)), "a [noise] block", args.noise
-    )
-    transform = _require(
-        cfg.load_transform(cfg.read_file(args.transform)),
-        "a [transform] block",
-        args.transform,
-    )
+    model = _require(cfg.load_model(cfg.read_file(args.model)), "model", args.model)
+    noise = _require(cfg.load_noise(cfg.read_file(args.noise)), "noise", args.noise)
+    transform = _require(cfg.load_transform(cfg.read_file(args.transform)), "transform",
+                         args.transform)
     report = gamma_report(model, transform, noise, j_max=args.j_max, mode=args.mode)
     blocks = [cfg.format_block("gamma_report", [("mode", report.mode), ("j_max", report.j_max)])]
     for k, phi in enumerate(report.frequencies):
@@ -156,11 +146,9 @@ def _cmd_montecarlo(args) -> int:
             "(or pass --seed)"
         )
     conf = ExperimentConfig(
-        noise=_require(cfg.load_noise(blocks), "a [noise] block", args.config),
-        transform=_require(
-            cfg.load_transform(blocks), "a [transform] block", args.config
-        ),
-        model=_require(cfg.load_model(blocks), "a [model] block", args.config),
+        noise=_require(cfg.load_noise(blocks), "noise", args.config),
+        transform=_require(cfg.load_transform(blocks), "transform", args.config),
+        model=_require(cfg.load_model(blocks), "model", args.config),
         grids=cfg.load_grids(blocks),
         **exp,
     )
@@ -182,10 +170,8 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_moments(args) -> int:
     blocks = cfg.read_file(args.config)
-    orders = _require(cfg.load_orders(blocks), "a [moments] block", args.config)
-    corr = _require(
-        cfg.load_correlation(blocks), "a [correlation] block", args.config
-    )
+    orders = _require(cfg.load_orders(blocks), "moments", args.config)
+    corr = _require(cfg.load_correlation(blocks), "correlation", args.config)
     print(cfg.format_block("moments", [
         ("orders", orders),
         ("moment", hermite_product_moment(orders, corr)),

@@ -5,8 +5,10 @@ lines; ``#`` starts a comment. Three blocks repeat: each ``[noise]`` block
 is one covariance component, each ``[model]`` block one harmonic, each
 ``[grid]`` block one sampling grid of the schedule. Every other block may
 appear once, and a ``preset`` ``[noise]`` block once. Keys may repeat
-inside a block where noted (``row`` in ``[correlation]``). Reports are
-written in the same syntax by ``format_block``.
+inside a block where noted (``row`` in ``[correlation]``). One table,
+``_BLOCKS``, holds each block's keys and the reader of each key's value;
+the loaders take the values it has read and keep only the rules that tie
+keys together. Reports are written in the same syntax by ``format_block``.
 
 CSV files (sample paths, transform tables and the tables of numbers the
 command line writes) are written by ``format_csv`` and read by
@@ -26,23 +28,6 @@ from .hermite import TransformSpec, make_transform
 from .simulate import DEFAULT_BAND, DEFAULT_DT, HarmonicModel, SamplePath, SamplingGrid
 from .spectral import NoiseComponent, NoiseSpec, preset_noise
 
-_BLOCK_KEYS = {
-    "noise": {"preset", "d", "alpha", "kappa", "rho"},
-    "transform": {"kind", "coeffs", "k_max", "table"},
-    "model": {"a", "b", "phi"},
-    "band": {"low", "high"},
-    "grid": {"horizon", "dt"},
-    "experiment": {
-        "replications",
-        "master_seed",
-        "j_max",
-        "noise_scale",
-        "allow_a4_violation",
-    },
-    "correlation": {"row"},
-    "moments": {"orders"},
-}
-
 
 def parse_blocks(text: str):
     """Parse config text into an ordered list of (block_name, pairs) where
@@ -55,7 +40,7 @@ def parse_blocks(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _BLOCK_KEYS:
+            if name not in _BLOCKS:
                 raise ValidationError(f"line {lineno}: unknown block [{name}]")
             current = (name, [])
             blocks.append(current)
@@ -66,7 +51,7 @@ def parse_blocks(text: str):
             raise ValidationError(f"line {lineno}: key outside any block")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in _BLOCK_KEYS[current[0]]:
+        if key not in _BLOCKS[current[0]]:
             raise ValidationError(
                 f"line {lineno}: unknown key {key!r} in block [{current[0]}]"
             )
@@ -109,6 +94,46 @@ def _items(value: str, context: str) -> list[str]:
 
 def _as_floats(value: str, context: str) -> tuple[float, ...]:
     return tuple(_as_float(p, context) for p in _items(value, context))
+
+
+def _as_ints(value: str, context: str) -> tuple[int, ...]:
+    return tuple(_as_int(p, context) for p in _items(value, context))
+
+
+def _as_bool(value: str, context: str) -> bool:
+    raw = value.lower()
+    if raw not in ("true", "false", "0", "1"):
+        raise ValidationError(f"{context} must be boolean")
+    return raw in ("true", "1")
+
+
+def _as_text(value: str, context: str) -> str:
+    return value
+
+
+# every block's keys, each with the reader of its value; a block's values
+# are read in this order
+_BLOCKS = {
+    "noise": {"preset": _as_text, **dict.fromkeys(("d", "alpha", "kappa", "rho"), _as_float)},
+    "transform": {
+        "kind": _as_text,
+        "k_max": _as_int,
+        "coeffs": _as_floats,
+        "table": lambda path, context: read_table(path),
+    },
+    "model": dict.fromkeys(("a", "b", "phi"), _as_float),
+    "band": dict.fromkeys(("low", "high"), _as_float),
+    "grid": dict.fromkeys(("horizon", "dt"), _as_float),
+    "experiment": {
+        "replications": _as_int,
+        "master_seed": as_seed,
+        "j_max": _as_int,
+        "noise_scale": _as_float,
+        "allow_a4_violation": _as_bool,
+    },
+    "correlation": {"row": _as_floats},
+    "moments": {"orders": _as_ints},
+}
 
 
 def _render(value) -> str:
@@ -211,39 +236,45 @@ def _only(blocks, name: str):
     return found[0] if found else None
 
 
-def _single(pairs, context: str) -> dict:
-    out = {}
+def _read(name: str, key: str, value: str):
+    """One value of a [name] block, read by the table's reader; a message
+    names an [experiment] key without its block."""
+    return _BLOCKS[name][key](value, key if name == "experiment" else f"[{name}] {key}")
+
+
+def _typed(name: str, pairs) -> dict | None:
+    """The values of one [name] block by key, read in the table's order, or
+    None for an absent block (pairs None); a repeated key is refused before
+    any value is read."""
+    if pairs is None:
+        return None
+    raw = {}
     for key, value in pairs:
-        if key in out:
-            raise ValidationError(f"{context}: duplicate key {key!r}")
-        out[key] = value
-    return out
+        if key in raw:
+            raise ValidationError(f"[{name}]: duplicate key {key!r}")
+        raw[key] = value
+    return {key: _read(name, key, raw[key]) for key in _BLOCKS[name] if key in raw}
+
+
+def _each(blocks, name: str):
+    """The values of every [name] block, read one block at a time."""
+    return (_typed(name, pairs) for block, pairs in blocks if block == name)
 
 
 def load_noise(blocks) -> NoiseSpec | None:
     comps = []
     preset = None
-    for name, pairs in blocks:
-        if name != "noise":
-            continue
-        d = _single(pairs, "[noise]")
+    for d in _each(blocks, "noise"):
         if "preset" in d:
             if len(d) > 1:
                 raise ValidationError("[noise]: preset excludes other keys")
             if preset is not None:
                 raise ValidationError("[noise]: a preset may appear only once")
             preset = d["preset"]
-            continue
-        if "d" not in d or "alpha" not in d:
+        elif "d" not in d or "alpha" not in d:
             raise ValidationError("[noise]: d and alpha are required")
-        comps.append(
-            NoiseComponent(
-                weight=_as_float(d["d"], "[noise] d"),
-                alpha=_as_float(d["alpha"], "[noise] alpha"),
-                kappa=_as_float(d.get("kappa", "0"), "[noise] kappa"),
-                rho=_as_float(d.get("rho", "2"), "[noise] rho"),
-            )
-        )
+        else:
+            comps.append(NoiseComponent(d["d"], d["alpha"], d.get("kappa", 0.0), d.get("rho", 2.0)))
     if preset is not None:
         if comps:
             raise ValidationError("[noise]: mix of preset and explicit components")
@@ -254,27 +285,18 @@ def load_noise(blocks) -> NoiseSpec | None:
 
 
 def load_transform(blocks) -> TransformSpec | None:
-    pairs = _only(blocks, "transform")
-    if pairs is None:
+    """The [transform] block as ``make_transform`` builds it from the
+    block's keys; ``make_transform`` refuses a key the kind does not read."""
+    d = _typed("transform", _only(blocks, "transform"))
+    if d is None:
         return None
-    d = _single(pairs, "[transform]")
     if "kind" not in d:
         raise ValidationError("[transform]: kind is required")
-    kind = d["kind"]
-    kwargs = {}
-    if "k_max" in d:
-        kwargs["k_max"] = _as_int(d["k_max"], "[transform] k_max")
-    if kind == "hermite-polynomial":
-        if "coeffs" not in d:
-            raise ValidationError("[transform]: coeffs required for this kind")
-        kwargs["coeffs"] = _as_floats(d["coeffs"], "[transform] coeffs")
-    elif kind == "user-table":
-        if "table" not in d:
-            raise ValidationError("[transform]: table path required for this kind")
-        kwargs["table"] = read_table(d["table"])
-    elif "coeffs" in d or "table" in d:
-        raise ValidationError(f"[transform]: extra keys for kind {kind!r}")
-    return make_transform(kind, **kwargs)
+    if d["kind"] == "hermite-polynomial" and "coeffs" not in d:
+        raise ValidationError("[transform]: coeffs required for this kind")
+    if d["kind"] == "user-table" and "table" not in d:
+        raise ValidationError("[transform]: table path required for this kind")
+    return make_transform(**d)
 
 
 def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -290,74 +312,38 @@ def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_model(blocks) -> HarmonicModel | None:
-    band = None
-    pairs = _only(blocks, "band")
-    if pairs is not None:
-        d = _single(pairs, "[band]")
-        if set(d) != {"low", "high"}:
-            raise ValidationError("[band]: needs exactly low and high")
-        band = (_as_float(d["low"], "[band] low"), _as_float(d["high"], "[band] high"))
+    band = _typed("band", _only(blocks, "band"))
+    if band is not None and band.keys() != {"low", "high"}:
+        raise ValidationError("[band]: needs exactly low and high")
     harmonics = []
-    for name, pairs in blocks:
-        if name != "model":
-            continue
-        d = _single(pairs, "[model]")
-        if set(d) != {"a", "b", "phi"}:
+    for d in _each(blocks, "model"):
+        if d.keys() != {"a", "b", "phi"}:
             raise ValidationError("[model]: needs exactly a, b, phi")
-        harmonics.append(
-            (
-                _as_float(d["a"], "[model] a"),
-                _as_float(d["b"], "[model] b"),
-                _as_float(d["phi"], "[model] phi"),
-            )
-        )
+        harmonics.append((d["a"], d["b"], d["phi"]))
     if not harmonics:
         if band is not None:
             raise ValidationError("[band] given without any [model] block")
         return None
-    return HarmonicModel(tuple(harmonics), band=band or DEFAULT_BAND)
+    band = (band["low"], band["high"]) if band else DEFAULT_BAND
+    return HarmonicModel(tuple(harmonics), band=band)
 
 
 def load_grids(blocks) -> tuple[SamplingGrid, ...]:
     grids = []
-    for name, pairs in blocks:
-        if name != "grid":
-            continue
-        d = _single(pairs, "[grid]")
+    for d in _each(blocks, "grid"):
         if "horizon" not in d:
             raise ValidationError("[grid]: horizon is required")
-        grids.append(
-            SamplingGrid(
-                horizon=_as_float(d["horizon"], "[grid] horizon"),
-                dt=_as_float(d.get("dt", str(DEFAULT_DT)), "[grid] dt"),
-            )
-        )
+        grids.append(SamplingGrid(horizon=d["horizon"], dt=d.get("dt", DEFAULT_DT)))
     return tuple(grids)
 
 
 def load_experiment(blocks) -> dict:
-    d = _single(_only(blocks, "experiment") or (), "[experiment]")
-    out = {}
-    if "replications" in d:
-        out["replications"] = _as_int(d["replications"], "replications")
-    if "master_seed" in d:
-        out["master_seed"] = as_seed(d["master_seed"], "master_seed")
-    if "j_max" in d:
-        out["j_max"] = _as_int(d["j_max"], "j_max")
-    if "noise_scale" in d:
-        out["noise_scale"] = _as_float(d["noise_scale"], "noise_scale")
-    if "allow_a4_violation" in d:
-        raw = d["allow_a4_violation"].lower()
-        if raw not in ("true", "false", "0", "1"):
-            raise ValidationError("allow_a4_violation must be boolean")
-        out["allow_a4_violation"] = raw in ("true", "1")
-    return out
+    return _typed("experiment", _only(blocks, "experiment") or ())
 
 
 def load_correlation(blocks) -> np.ndarray | None:
     # every key of the block is a row
-    rows = [_as_floats(value, "[correlation] row")
-            for _, value in _only(blocks, "correlation") or ()]
+    rows = [_read("correlation", "row", value) for _, value in _only(blocks, "correlation") or ()]
     if not rows:
         return None
     width = len(rows[0])
@@ -367,13 +353,10 @@ def load_correlation(blocks) -> np.ndarray | None:
 
 
 def load_orders(blocks) -> tuple[int, ...] | None:
-    pairs = _only(blocks, "moments")
-    if pairs is None:
-        return None
-    d = _single(pairs, "[moments]")
-    if "orders" not in d:
+    d = _typed("moments", _only(blocks, "moments"))
+    if d is not None and "orders" not in d:
         raise ValidationError("[moments]: orders is required")
-    return tuple(_as_int(p, "[moments] orders") for p in _items(d["orders"], "[moments] orders"))
+    return None if d is None else d["orders"]
 
 
 def read_file(path: str):

@@ -22,6 +22,7 @@ from .spectral import NoiseSpec, covariance
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 DEFAULT_K_MAX = 20
+MAX_ORDER = 170  # the largest k whose k! a float holds
 RANK_TOL = 1e-8
 
 _STABILITY = 1e-9
@@ -41,6 +42,15 @@ def hermite(k: int, x):
     for h in _hermite_rows(np.asarray(x, dtype=float), int(k)):
         pass  # only the last row, H_k, is kept
     return h if h.ndim else float(h)
+
+
+def require_order(k: int) -> None:
+    """Refuse a Hermite order above MAX_ORDER, whose factorial overflows a
+    float."""
+    if k > MAX_ORDER:
+        raise ValidationError(
+            f"Hermite order {k} exceeds {MAX_ORDER}: its factorial overflows a float"
+        )
 
 
 def _phi(x):
@@ -139,9 +149,10 @@ def hermite_coefficients(g, k_max: int = DEFAULT_K_MAX, breakpoints=()) -> np.nd
     ------
     QuadratureError : the 8- and 16-node rules disagree by more than 1e-9.
     ValidationError : |C_0| > 1e-8 (the transform must be centered), or
-        k_max is not an integer of at least 1.
+        k_max is not an integer from 1 to MAX_ORDER (170).
     """
     require_count("k_max", k_max, 1)
+    require_order(k_max)
     return _coefficients(g, k_max, breakpoints)[0]
 
 
@@ -293,16 +304,25 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
     kind='hermite-polynomial' takes ``coeffs`` as the list C_0, C_1, ...
     (moment convention) with C_0 = 0, so G = H_2 is (0, 0, 2);
     kind='user-table' takes ``table`` as an (x, G(x)) pair of arrays
-    covering the bulk of the standard normal range. k_max, the last order
-    kept, is an integer of at least 1.
+    covering the bulk of the standard normal range. Each kind reads only
+    its own key: ``coeffs`` given to any other kind than
+    'hermite-polynomial', or ``table`` to any other than 'user-table', is
+    refused. k_max, the last order kept, is an integer from 1 to MAX_ORDER
+    (170), and the last order of ``coeffs`` is at most MAX_ORDER too.
     """
+    for key, value, own in (("coeffs", coeffs, "hermite-polynomial"),
+                            ("table", table, "user-table")):
+        if value is not None and kind != own:
+            raise ValidationError(f"extra keys for kind {kind!r}: {key} belongs to kind {own!r}")
     require_count("k_max", k_max, 1)
+    require_order(k_max)
     if kind in _CLOSED_FORM:
         g, kinks = _CLOSED_FORM[kind]
         return _finish_transform(kind, *_coefficients(g, k_max, kinks))
     if kind == "hermite-polynomial":
         if coeffs is None:
             raise ValidationError("hermite-polynomial transform requires coeffs")
+        require_order(len(coeffs) - 1)
         c = np.zeros(max(k_max + 1, len(coeffs)))
         c[: len(coeffs)] = np.asarray(coeffs, dtype=float)
         bad = np.flatnonzero(~np.isfinite(c))

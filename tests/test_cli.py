@@ -305,6 +305,15 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "path_T64.csv").exists()
 
+    def test_order_above_170_exits_2(self, tmp_path):
+        # 171! overflows a float; the order is refused where it enters
+        cfg = tmp_path / "k_max.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("kind = identity", "kind = identity\nk_max = 200"))
+        code, _, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == "error: Hermite order 200 exceeds 170: its factorial overflows a float\n"
+        assert not (tmp_path / "path_T64.csv").exists()
+
     def test_negative_master_seed_exits_2(self, tmp_path):
         cfg = tmp_path / "negative_seed.cfg"
         cfg.write_text(EXPERIMENT_CFG.replace("master_seed = 7", "master_seed = -3"))

@@ -154,9 +154,23 @@ def test_load_transform_absent():
         ("[transform]\nkind = cube\ncoeffs = 1\n", "extra keys"),
         ("[transform]\nkind = identity\nk_max = few\n", "not an integer"),
         ("[transform]\nkind = hermite-polynomial\ncoeffs = 0, , 2\n", "empty list item"),
+        # each kind reads only its own key
+        ("[transform]\nkind = identity\ncoeffs = 0, 0, 2\n", "extra keys"),
+        ("[transform]\nkind = cube\ntable = table.csv\n", "extra keys"),
+        ("[transform]\nkind = hermite-polynomial\ncoeffs = 0, 1\ntable = table.csv\n",
+         "extra keys"),
+        ("[transform]\nkind = user-table\ntable = table.csv\ncoeffs = 0, 0, 2\n", "extra keys"),
+        # the table is read before the kind is checked
+        ("[transform]\nkind = hermite-polynomial\ncoeffs = 0, 1\ntable = nowhere.csv\n",
+         "cannot read table file"),
+        # 171! overflows a float
+        ("[transform]\nkind = identity\nk_max = 200\n", "Hermite order 200 exceeds 170"),
     ],
 )
-def test_load_transform_rejects(text, fragment):
+def test_load_transform_rejects(text, fragment, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    xs = np.linspace(-6.0, 6.0, 1201)
+    config.write_csv("table.csv", ["x", "g"], np.column_stack([xs, xs]).tolist())
     with pytest.raises(ValidationError, match=fragment):
         config.load_transform(config.parse_blocks(text))
 
@@ -257,6 +271,7 @@ def test_load_model_absent():
         ("[model]\na = 1\nb = 0.5\n", "needs exactly a, b, phi"),
         ("[band]\nlow = 0.1\nhigh = 3\n", "without any"),
         ("[band]\nlow = 0.1\n\n[model]\na = 1\nb = 0\nphi = 1\n", "exactly low and high"),
+        ("[band]\n\n[model]\na = 1\nb = 0\nphi = 1\n", "exactly low and high"),
     ],
 )
 def test_load_model_rejects(text, fragment):
@@ -293,7 +308,7 @@ def test_experiment_keys_are_the_config_fields():
     # every [experiment] key reaches an ExperimentConfig field, and every
     # scalar field has a key
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert config._BLOCK_KEYS["experiment"] == fields - {"noise", "transform", "model", "grids"}
+    assert config._BLOCKS["experiment"].keys() == fields - {"noise", "transform", "model", "grids"}
 
 
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from harmreg import (
     enumerate_diagrams,
     hermite_product_moment,
     is_regular,
+    diagrams,
     regular_census,
 )
 from harmreg.errors import SizeLimitError, ValidationError
@@ -136,6 +138,25 @@ def test_distinct_arrangements_run_to_the_enumeration_bound():
     assert distinct_arrangements((1,) * 24) == 1
     assert distinct_arrangements((1, 2) * 8) == math.comb(16, 8)
     assert distinct_arrangements(range(1, 7)) == math.factorial(6)
+
+
+def test_matching_bound_refuses_at_once():
+    # (1,) * 24 admits 23!! ~ 3.2e11 matchings and (12, 12) is bounded by the
+    # same count; both are refused before any is walked
+    for orders in ((1,) * 24, (12, 12), (1,) * 16):
+        for call in (enumerate_diagrams, regular_census,
+                     lambda o: hermite_product_moment(o, np.eye(len(o)))):
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError, match="matchings, above the bound 135135$"):
+                call(orders)
+            assert time.perf_counter() - start < 0.05
+    # every tuple the tests enumerate is admitted (each sum of at most 8 over
+    # up to four levels, and the census tuples), up to the largest, (1,) * 14
+    admitted = [o for p in range(1, 5) for o in itertools.product(range(1, 9), repeat=p)
+                if sum(o) <= 8]
+    admitted += [(2, 2, 3, 3), (2, 2, 1, 1, 1, 1), (1,) * 14, (7, 7)]
+    for orders in admitted:
+        assert diagrams._level_matchings(orders)[0] == orders
 
 
 def test_distinct_arrangements_validates_orders():

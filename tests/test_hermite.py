@@ -257,6 +257,20 @@ def test_k_max_must_be_a_positive_integer(k_max):
         hermite_coefficients(np.abs, k_max, breakpoints=(0.0,))
 
 
+@pytest.mark.parametrize(
+    "kind, kwargs",
+    [
+        ("identity", {"coeffs": (0, 0, 2)}),
+        ("cube", {"table": ([-1.0, 1.0], [-1.0, 1.0])}),
+        ("hermite-polynomial", {"coeffs": (0, 1), "table": ([-1.0, 1.0], [-1.0, 1.0])}),
+        ("user-table", {"coeffs": (0, 1), "table": ([-1.0, 1.0], [-1.0, 1.0])}),
+    ],
+)
+def test_each_kind_reads_only_its_own_key(kind, kwargs):
+    with pytest.raises(ValidationError, match=f"^extra keys for kind '{kind}'"):
+        make_transform(kind, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # user tables
 

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from harmreg import asymptotics, estimator, simulate, spectral
+from harmreg import asymptotics, estimator, hermite, simulate, spectral
 from harmreg.cli import main
 from harmreg.errors import ValidationError
 from harmreg.hermite import make_transform
@@ -150,6 +150,21 @@ CONDITIONS = {
             "trig_spectral_measure": lambda: asymptotics.trig_spectral_measure(0.0, 0.0, 1.3),
             "cli-simulate": ("simulate", _cfg_text(model="a = 0\nb = 0\nphi = 1.3\n")),
             "cli-montecarlo": ("montecarlo", _cfg_text(model="a = 0\nb = 0\nphi = 1.3\n")),
+        },
+    ),
+    "order-above-170": (
+        lambda: hermite.require_order(171),
+        {
+            "make_transform-k_max": lambda: make_transform("identity", k_max=171),
+            "hermite_coefficients": lambda: hermite.hermite_coefficients(np.abs, 171, (0.0,)),
+            "make_transform-coeffs": lambda: make_transform(
+                "hermite-polynomial", coeffs=[0.0, 1.0] + [0.0] * 170),
+            "self_convolution": lambda: asymptotics.self_convolution(SMOOTH, 1, 171, 1.0),
+            "cli-simulate": ("simulate", _cfg_text().replace(
+                "kind = identity\n", "kind = identity\nk_max = 171\n")),
+            "cli-montecarlo": ("montecarlo", _cfg_text().replace(
+                "kind = identity\n",
+                "kind = hermite-polynomial\ncoeffs = 0, 1" + ", 0" * 170 + "\n")),
         },
     ),
 }

@@ -3,7 +3,6 @@ counts, aggregation and report logic, and the statistical diagnostics."""
 
 import concurrent.futures
 import dataclasses
-import gc
 import math
 import os
 import re
@@ -16,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from harmreg import asymptotics, montecarlo
+from harmreg import asymptotics, montecarlo, spectral
 from harmreg.asymptotics import gamma_report
 from harmreg.errors import (
     DegenerateVarianceError,
@@ -964,10 +963,13 @@ class TestLemma2Decay:
     @pytest.mark.parametrize("threads, budget", [(2, None), (3, None), (3, 1)])
     def test_chunks_in_flight_share_the_budget(self, smooth, monkeypatch,
                                                threads, budget):
-        # every zero-padded spectrum, half spectrum and inverse FFT output
-        # is counted from its FFT call until it is freed; the sum over all
-        # threads stays within the budget, or within one row per thread
-        # when the budget is smaller than that
+        # the FFT outputs are views into each thread's "fft" workspace,
+        # which stays allocated after the call: summed over all threads, the
+        # workspaces stay within the budget, or within one row per thread
+        # when the budget is smaller than that; every zero-padded spectrum,
+        # half spectrum and inverse FFT output is also counted from its FFT
+        # call until it is freed, and the peak of that count keeps to the
+        # same bound
         horizons, replications = (512.0, 2048.0, 8192.0), 20
         # build the embeddings before the spies go in
         lemma2_decay(smooth, IDENTITY, horizons, 2, master_seed=3)
@@ -976,6 +978,16 @@ class TestLemma2Decay:
         monkeypatch.setattr(montecarlo, "_sweep_threads", lambda: threads)
         lock = threading.RLock()
         live = {"bytes": 0, "peak": 0, "row": 0}
+        workspaces = []
+
+        class Recorder(spectral._Workspaces):
+            # runs once in every thread that asks for a workspace
+            def __init__(self):
+                super().__init__()
+                with lock:
+                    workspaces.append(self.arrays)
+
+        monkeypatch.setattr(spectral, "_WORKSPACES", Recorder())
 
         def track(array, rows):
             with lock:
@@ -1004,12 +1016,14 @@ class TestLemma2Decay:
         monkeypatch.setattr(np.fft, "rfft", spied_rfft)
         monkeypatch.setattr(np.fft, "irfft", spied_irfft)
         lemma2_decay(smooth, IDENTITY, horizons, replications, master_seed=3)
-        gc.collect()
-        assert live["bytes"] == 0
+        fft = [arrays["fft"].nbytes for arrays in workspaces if "fft" in arrays]
+        assert 1 <= len(fft) <= threads
         if budget is None:
+            assert sum(fft) <= montecarlo._SWEEP_CHUNK_BYTES
             assert live["peak"] <= montecarlo._SWEEP_CHUNK_BYTES
         else:
             # one row: a spectrum, or a half spectrum and its inverse
+            assert sum(fft) <= threads * 2 * live["row"]
             assert live["peak"] <= threads * 2 * live["row"]
 
     @pytest.mark.parametrize("where", ["helper", "caller"])
