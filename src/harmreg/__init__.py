@@ -56,7 +56,6 @@ from .estimator import (
 )
 from .hermite import (
     TransformSpec,
-    hermite_coefficients,
     hermite_rank,
     make_transform,
     subordinated_covariance,

@@ -95,22 +95,22 @@ def enumerate_diagrams(orders) -> list[Diagram]:
     return [Diagram(orders, frozenset(edges)) for edges in matchings]
 
 
-def is_regular(d: Diagram) -> bool:
-    """True iff the levels split into pairs with no edge crossing pairs."""
-    p = len(d.levels)
+def _regular(p: int, edges) -> bool:
+    """True iff the p levels split into pairs with no edge crossing pairs:
+    every level meets exactly one other level, and that one only it."""
     if p % 2:
         return False
     partner = {}
-    for (j1, _), (j2, _) in d.edges:
-        partner.setdefault(j1, set()).add(j2)
-        partner.setdefault(j2, set()).add(j1)
-    # every level must connect to exactly one other level, reciprocally
-    pairing = {}
-    for j, targets in partner.items():
-        if len(targets) != 1:
+    for (j1, _), (j2, _) in edges:
+        # each level keeps the first level it meets and may meet no other
+        if partner.setdefault(j1, j2) != j2 or partner.setdefault(j2, j1) != j1:
             return False
-        pairing[j] = next(iter(targets))
-    return all(pairing.get(pairing.get(j)) == j for j in range(p))
+    return partner.keys() == set(range(p))
+
+
+def is_regular(d: Diagram) -> bool:
+    """True iff the levels split into pairs with no edge crossing pairs."""
+    return _regular(len(d.levels), d.edges)
 
 
 def count_regular(groups) -> int:
@@ -142,7 +142,8 @@ def count_regular(groups) -> int:
 
 def regular_census(orders) -> int:
     """|{regular diagrams}| for one fixed ordering of the levels."""
-    return sum(1 for d in enumerate_diagrams(orders) if is_regular(d))
+    orders, matchings = _level_matchings(orders)
+    return sum(_regular(len(orders), edges) for edges in matchings)
 
 
 def distinct_arrangements(orders) -> int:

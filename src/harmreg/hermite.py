@@ -24,10 +24,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 DEFAULT_K_MAX = 20
 MAX_ORDER = 170  # the largest k whose k! a float holds
 RANK_TOL = 1e-8
-
-_STABILITY = 1e-9
+# phi(x) underflows to exactly 0 beyond |x| ~ 38.6, so nothing of a
+# table lies outside [-_CUTOFF, _CUTOFF]
 _CUTOFF = 40.0
-_PANEL_WIDTH = 1.0
 
 
 def hermite(k: int, x):
@@ -39,8 +38,10 @@ def hermite(k: int, x):
         raise ValidationError(f"hermite order must be a nonnegative integer, got {k}")
     if k > 60:
         raise ValidationError(f"hermite order overflow: k = {k} exceeds 60")
-    for h in _hermite_rows(np.asarray(x, dtype=float), int(k)):
-        pass  # only the last row, H_k, is kept
+    x = np.asarray(x, dtype=float)
+    h_prev, h = np.zeros_like(x), np.ones_like(x)
+    for j in range(int(k)):
+        h, h_prev = x * h - j * h_prev, h
     return h if h.ndim else float(h)
 
 
@@ -57,62 +58,28 @@ def _phi(x):
     return np.exp(-0.5 * x * x) / SQRT_2PI
 
 
-def _hermite_rows(x, k_max: int):
-    # H_0(x), ..., H_k_max(x), one three-term recurrence step per order
-    h_prev, h = np.zeros_like(x), np.ones_like(x)
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _scaled_rows(x, k_max: int):
+    # phi(x) H_k(x) / sqrt(k!) for k = 0..k_max; by Cramer's bound these stay
+    # below 1/2 in size through order 170, where H_k(x) alone overflows, and
+    # every row of a point where phi(x) underflows is exactly 0
+    h_prev, h = np.zeros_like(x), _phi(x)
     for k in range(k_max + 1):
         yield h
-        if k < k_max:
-            h, h_prev = x * h - k * h_prev, h
+        h, h_prev = (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1), h
 
 
-def _stable(prev: np.ndarray, cur: np.ndarray) -> bool:
-    # the natural magnitude of C_k grows like sqrt(k!), which puts an
-    # absolute criterion below roundoff at high order
-    scale = np.sqrt([float(math.factorial(k)) for k in range(len(cur))])
-    return bool(np.max(np.abs(cur - prev) / scale) <= _STABILITY)
-
-
-def _piecewise_edges(points) -> np.ndarray:
-    # phi(x) underflows to exactly 0 beyond |x| ~ 38.6, so nothing
-    # representable lies outside [-_CUTOFF, _CUTOFF]
-    return np.unique(np.clip([-_CUTOFF, *points, _CUTOFF], -_CUTOFF, _CUTOFF))
-
-
-def _piecewise_pass(g, edges, k_max: int, nodes: int) -> tuple[np.ndarray, float]:
-    """C_0..C_k_max and EG^2 by composite Gauss-Legendre with ``nodes``
-    points per panel; every interval between consecutive edges is split
-    into equal panels no wider than 1, and G is evaluated once."""
-    widths = np.diff(edges)
-    counts = np.ceil(widths / _PANEL_WIDTH).astype(int)
-    half = np.repeat(0.5 * widths / counts, counts)
-    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    mid = np.repeat(edges[:-1], counts) + half * (2 * index + 1)
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    x = (mid[:, None] + half[:, None] * u).ravel()
-    gx = g(x)
-    fw = (half[:, None] * w).ravel() * _phi(x) * gx
-    # x ascends; summing each side of 0 outward from the origin makes the
-    # two sums exact negatives for an odd integrand on mirrored nodes, so
-    # an even G gets odd coefficients of exactly 0
-    split = np.searchsorted(x, 0.0)
-
-    def integral(v):
-        return float(v[split:].sum() + v[:split][::-1].sum())
-
-    coeffs = np.array([integral(fw * h) for h in _hermite_rows(x, k_max)])
-    return coeffs, integral(fw * gx)
-
-
-def _piecewise_coefficients(g, edges, k_max: int) -> tuple[np.ndarray, float]:
-    rough, _ = _piecewise_pass(g, edges, k_max, 8)
-    fine, eg2 = _piecewise_pass(g, edges, k_max, 16)
-    if not _stable(rough, fine):
-        raise QuadratureError(
-            "piecewise Hermite coefficients did not stabilize to 1e-9; "
-            "declare breakpoints at kinks"
-        )
-    return fine, eg2
+def _knot_coefficients(knots, jumps, k_max: int) -> np.ndarray:
+    """C_2..C_k_max of a continuous piecewise-linear G whose slope jumps by
+    ``jumps`` at ``knots``. Integrating by parts twice with H_k phi =
+    -(H_(k-1) phi)' gives C_k = E[G' H_(k-1)] = sum_i jumps_i H_(k-2)(x_i)
+    phi(x_i)."""
+    out = np.zeros(k_max - 1)
+    for k, row in enumerate(_scaled_rows(knots, k_max - 2)):
+        out[k] = math.sqrt(math.factorial(k)) * float(jumps @ row)
+    return out
 
 
 # the largest |C_0| accepted; a table's interpolant picks up an O(h^2)
@@ -127,57 +94,49 @@ def _require_centered(c0: float, cap: float = _CENTER_CAP) -> None:
         raise ValidationError(f"transform has nonzero mean: C_0 = {c0:.3e} (must be centered)")
 
 
-def _coefficients(g, k_max: int, breakpoints) -> tuple[np.ndarray, float]:
-    coeffs, eg2 = _piecewise_coefficients(g, _piecewise_edges(breakpoints), k_max)
-    _require_centered(coeffs[0])
-    return coeffs, eg2
-
-
-def hermite_coefficients(g, k_max: int = DEFAULT_K_MAX, breakpoints=()) -> np.ndarray:
-    """Coefficients C_k = int G(x) H_k(x) phi(x) dx for k = 0..k_max.
-
-    Composite Gauss-Legendre on panels no wider than 1 between consecutive
-    edges of [-40, *breakpoints, 40], evaluating G once per rule; the 8-
-    and 16-node rules must agree to 1e-9 on the factorial-free scale
-    |Delta C_k| / sqrt(k!). Without ``breakpoints`` the panels are the
-    unit intervals between integers, so a kink at an integer (|x| at 0)
-    lies on a panel edge; a kink inside a panel (|x - 0.3| at 0.3) must be
-    declared in ``breakpoints``, or the two rules disagree. The same
-    16-node pass gives ``make_transform`` its EG^2.
-
-    Raises
-    ------
-    QuadratureError : the 8- and 16-node rules disagree by more than 1e-9.
-    ValidationError : |C_0| > 1e-8 (the transform must be centered), or
-        k_max is not an integer from 1 to MAX_ORDER (170).
-    """
-    require_count("k_max", k_max, 1)
-    require_order(k_max)
-    return _coefficients(g, k_max, breakpoints)[0]
-
-
 def _table_coefficients(xs, gs, k_max: int) -> tuple[np.ndarray, float, float]:
     """Coefficients and EG^2 of the centered table interpolant, and the
     constant shift that centers it. A centered transform tabulated at
     resolution h picks up an O(h^2) interpolation mean, so exact centering
     is enforced by absorbing that residual into a shift rather than
     rejecting the table; a mean beyond the cap signals a genuinely
-    uncentered transform."""
-    # the interpolant is linear between abscissae and constant outside
-    # the table, so panels split at every abscissa
-    g = lambda x: np.interp(x, xs, gs)
-    coeffs, eg2 = _piecewise_coefficients(g, _piecewise_edges(xs), k_max)
-    shift = float(coeffs[0])
+    uncentered transform.
+
+    The interpolant is linear between abscissae and constant outside the
+    table, so E[G] and EG^2 come from the truncated-normal moments of each
+    piece and of the two tails, C_1 = E[G'], and the knots are the
+    abscissae with outer slopes 0. The interpolant restricted to
+    [-_CUTOFF, _CUTOFF] has the same moments and squares no far abscissa."""
+    knots = np.unique(np.clip(xs, -_CUTOFF, _CUTOFF))
+    xs, gs = knots, np.interp(knots, xs, gs)
+    slopes = np.diff(gs) / np.diff(xs)
+    below, above = 0.5 * _erfc(-xs / math.sqrt(2.0)), 0.5 * _erfc(xs / math.sqrt(2.0))
+    a, b = xs[:-1], xs[1:]
+    # int_a^b x^j phi for j = 0, 1, 2; the mass comes from the tail on the
+    # side of the piece, so no far piece cancels to roundoff
+    m0 = np.where(a >= 0.0, above[:-1] - above[1:], below[1:] - below[:-1])
+    pa, pb = _phi(a), _phi(b)
+    m1 = pa - pb
+    m2 = m0 + a * pa - b * pb
+    icpt = gs[:-1] - slopes * a  # G = icpt + slope * x on the piece
+    tails = np.array([below[0], above[-1]])
+    shift = float(gs[[0, -1]] @ tails + np.sum(icpt * m0 + slopes * m1))
     _require_centered(shift, _TABLE_CENTER_CAP)
+    eg2 = float(gs[[0, -1]] ** 2 @ tails
+                + np.sum(icpt * icpt * m0 + 2.0 * icpt * slopes * m1 + slopes * slopes * m2))
     # subtracting a constant moves only C_0: int H_k phi = 0 for k >= 1;
     # E[(G - s)^2] = EG^2 - 2 s E[G] + s^2 with E[G] = s
-    coeffs[0] = 0.0
+    coeffs = np.zeros(k_max + 1)
+    coeffs[1] = slopes @ m0
+    coeffs[2:] = _knot_coefficients(xs, np.diff(slopes, prepend=0.0, append=0.0), k_max)
     return coeffs, shift, eg2 - shift * shift
 
 
 def hermite_rank(coeffs) -> int:
-    """Smallest k >= 1 with |C_k|/sqrt(k!) above RANK_TOL."""
+    """Smallest k >= 1 with |C_k|/sqrt(k!) above RANK_TOL; the last order
+    is at most MAX_ORDER."""
     coeffs = np.asarray(coeffs, dtype=float)
+    require_order(len(coeffs) - 1)
     for k in range(1, len(coeffs)):
         if abs(coeffs[k]) / math.sqrt(math.factorial(k)) > RANK_TOL:
             return k
@@ -185,8 +144,10 @@ def hermite_rank(coeffs) -> int:
 
 
 def hermite_weight(c: float, k: int) -> float:
-    """C_k^2 / k!, the weight of order k in the covariance of G(xi)."""
-    return c * c / math.factorial(k)
+    """C_k^2 / k!, the weight of order k in the covariance of G(xi), squared
+    from C_k / sqrt(k!) so that no C_k of order up to 170 overflows it."""
+    scaled = c / math.sqrt(math.factorial(k))
+    return scaled * scaled
 
 
 def subordinated_covariance(coeffs, spec: NoiseSpec, t):
@@ -215,12 +176,14 @@ def _g_centered_abs(x):
     return np.abs(np.asarray(x, dtype=float)) - _ABS_CENTER
 
 
-# the kinds with G in closed form: G and the kinks to declare as breakpoints
+# the kinds with G in closed form
 _CLOSED_FORM = {
-    "identity": (_g_identity, ()),
-    "cube": (_g_cube, ()),
-    "centered-absolute-value": (_g_centered_abs, (0.0,)),
+    "identity": _g_identity,
+    "cube": _g_cube,
+    "centered-absolute-value": _g_centered_abs,
 }
+# the closed-form kinds that are finite Hermite sums: x = H_1, x^3 = H_3 + 3 H_1
+_HERMITE_SUMS = {"identity": (0.0, 1.0), "cube": (0.0, 3.0, 0.0, 6.0)}
 
 
 @dataclass(frozen=True)
@@ -260,7 +223,7 @@ class TransformSpec:
     def g(self, x):
         """Apply G pointwise."""
         if self.kind in _CLOSED_FORM:
-            return _CLOSED_FORM[self.kind][0](x)
+            return _CLOSED_FORM[self.kind](x)
         if self.kind == "hermite-polynomial":
             weights = [c / math.factorial(k) for k, c in enumerate(self.coeffs)]
             return np.polynomial.hermite_e.hermeval(np.asarray(x, dtype=float), weights)
@@ -316,10 +279,8 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
             raise ValidationError(f"extra keys for kind {kind!r}: {key} belongs to kind {own!r}")
     require_count("k_max", k_max, 1)
     require_order(k_max)
-    if kind in _CLOSED_FORM:
-        g, kinks = _CLOSED_FORM[kind]
-        return _finish_transform(kind, *_coefficients(g, k_max, kinks))
-    if kind == "hermite-polynomial":
+    if kind in _HERMITE_SUMS or kind == "hermite-polynomial":
+        coeffs = _HERMITE_SUMS.get(kind, coeffs)
         if coeffs is None:
             raise ValidationError("hermite-polynomial transform requires coeffs")
         require_order(len(coeffs) - 1)
@@ -334,6 +295,12 @@ def make_transform(kind: str, *, coeffs=None, table=None, k_max: int = DEFAULT_K
         # G = sum_k (C_k / k!) H_k is a finite Hermite sum, so Parseval
         # gives EG^2 exactly and the gap is 0
         return _finish_transform(kind, c, _coefficient_mass(c))
+    if kind == "centered-absolute-value":
+        # one knot, at 0, where the slope jumps from -1 to 1; C_0 and C_1 = E[sign]
+        # vanish, and EG^2 = E[xi^2] - E|xi|^2
+        c = np.zeros(k_max + 1)
+        c[2:] = _knot_coefficients(np.zeros(1), np.array([2.0]), k_max)
+        return _finish_transform(kind, c, 1.0 - 2.0 / math.pi)
     if kind == "user-table":
         if table is None:
             raise ValidationError("user-table transform requires table")

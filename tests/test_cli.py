@@ -314,6 +314,15 @@ class TestSimulate:
         assert err == "error: Hermite order 200 exceeds 170: its factorial overflows a float\n"
         assert not (tmp_path / "path_T64.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["identity", "cube", "centered-absolute-value"])
+    def test_order_170_simulates(self, tmp_path, kind):
+        # every admitted order has its coefficients in closed form
+        cfg = tmp_path / "k_max.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("kind = identity", f"kind = {kind}\nk_max = 170"))
+        code, _, err = _run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "path_T64.csv").exists()
+
     def test_negative_master_seed_exits_2(self, tmp_path):
         cfg = tmp_path / "negative_seed.cfg"
         cfg.write_text(EXPERIMENT_CFG.replace("master_seed = 7", "master_seed = -3"))

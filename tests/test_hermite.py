@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from scipy import integrate, special
 
 from harmreg import (
     covariance,
-    hermite_coefficients,
     hermite_rank,
     make_transform,
     preset_noise,
     subordinated_covariance,
 )
-from harmreg.errors import DegenerateTransformError, QuadratureError, ValidationError
+from harmreg.errors import DegenerateTransformError, ValidationError
 from harmreg.hermite import SQRT_2PI, _g_centered_abs, hermite
 
 from oracles import hermite_coefficients_oracle, isserlis_hermite_moment
@@ -74,69 +74,72 @@ def test_hermite_orthogonality():
 
 
 def _factorial_scale(n: int) -> np.ndarray:
-    return np.sqrt([math.factorial(k) for k in range(n)])
+    return np.sqrt([float(math.factorial(k)) for k in range(n)])
 
 
 def test_identity_coefficients():
-    c = hermite_coefficients(lambda x: np.asarray(x, dtype=float))
-    assert abs(c[1] - 1.0) < 1e-10
-    others = np.abs(np.delete(c, 1)) / np.delete(_factorial_scale(len(c)), 1)
-    assert np.max(others) < 1e-9
+    c = np.array(make_transform("identity").coeffs)
+    assert c[1] == 1.0
+    assert not np.any(np.delete(c, 1))
 
 
 def test_cube_coefficients():
     # x^3 = H_3 + 3 H_1, so the moment-convention values are
     # C_1 = 3 E[H_1^2] / 1 = 3 and C_3 = E[H_3^2] / 1 = 6
-    c = hermite_coefficients(lambda x: np.asarray(x, dtype=float) ** 3)
-    assert abs(c[1] - 3.0) < 1e-9
-    assert abs(c[3] - 6.0) < 1e-9
-    others = np.abs(np.delete(c, [1, 3])) / np.delete(_factorial_scale(len(c)), [1, 3])
-    assert np.max(others) < 1e-9
+    c = np.array(make_transform("cube").coeffs)
+    assert c[1] == 3.0
+    assert c[3] == 6.0
+    assert not np.any(np.delete(c, [1, 3]))
 
 
 def test_abs_coefficients_closed_form():
     # E[|x| H_2] = E|x|^3 - E|x| = sqrt(2/pi); E[|x| H_4] = -sqrt(2/pi)
-    c = hermite_coefficients(_g_centered_abs, breakpoints=(0.0,))
-    assert abs(c[0]) < 1e-10
-    assert abs(c[1]) < 1e-10
-    assert abs(c[2] - SQRT_2_OVER_PI) < 1e-9
-    assert abs(c[4] + SQRT_2_OVER_PI) < 1e-9
-    assert np.max(np.abs(c[1::2])) < 1e-9
+    c = np.array(make_transform("centered-absolute-value", k_max=170).coeffs)
+    assert c[0] == 0.0
+    assert c[1] == 0.0
+    assert abs(c[2] - SQRT_2_OVER_PI) < 1e-15
+    assert abs(c[4] + SQRT_2_OVER_PI) < 1e-15
+    assert not np.any(c[1::2])
     # every order: C_2m = sqrt(2/pi) (-1)^(m+1) (2m-3)!! and C_odd = 0
     expected = np.zeros(len(c))
     for m in range(1, len(c) // 2 + 1):
         expected[2 * m] = SQRT_2_OVER_PI * (-1) ** (m + 1) * math.prod(range(2 * m - 3, 0, -2))
-    assert len(c) == 21
-    assert np.max(np.abs(c - expected) / _factorial_scale(len(c))) < 1e-12
-    assert abs(make_transform("centered-absolute-value").eg2 - ABS_EG2) < 1e-12
+    assert len(c) == 171
+    assert np.max(np.abs(c - expected) / _factorial_scale(len(c))) < 1e-15
+    assert abs(make_transform("centered-absolute-value").eg2 - ABS_EG2) < 1e-15
+
+
+def _table_against_oracle(xs, g, breakpoints):
+    # the oracle runs mpmath quadrature on monomial He_k over the whole line
+    tr = make_transform("user-table", table=(xs, [g(x) for x in xs]))
+    ref = hermite_coefficients_oracle(g, tr.k_max, breakpoints)
+    assert np.max(np.abs(np.array(tr.coeffs) - ref) / _factorial_scale(len(ref))) < 1e-12
 
 
 def test_clip_coefficients_match_mpmath_oracle():
-    # two breakpoints; the oracle runs mpmath quadrature on monomial He_k
-    c = hermite_coefficients(lambda x: np.clip(x, -1.0, 1.0), breakpoints=(-1.0, 1.0))
-    ref = hermite_coefficients_oracle(lambda x: min(max(x, -1), 1), len(c) - 1, (-1.0, 1.0))
-    assert np.max(np.abs(c - ref) / _factorial_scale(len(c))) < 1e-12
+    # a two-point table is clip(x, -1, 1): constant beyond its ends; far
+    # abscissae, where phi is 0, change nothing and overflow nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xs in ([-1.0, 1.0], [-1e200, -1.0, 1.0, 1e200]):
+            _table_against_oracle(xs, lambda x: min(max(x, -1), 1), (-1.0, 1.0))
 
 
-def test_abs_needs_breakpoints():
-    # without breakpoints the panels are the unit intervals, so a kink at
-    # 0.3 sits inside one and the 8- and 16-node rules disagree
+def test_shifted_abs_table_matches_mpmath_oracle():
+    # |x - 0.3| centered, tabulated at its kink and where phi has underflowed,
+    # so the constant tails beyond +-40 weigh nothing;
     # E|xi - a| = 2 phi(a) + a erf(a / sqrt(2))
     shift = 0.3
     mean = 2.0 * math.exp(-0.5 * shift**2) / SQRT_2PI + shift * math.erf(shift / math.sqrt(2.0))
-    g = lambda x: np.abs(np.asarray(x, dtype=float) - shift) - mean
-    with pytest.raises(QuadratureError, match="declare breakpoints at kinks"):
-        hermite_coefficients(g)
-    c = hermite_coefficients(g, breakpoints=(shift,))
-    ref = hermite_coefficients_oracle(lambda x: abs(x - shift) - mean, len(c) - 1, (shift,))
-    assert np.max(np.abs(c - ref) / _factorial_scale(len(c))) < 1e-12
+    _table_against_oracle([-40.0, shift, 40.0], lambda x: abs(x - shift) - mean, (shift,))
 
 
 def test_uncentered_transform_rejected():
-    # quadrature and explicit coefficients are refused with one message
+    # a table and explicit coefficients are refused with one message
     message = "transform has nonzero mean: C_0 = 3.000e-01 (must be centered)"
+    xs = np.linspace(-8.0, 8.0, 101)
     with pytest.raises(ValidationError, match=re.escape(message)):
-        hermite_coefficients(lambda x: np.asarray(x, dtype=float) + 0.3)
+        make_transform("user-table", table=(xs, xs + 0.3))
     with pytest.raises(ValidationError, match=re.escape(message)):
         make_transform("hermite-polynomial", coeffs=[0.3, 1.0])
 
@@ -161,6 +164,15 @@ def test_rank_scale_free_tolerance():
 def test_rank_degenerate():
     with pytest.raises(DegenerateTransformError):
         hermite_rank([0.0, 1e-12, 1e-12])
+
+
+def test_weights_of_order_170_do_not_overflow(mixed):
+    # raw C_k of this table reach 3e154, whose square overflows a float
+    xs = np.linspace(-6.0, 6.0, 241)
+    tr = make_transform("user-table", table=(xs, 1e4 * (np.abs(xs) - SQRT_2_OVER_PI)), k_max=170)
+    assert max(map(abs, tr.coeffs)) > 1e154
+    assert math.isfinite(tr.eg2) and 0.0 <= tr.parseval_gap < 1e-3 * tr.eg2
+    assert abs(subordinated_covariance(tr.coeffs, mixed, 0.0) - tr.eg2) <= tr.parseval_gap + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +213,8 @@ def test_abs_transform():
 
 
 def test_eg2_is_exact_where_parseval_closes():
-    # identity and cube take EG^2 from the coefficients' own Gauss-Legendre
-    # nodes, a Hermite polynomial from Parseval, so each equals its
-    # coefficient mass to roundoff and nothing is left for the tail
+    # identity, cube and a Hermite polynomial are finite Hermite sums, so
+    # each takes EG^2 from Parseval and nothing is left for the tail
     for tr in (
         make_transform("identity"),
         make_transform("cube"),
@@ -236,13 +247,15 @@ def test_k_max_property():
     assert len(tr.coeffs) == 13
 
 
-@pytest.mark.parametrize("k_max", [21, 40])
-@pytest.mark.parametrize("kind", ["identity", "cube", "centered-absolute-value"])
+@pytest.mark.parametrize("k_max", [21, 40, 58, 77, 89, 170])
+@pytest.mark.parametrize("kind", ["identity", "cube", "centered-absolute-value", "user-table"])
 def test_k_max_past_int64_factorials(kind, k_max):
-    # 21! exceeds int64; each C_k comes from its own sum over the same
-    # nodes, so the first 21 are those of the default k_max
-    tr = make_transform(kind, k_max=k_max)
-    default = make_transform(kind)
+    # 21! exceeds int64; each C_k comes from its own closed form, so the
+    # first 21 are those of the default k_max, and every order up to 170 builds
+    xs = np.linspace(-6.0, 6.0, 241)
+    table = {"table": (xs, np.tanh(xs))} if kind == "user-table" else {}
+    tr = make_transform(kind, k_max=k_max, **table)
+    default = make_transform(kind, **table)
     assert tr.k_max == k_max
     assert tr.coeffs[:21] == default.coeffs
     assert tr.rank == default.rank
@@ -253,8 +266,6 @@ def test_k_max_past_int64_factorials(kind, k_max):
 def test_k_max_must_be_a_positive_integer(k_max):
     with pytest.raises(ValidationError, match="k_max"):
         make_transform("identity", k_max=k_max)
-    with pytest.raises(ValidationError, match="k_max"):
-        hermite_coefficients(np.abs, k_max, breakpoints=(0.0,))
 
 
 @pytest.mark.parametrize(
@@ -321,9 +332,8 @@ def test_table_g_interpolates_stored_arrays():
 
 
 def test_kinked_and_table_transforms_skip_adaptive_quadrature(monkeypatch):
-    # structural guard: every kind takes one vectorised piecewise
-    # Gauss-Legendre pass per rule, never scalar adaptive calls or
-    # Gauss-Hermite nodes
+    # structural guard: every kind takes its coefficients in closed form,
+    # never from scalar adaptive calls or Gauss-Hermite nodes
     calls = []
 
     def counting(module, name):

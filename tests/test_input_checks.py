@@ -156,7 +156,9 @@ CONDITIONS = {
         lambda: hermite.require_order(171),
         {
             "make_transform-k_max": lambda: make_transform("identity", k_max=171),
-            "hermite_coefficients": lambda: hermite.hermite_coefficients(np.abs, 171, (0.0,)),
+            "hermite_rank": lambda: hermite.hermite_rank([0.0, 1.0] + [0.0] * 170),
+            "subordinated_covariance": lambda: hermite.subordinated_covariance(
+                [0.0, 1.0] + [0.0] * 170, SMOOTH, 0.5),
             "make_transform-coeffs": lambda: make_transform(
                 "hermite-polynomial", coeffs=[0.0, 1.0] + [0.0] * 170),
             "self_convolution": lambda: asymptotics.self_convolution(SMOOTH, 1, 171, 1.0),
